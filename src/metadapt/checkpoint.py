@@ -13,6 +13,7 @@ identical files.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -40,27 +41,34 @@ def save_params(path: str | Path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:
+    """Read a checkpoint; any framing that does not fit the file (a truncated
+    or corrupted entry, trailing bytes) is a DataIntegrityError."""
     path = Path(path)
-    raw = path.read_bytes()
+    raw = memoryview(path.read_bytes())
     if raw[: len(MAGIC)] != MAGIC:
         raise DataIntegrityError(f"{path}: unrecognized checkpoint header")
     offset = len(MAGIC)
-    (count,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
+
+    def read(size: int) -> memoryview:
+        nonlocal offset
+        if size > len(raw) - offset:
+            raise DataIntegrityError(f"{path}: truncated checkpoint, {size} bytes wanted at "
+                                     f"offset {offset} of {len(raw)}")
+        offset += size
+        return raw[offset - size : offset]
+
+    (count,) = struct.unpack("<Q", read(8))
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        name = raw[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}Q", raw, offset)
-        offset += 8 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=offset).reshape(shape)
-        offset += 8 * n
-        out[name] = arr.astype(np.float64).copy()
+        (name_len,) = struct.unpack("<I", read(4))
+        try:
+            name = str(read(name_len), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataIntegrityError(f"{path}: entry name at offset {offset} is not UTF-8") from exc
+        (ndim,) = struct.unpack("<I", read(4))
+        shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
+        payload = read(8 * math.prod(shape))
+        out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     if offset != len(raw):
         raise DataIntegrityError(f"{path}: trailing bytes after last checkpoint entry")
     return out

@@ -23,7 +23,7 @@ from . import checkpoint
 from .corpus import Registry, SyntheticWorldSpec, Vocab, generate_world, load_registry
 from .errors import ConfigError, DataIntegrityError, InputError, MetadaptError, NumericError
 from .metrics import aggregate, corpus_bleu, chrf, read_records, write_records, write_report
-from .model import AdapterConfig, ModelConfig
+from .model import AdapterConfig, ModelConfig, backbone_checksum
 from .optim import OptimizerSettings
 from .pipeline import (
     AdaptBudget,
@@ -161,10 +161,33 @@ def _backbone_path(config: dict) -> Path:
 
 
 def _load_backbone(config: dict) -> dict[str, np.ndarray]:
+    """The pretrained backbone, verified against the backbone.json written
+    beside it: its model and adapter tables must equal this run's config
+    (ConfigError), and the loaded parameters must match its checksum."""
     path = _backbone_path(config)
     if not path.exists():
         raise DataIntegrityError(f"backbone checkpoint not found at {path}; run `pretrain` first")
-    return checkpoint.load_params(path)
+    info_path = path.with_suffix(".json")
+    try:
+        info = json.loads(info_path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise DataIntegrityError(f"{info_path} not found; run `pretrain` again") from exc
+    except json.JSONDecodeError as exc:
+        raise DataIntegrityError(f"{info_path}: invalid JSON ({exc})") from exc
+    if not (isinstance(info, dict) and all(isinstance(info.get(t), dict)
+                                           for t in ("model", "adapter"))):
+        raise DataIntegrityError(f"{info_path}: no model and adapter tables")
+    for table in ("model", "adapter"):
+        ours, theirs = config[table], info[table]
+        diff = [f"{k}={ours.get(k)!r} (backbone: {theirs.get(k)!r})"
+                for k in sorted(set(ours) | set(theirs)) if ours.get(k) != theirs.get(k)]
+        if diff:
+            raise ConfigError(f"{table} config differs from the backbone's {info_path}: "
+                              + ", ".join(diff))
+    params = checkpoint.load_params(path)
+    if backbone_checksum(params) != info.get("backbone_checksum"):
+        raise DataIntegrityError(f"{path}: backbone checksum differs from {info_path}")
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +467,8 @@ def run(argv: list[str] | None = None) -> int:
             return cmd_baseline(config)
         if args.command in ("adapt", "evaluate"):
             return cmd_adapt_evaluate(config)
+        if args.command == "sweep":
+            return cmd_sweep(config)
         raise ConfigError(f"unknown command {args.command}")
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

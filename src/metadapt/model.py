@@ -13,7 +13,7 @@ the whole model, asserted on every build.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,6 +80,19 @@ class Batch:
     dlp: DlpId | None = None
 
 
+@dataclass
+class DecoderCache:
+    """What incremental decoding carries from one `decode_logits` call to the
+    next: the padding mask of every decoder position fed so far, each decoder
+    layer's self-attention keys and values over those positions, and each
+    layer's cross-attention keys and values, computed from the encoder output
+    once. Keys and values are head-split, (B, heads, T, head_dim)."""
+
+    key_mask: np.ndarray                                  # (B, positions fed)
+    cross: dict[str, tuple[Tensor, Tensor]]               # "dec/i/xattn" -> (K, V)
+    past: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)  # "dec/i/attn"
+
+
 def adapter_param_count(model_dim: int, bottleneck_dim: int) -> int:
     """Per-layer adapter parameters: two projections, their biases, LN affine."""
     return 2 * model_dim * bottleneck_dim + 2 * model_dim + bottleneck_dim + model_dim
@@ -135,11 +148,7 @@ class TranslationModel:
         return [n for n, p in self.params.items() if p.requires_grad]
 
     def backbone_checksum(self) -> str:
-        h = hashlib.sha256()
-        for name in sorted(self.backbone_names()):
-            h.update(name.encode("utf-8"))
-            h.update(self.params[name].data.tobytes())
-        return h.hexdigest()
+        return backbone_checksum({n: self.params[n].data for n in self.backbone_names()})
 
     def param_count(self, names: list[str] | None = None) -> int:
         names = list(self.params) if names is None else names
@@ -157,22 +166,39 @@ class TranslationModel:
             raise InputError("training forward pass needs an rng for dropout")
         return T.dropout(x, self.mc.dropout, rng)
 
-    def _attention(self, prefix: str, q_in: Tensor, kv_in: Tensor, add_mask: np.ndarray) -> Tensor:
+    def _heads(self, x: Tensor) -> Tensor:
+        """(B, T, model_dim) -> (B, heads, T, head_dim)."""
+        mc = self.mc
+        x = T.reshape(x, (x.shape[0], x.shape[1], mc.num_heads, mc.model_dim // mc.num_heads))
+        return T.swapaxes(x, 1, 2)
+
+    def _kv(self, prefix: str, kv_in: Tensor) -> tuple[Tensor, Tensor]:
+        k = self._heads(T.matmul(kv_in, self._p(f"{prefix}/wk")) + self._p(f"{prefix}/bk"))
+        v = self._heads(T.matmul(kv_in, self._p(f"{prefix}/wv")) + self._p(f"{prefix}/bv"))
+        return k, v
+
+    def _attention(self, prefix: str, q_in: Tensor, kv_in: Tensor, add_mask: np.ndarray,
+                   cache: DecoderCache | None = None) -> Tensor:
+        """Multi-head attention of q_in over kv_in. With a cache, a
+        cross-attention prefix reads its keys and values from it instead of
+        projecting kv_in, and a self-attention prefix appends kv_in's keys
+        and values to the cached ones."""
         mc = self.mc
         dh = mc.model_dim // mc.num_heads
-
-        def heads(x: Tensor, tlen: int) -> Tensor:
-            x = T.reshape(x, (x.shape[0], tlen, mc.num_heads, dh))
-            return T.swapaxes(x, 1, 2)
-
-        tq, tk = q_in.shape[1], kv_in.shape[1]
-        q = heads(T.matmul(q_in, self._p(f"{prefix}/wq")) + self._p(f"{prefix}/bq"), tq)
-        k = heads(T.matmul(kv_in, self._p(f"{prefix}/wk")) + self._p(f"{prefix}/bk"), tk)
-        v = heads(T.matmul(kv_in, self._p(f"{prefix}/wv")) + self._p(f"{prefix}/bv"), tk)
+        q = self._heads(T.matmul(q_in, self._p(f"{prefix}/wq")) + self._p(f"{prefix}/bq"))
+        if cache is not None and prefix in cache.cross:
+            k, v = cache.cross[prefix]
+        else:
+            k, v = self._kv(prefix, kv_in)
+            if cache is not None:
+                if prefix in cache.past:
+                    k, v = (Tensor(np.concatenate([old.data, new.data], axis=2))
+                            for old, new in zip(cache.past[prefix], (k, v)))
+                cache.past[prefix] = (k, v)
         scores = T.scale(T.matmul(q, T.swapaxes(k, 2, 3)), 1.0 / np.sqrt(dh))
         attn = T.softmax(scores + Tensor(add_mask))
         ctx = T.swapaxes(T.matmul(attn, v), 1, 2)
-        ctx = T.reshape(ctx, (q_in.shape[0], tq, mc.model_dim))
+        ctx = T.reshape(ctx, (q_in.shape[0], q_in.shape[1], mc.model_dim))
         return T.matmul(ctx, self._p(f"{prefix}/wo")) + self._p(f"{prefix}/bo")
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -191,11 +217,13 @@ class TranslationModel:
         base = f"{side}/{layer}/adapter/{group}"
         return {k: self._p(f"{base}/{k}") for k in ("ln_g", "ln_b", "down_w", "down_b", "up_w", "up_b")}
 
-    def _embed(self, ids: np.ndarray, train: bool, rng) -> Tensor:
-        if ids.shape[1] > self.mc.max_seq_len:
-            raise DimensionError(f"sequence length {ids.shape[1]} exceeds max_seq_len {self.mc.max_seq_len}")
+    def _embed(self, ids: np.ndarray, train: bool, rng, start: int = 0) -> Tensor:
+        """Embeddings of ids at positions start, start + 1, ..."""
+        end = start + ids.shape[1]
+        if end > self.mc.max_seq_len:
+            raise DimensionError(f"sequence length {end} exceeds max_seq_len {self.mc.max_seq_len}")
         x = T.scale(T.embedding_lookup(self._p("embed/tok"), ids), np.sqrt(self.mc.model_dim))
-        x = x + Tensor(self._pos[: ids.shape[1]])
+        x = x + Tensor(self._pos[start:end])
         return self._maybe_dropout(x, train, rng)
 
     def encode(self, src: np.ndarray, src_mask: np.ndarray,
@@ -210,19 +238,38 @@ class TranslationModel:
             x = self._adapters("enc", i, x)
         return self._ln("enc/ln_f", x)
 
+    def decoder_cache(self, enc_out: Tensor) -> DecoderCache:
+        """Empty incremental-decoding cache over `enc_out`, holding every decoder
+        layer's cross-attention keys and values."""
+        cross = {f"dec/{i}/xattn": self._kv(f"dec/{i}/xattn", enc_out)
+                 for i in range(self.mc.num_layers)}
+        return DecoderCache(key_mask=np.zeros((enc_out.shape[0], 0)), cross=cross)
+
     def decode_logits(self, enc_out: Tensor, src_mask: np.ndarray, dec_in: np.ndarray,
                       dec_mask: np.ndarray, train: bool = False,
-                      rng: np.random.Generator | None = None) -> Tensor:
+                      rng: np.random.Generator | None = None,
+                      cache: DecoderCache | None = None) -> Tensor:
+        """Decoder logits at every position of dec_in. Without a cache dec_in
+        starts at position 0 (teacher forcing). With one, it continues after
+        the positions the cache holds, attends to them as well, and the cache
+        grows by dec_in's positions; that needs no_grad, because cached keys
+        and values are not on the tape."""
+        if cache is not None and T.grad_enabled():
+            raise StateError("decode_logits: a decoder cache is for no_grad decoding only")
+        start = 0 if cache is None else cache.key_mask.shape[1]
+        x = self._embed(dec_in, train, rng, start)
+        key_mask = dec_mask
+        if cache is not None:
+            key_mask = cache.key_mask = np.concatenate([cache.key_mask, dec_mask], axis=1)
         tt = dec_in.shape[1]
-        causal = np.triu(np.full((tt, tt), NEG_MASK), k=1)[None, None, :, :]
-        self_mask = causal + NEG_MASK * (1.0 - dec_mask)[:, None, None, :]
+        causal = np.triu(np.full((tt, start + tt), NEG_MASK), k=1 + start)[None, None, :, :]
+        self_mask = causal + NEG_MASK * (1.0 - key_mask)[:, None, None, :]
         cross_mask = NEG_MASK * (1.0 - src_mask)[:, None, None, :]
-        x = self._embed(dec_in, train, rng)
         for i in range(self.mc.num_layers):
             p = f"dec/{i}"
             ln1 = self._ln(f"{p}/ln1", x)
-            x = x + self._maybe_dropout(self._attention(f"{p}/attn", ln1, ln1, self_mask), train, rng)
-            x = x + self._maybe_dropout(self._attention(f"{p}/xattn", self._ln(f"{p}/ln2", x), enc_out, cross_mask), train, rng)
+            x = x + self._maybe_dropout(self._attention(f"{p}/attn", ln1, ln1, self_mask, cache), train, rng)
+            x = x + self._maybe_dropout(self._attention(f"{p}/xattn", self._ln(f"{p}/ln2", x), enc_out, cross_mask, cache), train, rng)
             x = x + self._maybe_dropout(self._ffn(f"{p}/ffn", self._ln(f"{p}/ln3", x)), train, rng)
             x = self._adapters("dec", i, x)
         x = self._ln("dec/ln_f", x)
@@ -232,6 +279,16 @@ class TranslationModel:
                        rng: np.random.Generator | None = None) -> Tensor:
         enc = self.encode(batch.src, batch.src_mask, train, rng)
         return self.decode_logits(enc, batch.src_mask, batch.dec_in, batch.gold_mask, train, rng)
+
+
+def backbone_checksum(params: dict[str, np.ndarray]) -> str:
+    """SHA-256 over the backbone (non-adapter) entries of a parameter map,
+    names and float64 bytes, in name order."""
+    h = hashlib.sha256()
+    for name in sorted(n for n in params if "/adapter/" not in n):
+        h.update(name.encode("utf-8"))
+        h.update(np.asarray(params[name], dtype=np.float64).tobytes())
+    return h.hexdigest()
 
 
 def adapter_forward(h: Tensor, params: dict[str, Tensor], ln_epsilon: float = 1e-5) -> Tensor:
@@ -451,7 +508,8 @@ def greedy_decode(model: TranslationModel, vocab: Vocab, sources: list[str],
                   src_lang: str, tgt_lang: str, max_len: int,
                   domain: str | None = None) -> list[str]:
     """Deterministic argmax decoding until eos or max_len; returns detokenized
-    hypothesis text (special tokens stripped)."""
+    hypothesis text (special tokens stripped). Incremental: each step feeds
+    only the newest token through the decoder, against a DecoderCache."""
     from .corpus import detokenize, tokenize
 
     if max_len < 1:
@@ -468,11 +526,12 @@ def greedy_decode(model: TranslationModel, vocab: Vocab, sources: list[str],
         src_mask[r, : len(row)] = 1.0
     with T.no_grad():
         enc = model.encode(src, src_mask)
+        cache = model.decoder_cache(enc)
         out = np.full((b, 1), vocab.bos_id, dtype=np.int64)
+        step_mask = np.ones((b, 1))
         done = np.zeros(b, dtype=bool)
         for _ in range(max_len):
-            dec_mask = np.ones_like(out, dtype=np.float64)
-            logits = model.decode_logits(enc, src_mask, out, dec_mask)
+            logits = model.decode_logits(enc, src_mask, out[:, -1:], step_mask, cache=cache)
             nxt = logits.data[:, -1, :].argmax(axis=-1).astype(np.int64)
             nxt[done] = vocab.pad_id
             out = np.concatenate([out, nxt[:, None]], axis=1)

@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import Vocab
 from .errors import InputError, NumericError, StateError
-from .model import TranslationModel, forward_loss, make_batch, make_mixed_batch
+from .model import Batch, TranslationModel, forward_loss, make_batch, make_mixed_batch
 from .optim import AdamW, OptimizerSettings
 from .tasks import DlpDataset, DlpId, SamplingPlan, SentencePair, build_episode, sample_dlps
 
@@ -128,6 +128,27 @@ def _train_steps(model: TranslationModel, batches, settings: OptimizerSettings,
         losses.append(value)
         T.backward(loss)
         opt.step()
+    return losses
+
+
+def _train_epochs(model: TranslationModel, n_rows: int, make, settings: OptimizerSettings,
+                  epochs: int, batch_size: int, max_steps: int | None, seed: int,
+                  stream: int, trainable: list[str]) -> list[float]:
+    """Epochs of one optimizer step per batch over a seeded permutation of
+    n_rows rows; `make(indices)` builds the batch of those rows. Epoch e's
+    rng is SeedSequence([seed, stream, e]): it draws the permutation, then the
+    dropout masks. Only the batches the max_steps budget will use are built,
+    and no epoch starts once it is spent."""
+    losses: list[float] = []
+    for epoch in range(epochs):
+        remaining = None if max_steps is None else max_steps - len(losses)
+        if remaining is not None and remaining <= 0:
+            break
+        rng = np.random.default_rng(np.random.SeedSequence([seed, stream, epoch]))
+        order = rng.permutation(n_rows)
+        batches = [make(order[lo : lo + batch_size])
+                   for lo in range(0, n_rows, batch_size)[:remaining]]
+        losses.extend(_train_steps(model, batches, settings, rng, trainable))
     return losses
 
 
@@ -261,21 +282,13 @@ def meta_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarra
         raise InputError("meta_adapt: empty adapt split")
     trainable = list(start) if trainable is None else trainable
     restore_params(model, start)
-    losses: list[float] = []
-    steps_done = 0
-    for epoch in range(epochs):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 21, epoch]))
-        order = rng.permutation(len(adapt_pairs))
-        batches = []
-        for lo in range(0, len(order), batch_size):
-            chunk = [adapt_pairs[i] for i in order[lo : lo + batch_size]]
-            batches.append(make_batch(chunk, vocab, dlp, with_domain_tag=with_domain_tag))
-        if max_steps is not None:
-            batches = batches[: max(0, max_steps - steps_done)]
-        if not batches:
-            break
-        losses.extend(_train_steps(model, batches, settings, rng, trainable))
-        steps_done += len(batches)
+
+    def make(indices) -> Batch:
+        return make_batch([adapt_pairs[i] for i in indices], vocab, dlp,
+                          with_domain_tag=with_domain_tag)
+
+    losses = _train_epochs(model, len(adapt_pairs), make, settings, epochs, batch_size,
+                           max_steps, seed, 21, trainable)
     return snapshot_params(model, trainable), losses
 
 
@@ -307,23 +320,14 @@ def supervised_train(model: TranslationModel, vocab: Vocab,
     agnostic-adapter baselines)."""
     if not rows:
         raise InputError("supervised_train: no training rows")
-    losses: list[float] = []
-    steps = 0
-    for epoch in range(epochs):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 31, epoch]))
-        order = rng.permutation(len(rows))
-        batches = []
-        for lo in range(0, len(order), batch_size):
-            chunk = [rows[i] for i in order[lo : lo + batch_size]]
-            batches.append(make_mixed_batch(chunk, vocab, with_domain_tag=with_domain_tag,
-                                            extra_prefix_ids=extra_prefix_ids))
-        if max_steps is not None:
-            batches = batches[: max(0, max_steps - steps)]
-        if not batches:
-            break
-        losses.extend(_train_steps(model, batches, settings, rng, trainable))
-        steps += len(batches)
-    return losses
+
+    def make(indices) -> Batch:
+        return make_mixed_batch([rows[i] for i in indices], vocab,
+                                with_domain_tag=with_domain_tag,
+                                extra_prefix_ids=extra_prefix_ids)
+
+    return _train_epochs(model, len(rows), make, settings, epochs, batch_size, max_steps,
+                         seed, 31, trainable)
 
 
 def train_baseline(strategy: BaselineStrategy, model: TranslationModel, vocab: Vocab,

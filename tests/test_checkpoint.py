@@ -1,0 +1,48 @@
+import numpy as np
+import pytest
+
+from metadapt import checkpoint
+from metadapt.errors import DataIntegrityError
+
+
+def _params():
+    rng = np.random.default_rng(0)
+    return {"b/bias": rng.normal(size=3), "a/w": rng.normal(size=(2, 4))}
+
+
+def test_round_trip_bitwise(tmp_path):
+    path = tmp_path / "p.ckpt"
+    checkpoint.save_params(path, _params())
+    loaded = checkpoint.load_params(path)
+    assert list(loaded) == sorted(_params())
+    for name, value in _params().items():
+        assert loaded[name].shape == value.shape
+        assert np.array_equal(loaded[name], value)
+
+
+def test_every_truncation_is_data_integrity_error(tmp_path):
+    path = tmp_path / "p.ckpt"
+    checkpoint.save_params(path, _params())
+    raw = path.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for size in range(len(raw)):
+        cut.write_bytes(raw[:size])
+        with pytest.raises(DataIntegrityError):
+            checkpoint.load_params(cut)
+
+
+def test_corrupted_framing_is_data_integrity_error(tmp_path):
+    path = tmp_path / "p.ckpt"
+    checkpoint.save_params(path, _params())
+    raw = bytearray(path.read_bytes())
+    bad = tmp_path / "bad.ckpt"
+    # entry count far beyond the file, an oversized name, a non-UTF-8 name, trailing bytes
+    for offset, value in ((8, b"\xff" * 8), (16, b"\xff" * 4), (20, b"\xff")):
+        corrupted = bytearray(raw)
+        corrupted[offset : offset + len(value)] = value
+        bad.write_bytes(bytes(corrupted))
+        with pytest.raises(DataIntegrityError):
+            checkpoint.load_params(bad)
+    bad.write_bytes(bytes(raw) + b"\x00")
+    with pytest.raises(DataIntegrityError):
+        checkpoint.load_params(bad)

@@ -212,6 +212,94 @@ def test_greedy_decode_unknown_language_tag(tiny_registry):
         greedy_decode(model, vocab, ["w001"], "apa", "nolang", max_len=4)
 
 
+def _cache_model(vocab, max_seq_len=24):
+    """Two decoder layers, two adapter groups moved off the identity point."""
+    mc = ModelConfig(vocab_size=len(vocab), model_dim=16, num_layers=2, num_heads=2,
+                     ffn_dim=24, max_seq_len=max_seq_len, dropout=0.0)
+    model = build_model(mc, tiny_ac(), seed=14, adapter_groups=("main", "extra"))
+    rng = np.random.default_rng(15)
+    for name in model.adapter_names():
+        model.params[name].data += rng.normal(0.0, 0.1, size=model.params[name].shape)
+    return model
+
+
+def _domain_tagged_sources(vocab, sources):
+    """Padded source batch as greedy_decode builds it, with the gears domain tag."""
+    from metadapt.corpus import tokenize
+
+    tags = [vocab.domain_tag("gears"), vocab.lang_tag("apa"), vocab.lang_tag("bel")]
+    rows = [tags + tokenize(s, vocab) + [vocab.eos_id] for s in sources]
+    src = np.full((len(rows), max(map(len, rows))), vocab.pad_id, dtype=np.int64)
+    src_mask = np.zeros(src.shape)
+    for r, row in enumerate(rows):
+        src[r, : len(row)] = row
+        src_mask[r, : len(row)] = 1.0
+    return src, src_mask
+
+
+def test_decoder_cache_step_logits_match_full_prefix(tiny_registry):
+    vocab = Vocab.load(tiny_registry.root / "vocab.json")
+    model = _cache_model(vocab)
+    sources = [s for s, _ in load_dlp_dataset(tiny_registry, DlpId("gears", "apa", "bel")).train[:5]]
+    src, src_mask = _domain_tagged_sources(vocab, sources)
+    with T.no_grad():
+        enc = model.encode(src, src_mask)
+        cache = model.decoder_cache(enc)
+        prefix = np.full((len(sources), 1), vocab.bos_id, dtype=np.int64)
+        for _ in range(12):
+            step = model.decode_logits(enc, src_mask, prefix[:, -1:], np.ones((len(sources), 1)),
+                                       cache=cache).data
+            full = model.decode_logits(enc, src_mask, prefix, np.ones(prefix.shape)).data
+            assert step.shape == (len(sources), 1, len(vocab))
+            np.testing.assert_allclose(step[:, 0], full[:, -1], rtol=0.0, atol=1e-9)
+            prefix = np.concatenate([prefix, full[:, -1].argmax(axis=-1)[:, None]], axis=1)
+    with pytest.raises(StateError):
+        model.decode_logits(enc, src_mask, prefix[:, -1:], np.ones((len(sources), 1)),
+                            cache=model.decoder_cache(enc))
+
+
+def test_greedy_decode_matches_full_prefix_reference(tiny_registry):
+    from metadapt.corpus import detokenize
+
+    vocab = Vocab.load(tiny_registry.root / "vocab.json")
+    model = _cache_model(vocab)
+    sources = [s for s, _ in load_dlp_dataset(tiny_registry, DlpId("gears", "apa", "bel")).train[:8]]
+    max_len = 14
+    src, src_mask = _domain_tagged_sources(vocab, sources)
+    # reference: re-run the decoder over the whole prefix at every step
+    with T.no_grad():
+        enc = model.encode(src, src_mask)
+        out = np.full((len(sources), 1), vocab.bos_id, dtype=np.int64)
+        done = np.zeros(len(sources), dtype=bool)
+        for _ in range(max_len):
+            logits = model.decode_logits(enc, src_mask, out, np.ones(out.shape))
+            nxt = logits.data[:, -1, :].argmax(axis=-1).astype(np.int64)
+            nxt[done] = vocab.pad_id
+            out = np.concatenate([out, nxt[:, None]], axis=1)
+            done |= nxt == vocab.eos_id
+            if done.all():
+                break
+    expected = []
+    for row in out[:, 1:]:
+        ids = []
+        for tok in row:
+            if tok in (vocab.eos_id, vocab.pad_id):
+                break
+            ids.append(int(tok))
+        expected.append(detokenize(ids, vocab))
+    assert greedy_decode(model, vocab, sources, "apa", "bel", max_len, domain="gears") == expected
+
+
+def test_greedy_decode_past_max_seq_len_is_dimension_error(tiny_registry):
+    vocab = Vocab.load(tiny_registry.root / "vocab.json")
+    model = _cache_model(vocab, max_seq_len=6)
+    model.params["embed/tok"].data[vocab.eos_id] = 0.0  # eos logit pinned at 0: no early stop
+    with pytest.raises(DimensionError):
+        greedy_decode(model, vocab, ["w001 w002"], "apa", "bel", max_len=10)
+    hyp = greedy_decode(model, vocab, ["w001 w002"], "apa", "bel", max_len=6)[0]
+    assert len(hyp.split()) <= 6
+
+
 # --- adapter snapshots ---------------------------------------------------------
 
 def test_snapshot_round_trip_bitwise():

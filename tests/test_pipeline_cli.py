@@ -173,6 +173,50 @@ def test_cli_baseline_roundtrip(tmp_path):
                 "--set", 'eval.strategies=["backbone","agnostic_adapter"]']) == 0
 
 
+def test_cli_sweep_writes_sweep_csv(tmp_path):
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    assert run(["pretrain", "--config", str(cfg)]) == 0
+    assert run(["sweep", "--config", str(cfg), "--set", 'sweep.points=[{"tau": "inf"}]',
+                "--set", "meta.max_meta_batches=2"]) == 0
+    lines = (tmp_path / "run" / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "m,k,beta,tau,n,mean_bleu,best"
+    assert len(lines) == 2
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert row["tau"] == "inf" and row["best"] == "true"
+    assert 0.0 <= float(row["mean_bleu"]) <= 100.0
+
+
+def test_cli_truncated_backbone_exit_3(tmp_path, capsys):
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    assert run(["pretrain", "--config", str(cfg)]) == 0
+    ckpt = tmp_path / "run" / "backbone.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+    capsys.readouterr()
+    assert run(["meta-train", "--config", str(cfg)]) == 3
+    assert "truncated checkpoint" in capsys.readouterr().err
+
+
+def test_cli_backbone_manifest_checked_on_load(tmp_path, capsys):
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    assert run(["pretrain", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    # a model table that differs from the one the backbone was pretrained with
+    assert run(["meta-train", "--config", str(cfg), "--set", "model.model_dim=48"]) == 2
+    assert "model_dim=48 (backbone: 16)" in capsys.readouterr().err
+    assert run(["meta-train", "--config", str(cfg), "--set", "adapter.bottleneck_dim=3"]) == 2
+    # parameters that do not match the recorded backbone checksum
+    info_path = tmp_path / "run" / "backbone.json"
+    info = json.loads(info_path.read_text(encoding="utf-8"))
+    info_path.write_text(json.dumps(dict(info, backbone_checksum="0" * 64)), encoding="utf-8")
+    assert run(["meta-train", "--config", str(cfg)]) == 3
+    assert "checksum" in capsys.readouterr().err
+    info_path.unlink()
+    assert run(["meta-train", "--config", str(cfg)]) == 3
+
+
 # --- pipeline functions directly -------------------------------------------------
 
 @pytest.fixture(scope="module")

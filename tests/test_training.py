@@ -272,6 +272,53 @@ def test_meta_adapt_empty_split_rejected(world):
                    next(iter(datasets)), [], OptimizerSettings())
 
 
+def _count_calls(monkeypatch, name):
+    from metadapt import training
+
+    calls = []
+    original = getattr(training, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, name, counted)
+    return calls
+
+
+def test_step_budget_builds_only_the_batches_it_trains_on(world, monkeypatch):
+    """A max_steps cut builds exactly the batches it trains on and starts no
+    epoch past the budget; its losses (dropout on, so the per-epoch rng
+    streams matter) are a bitwise prefix of an uncut run's."""
+    _, vocab, datasets = world
+    dlp = sorted(datasets)[0]
+    rows = [(dlp, pair) for pair in datasets[dlp].train]
+    adapt = datasets[dlp].adapt
+    settings = OptimizerSettings(lr=1e-3)
+
+    def pretrain(epochs, max_steps):
+        model = small_model(vocab, seed=3, dropout=0.1)
+        return supervised_train(model, vocab, rows, settings, epochs, batch_size=8, seed=2,
+                                trainable=model.adapter_names(), max_steps=max_steps)
+
+    def adapt_run(epochs, max_steps):
+        model = small_model(vocab, seed=3, dropout=0.1)
+        start = snapshot_params(model, model.adapter_names())
+        return meta_adapt(model, vocab, start, dlp, adapt, settings, epochs=epochs,
+                          batch_size=4, seed=2, max_steps=max_steps)[1]
+
+    for run, builder, per_epoch in ((pretrain, "make_mixed_batch", len(rows) // 8),
+                                    (adapt_run, "make_batch", len(adapt) // 4)):
+        builds = _count_calls(monkeypatch, builder)
+        full = run(2, None)
+        assert len(builds) == len(full) == 2 * per_epoch
+        builds.clear()
+        budget = per_epoch + 2
+        cut = run(3, budget)
+        assert len(builds) == budget
+        assert cut == full[:budget]
+
+
 # --- baselines ---------------------------------------------------------------------------
 
 def test_full_ft_updates_backbone(world):
