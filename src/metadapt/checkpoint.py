@@ -31,7 +31,7 @@ def save_params(path: str | Path, params: dict[str, np.ndarray]) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(params)))
         for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype=np.float64)
+            arr = np.asarray(params[name], dtype=np.float64)  # keeps 0-d arrays 0-d
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)

@@ -28,8 +28,8 @@ from .optim import OptimizerSettings
 from .pipeline import (
     AdaptBudget,
     TrainedStrategies,
-    adapt_and_evaluate,
     backbone_dev_bleu,
+    compare_strategies,
     hyperparam_sweep,
     pretrain_backbone,
     role_datasets,
@@ -197,17 +197,7 @@ def _load_backbone(config: dict) -> dict[str, np.ndarray]:
 def cmd_gen_corpus(config: dict) -> int:
     if not config["world"]:
         raise ConfigError("gen-corpus: config must define a 'world' table")
-    world = config["world"]
-    for key in ("languages", "domains", "heldout_domains", "heldout_languages"):
-        if key in world:
-            world[key] = tuple(world[key])
-    for key in ("neutral_len", "specialist_len"):
-        if key in world:
-            world[key] = tuple(world[key])
-    try:
-        spec = SyntheticWorldSpec(**world)
-    except TypeError as exc:
-        raise ConfigError(f"world config: {exc}") from exc
+    spec = SyntheticWorldSpec.from_dict(config["world"], "in config")
     registry = generate_world(spec, config["corpus_dir"])
     print(f"generated {len(registry.rows)} DLPs under {registry.root}")
     return 0
@@ -296,7 +286,12 @@ def _load_trained(config: dict, strategies: list[str]) -> TrainedStrategies:
         index = art_dir / "artifact.json"
         if not index.exists():
             raise DataIntegrityError(f"{index} missing; run `baseline` for '{strategy}' first")
-        info = json.loads(index.read_text(encoding="utf-8"))
+        try:
+            info = json.loads(index.read_text(encoding="utf-8"))
+        except ValueError as exc:  # invalid JSON or UTF-8
+            raise DataIntegrityError(f"{index}: invalid JSON ({exc})") from exc
+        if not (isinstance(info, dict) and isinstance(info.get("components"), list)):
+            raise DataIntegrityError(f"{index}: no components list")
         params = {c: checkpoint.load_params(art_dir / f"{c.replace(':', '_')}.ckpt")
                   for c in info["components"]}
         trained.baselines[strategy] = BaselineArtifact(
@@ -313,14 +308,9 @@ def cmd_adapt_evaluate(config: dict) -> int:
     heldout = role_datasets(registry, "heldout", _caps(config))
     if not heldout:
         raise DataIntegrityError("no held-out DLPs in the registry")
-    budget = _budget(config)
-    records = []
-    for dlp in sorted(heldout):
-        for strategy in strategies:
-            records.append(adapt_and_evaluate(
-                strategy, dlp, heldout[dlp], mc=mc, ac=ac, vocab=vocab, backbone=backbone,
-                trained=trained, budget=budget, run_seed=config["seed"],
-                max_len=config["eval"]["max_len"]))
+    records = compare_strategies(strategies, heldout, mc=mc, ac=ac, vocab=vocab,
+                                 backbone=backbone, trained=trained, budget=_budget(config),
+                                 run_seed=config["seed"], max_len=config["eval"]["max_len"])
     out = _out_dir(config)
     write_manifest(out, config, config["seed"])
     write_records(records, out / "metrics.csv")
@@ -450,26 +440,29 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            return cmd_report(args.runs, args.reference, args.out)
-        if args.command == "evaluate" and args.hyp_file:
-            if not args.ref_file:
-                raise ConfigError("evaluate: --hyp-file requires --ref-file")
-            return cmd_evaluate_files(args.hyp_file, args.ref_file)
-        config = load_config(args.config, args.set)
-        if args.command == "gen-corpus":
-            return cmd_gen_corpus(config)
-        if args.command == "pretrain":
-            return cmd_pretrain(config)
-        if args.command == "meta-train":
-            return cmd_meta_train(config)
-        if args.command == "baseline":
-            return cmd_baseline(config)
-        if args.command in ("adapt", "evaluate"):
-            return cmd_adapt_evaluate(config)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        raise ConfigError(f"unknown command {args.command}")
+        # every op turns a non-finite result into a NumericError, so numpy's
+        # own overflow warnings would only print ahead of that one line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "report":
+                return cmd_report(args.runs, args.reference, args.out)
+            if args.command == "evaluate" and args.hyp_file:
+                if not args.ref_file:
+                    raise ConfigError("evaluate: --hyp-file requires --ref-file")
+                return cmd_evaluate_files(args.hyp_file, args.ref_file)
+            config = load_config(args.config, args.set)
+            if args.command == "gen-corpus":
+                return cmd_gen_corpus(config)
+            if args.command == "pretrain":
+                return cmd_pretrain(config)
+            if args.command == "meta-train":
+                return cmd_meta_train(config)
+            if args.command == "baseline":
+                return cmd_baseline(config)
+            if args.command in ("adapt", "evaluate"):
+                return cmd_adapt_evaluate(config)
+            if args.command == "sweep":
+                return cmd_sweep(config)
+            raise ConfigError(f"unknown command {args.command}")
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -100,19 +100,20 @@ class SyntheticWorldSpec:
             raise ConfigError("world spec: domain_vocab_size exceeds content inventory")
 
     @classmethod
+    def from_dict(cls, raw: dict, where: str) -> "SyntheticWorldSpec":
+        """Spec from a JSON table, whose lists become tuples (the table
+        itself is left as it is); `where` names the table in errors."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"world spec {where}: not a table")
+        try:
+            return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()})
+        except TypeError as exc:
+            raise ConfigError(f"world spec {where}: {exc}") from exc
+
+    @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticWorldSpec":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        for key in ("languages", "domains", "heldout_domains", "heldout_languages"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        for key in ("neutral_len", "specialist_len"):
-            if key in raw:
-                raw[key] = tuple(raw[key])
-        try:
-            return cls(**raw)
-        except TypeError as exc:
-            raise ConfigError(f"world spec {path}: {exc}") from exc
+            return cls.from_dict(json.load(fh), str(path))
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"

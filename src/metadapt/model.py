@@ -8,6 +8,10 @@ by the stacked-adapter baseline), or none at all (plain backbone).
 Parameter names containing "/adapter/" form the adapter set; every other
 parameter belongs to the backbone. The two name sets are disjoint and cover
 the whole model, asserted on every build.
+
+Teacher-forced batches (`make_batch` for one DLP, `make_mixed_batch` for rows
+of several) and greedy decoding lay out every source row the same way,
+control tags then tokens then eos, and pad rows with one helper.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .corpus import Vocab
+from .corpus import Vocab, detokenize, tokenize
 from .errors import ConfigError, DimensionError, InputError, StateError
 from .tasks import DlpId, SentencePair
 from .tensor import Tensor
@@ -121,9 +125,8 @@ class TranslationModel:
     # -- partition ----------------------------------------------------------
 
     def partition(self) -> ParamPartition:
-        adapters = tuple(n for n in self.params if "/adapter/" in n)
-        backbone = tuple(n for n in self.params if "/adapter/" not in n)
-        return ParamPartition(backbone=backbone, adapters=adapters)
+        return ParamPartition(backbone=tuple(self.backbone_names()),
+                              adapters=tuple(self.adapter_names()))
 
     def _assert_partition(self) -> None:
         part = self.partition()
@@ -422,79 +425,59 @@ def set_adapter_params(model: TranslationModel, snapshot: dict[str, np.ndarray])
 def make_batch(pairs: list[SentencePair], vocab: Vocab, dlp: DlpId,
                with_domain_tag: bool = False,
                extra_prefix_ids: tuple[int, ...] = ()) -> Batch:
-    """Tokenize pairs into a padded teacher-forced batch.
-
-    Source rows read [<dom:..>]? <lang:src> <lang:tgt> tokens... <eos>; an
-    explicit extra_prefix_ids sequence is prepended before everything
-    (testing hook). The source-language tag is required because content
-    surface forms are shared across languages, so the text alone does not
-    identify its language.
-    """
-    from .corpus import tokenize  # local import keeps module load order simple
-
+    """Tokenize pairs of one DLP into a padded teacher-forced batch; source
+    rows are laid out by `_source_row`."""
     if not pairs:
         raise InputError("make_batch: empty pair list")
-    prefix = list(extra_prefix_ids)
-    if with_domain_tag:
-        prefix.append(vocab.domain_tag(dlp.domain))
-    prefix.append(vocab.lang_tag(dlp.src_lang))
-    prefix.append(vocab.lang_tag(dlp.tgt_lang))
-    src_rows = [prefix + tokenize(src, vocab) + [vocab.eos_id] for src, _ in pairs]
-    tgt_rows = [tokenize(tgt, vocab) for _, tgt in pairs]
-    ts = max(len(r) for r in src_rows)
-    tt = max(len(r) for r in tgt_rows) + 1
-    b = len(pairs)
-    src = np.full((b, ts), vocab.pad_id, dtype=np.int64)
-    src_mask = np.zeros((b, ts))
-    dec_in = np.full((b, tt), vocab.pad_id, dtype=np.int64)
-    gold = np.full((b, tt), vocab.pad_id, dtype=np.int64)
-    gold_mask = np.zeros((b, tt))
-    for r, (s_row, t_row) in enumerate(zip(src_rows, tgt_rows)):
-        src[r, : len(s_row)] = s_row
-        src_mask[r, : len(s_row)] = 1.0
-        dec_in[r, 0] = vocab.bos_id
-        dec_in[r, 1 : 1 + len(t_row)] = t_row
-        gold[r, : len(t_row)] = t_row
-        gold[r, len(t_row)] = vocab.eos_id
-        gold_mask[r, : len(t_row) + 1] = 1.0
-    return Batch(src=src, src_mask=src_mask, dec_in=dec_in, gold=gold, gold_mask=gold_mask, dlp=dlp)
+    return _teacher_forced([(dlp, pair) for pair in pairs], vocab, with_domain_tag,
+                           extra_prefix_ids, dlp)
 
 
 def make_mixed_batch(rows: list[tuple[DlpId, SentencePair]], vocab: Vocab,
                      with_domain_tag: bool = False,
                      extra_prefix_ids: tuple[int, ...] = ()) -> Batch:
     """Batch whose rows may come from different DLPs; tags are per row."""
-    from .corpus import tokenize
-
     if not rows:
         raise InputError("make_mixed_batch: empty row list")
-    src_rows = []
-    tgt_rows = []
-    for dlp, (src, tgt) in rows:
-        prefix = list(extra_prefix_ids)
-        if with_domain_tag:
-            prefix.append(vocab.domain_tag(dlp.domain))
-        prefix.append(vocab.lang_tag(dlp.src_lang))
-        prefix.append(vocab.lang_tag(dlp.tgt_lang))
-        src_rows.append(prefix + tokenize(src, vocab) + [vocab.eos_id])
-        tgt_rows.append(tokenize(tgt, vocab))
-    ts = max(len(r) for r in src_rows)
-    tt = max(len(r) for r in tgt_rows) + 1
-    b = len(rows)
-    src = np.full((b, ts), vocab.pad_id, dtype=np.int64)
-    src_mask = np.zeros((b, ts))
-    dec_in = np.full((b, tt), vocab.pad_id, dtype=np.int64)
-    gold = np.full((b, tt), vocab.pad_id, dtype=np.int64)
-    gold_mask = np.zeros((b, tt))
-    for r, (s_row, t_row) in enumerate(zip(src_rows, tgt_rows)):
-        src[r, : len(s_row)] = s_row
-        src_mask[r, : len(s_row)] = 1.0
-        dec_in[r, 0] = vocab.bos_id
-        dec_in[r, 1 : 1 + len(t_row)] = t_row
-        gold[r, : len(t_row)] = t_row
-        gold[r, len(t_row)] = vocab.eos_id
-        gold_mask[r, : len(t_row) + 1] = 1.0
-    return Batch(src=src, src_mask=src_mask, dec_in=dec_in, gold=gold, gold_mask=gold_mask, dlp=None)
+    return _teacher_forced(rows, vocab, with_domain_tag, extra_prefix_ids, None)
+
+
+def _teacher_forced(rows: list[tuple[DlpId, SentencePair]], vocab: Vocab,
+                    with_domain_tag: bool, extra_prefix_ids: tuple[int, ...],
+                    dlp: DlpId | None) -> Batch:
+    src_rows = [_source_row(vocab, src, d.src_lang, d.tgt_lang,
+                            d.domain if with_domain_tag else None, extra_prefix_ids)
+                for d, (src, _) in rows]
+    tgt_rows = [tokenize(tgt, vocab) for _, (_, tgt) in rows]
+    src, src_mask = _pad_rows(src_rows, vocab.pad_id)
+    dec_in, _ = _pad_rows([[vocab.bos_id] + t for t in tgt_rows], vocab.pad_id)
+    gold, gold_mask = _pad_rows([t + [vocab.eos_id] for t in tgt_rows], vocab.pad_id)
+    return Batch(src=src, src_mask=src_mask, dec_in=dec_in, gold=gold, gold_mask=gold_mask, dlp=dlp)
+
+
+def _source_row(vocab: Vocab, text: str, src_lang: str, tgt_lang: str,
+                domain: str | None = None, extra_prefix_ids: tuple[int, ...] = ()) -> list[int]:
+    """Token ids of one source sentence: [extra ids] [<dom:..>]? <lang:src>
+    <lang:tgt> tokens... <eos>. The explicit extra ids are a testing hook. The
+    source-language tag is required because content surface forms are shared
+    across languages, so the text alone does not identify its language. An
+    unknown tag is an InputError."""
+    prefix = list(extra_prefix_ids)
+    if domain is not None:
+        prefix.append(vocab.domain_tag(domain))
+    prefix += [vocab.lang_tag(src_lang), vocab.lang_tag(tgt_lang)]
+    return prefix + tokenize(text, vocab) + [vocab.eos_id]
+
+
+def _pad_rows(rows: list[list[int]], pad_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Id rows padded with pad_id to the longest one, (B, T) int64, and the
+    (B, T) float64 mask that is 1.0 at real positions."""
+    ids = np.full((len(rows), max(len(r) for r in rows)), pad_id, dtype=np.int64)
+    mask = np.zeros(ids.shape)
+    for r, row in enumerate(rows):
+        ids[r, : len(row)] = row
+        mask[r, : len(row)] = 1.0
+    return ids, mask
 
 
 def forward_loss(model: TranslationModel, batch: Batch, train: bool = False,
@@ -510,20 +493,11 @@ def greedy_decode(model: TranslationModel, vocab: Vocab, sources: list[str],
     """Deterministic argmax decoding until eos or max_len; returns detokenized
     hypothesis text (special tokens stripped). Incremental: each step feeds
     only the newest token through the decoder, against a DecoderCache."""
-    from .corpus import detokenize, tokenize
-
     if max_len < 1:
         raise InputError("greedy_decode: max_len must be >= 1")
-    tags = [vocab.lang_tag(src_lang), vocab.lang_tag(tgt_lang)]  # InputError when unknown
-    prefix = [vocab.domain_tag(domain)] if domain is not None else []
-    src_rows = [prefix + tags + tokenize(s, vocab) + [vocab.eos_id] for s in sources]
-    b = len(src_rows)
-    ts = max(len(r) for r in src_rows)
-    src = np.full((b, ts), vocab.pad_id, dtype=np.int64)
-    src_mask = np.zeros((b, ts))
-    for r, row in enumerate(src_rows):
-        src[r, : len(row)] = row
-        src_mask[r, : len(row)] = 1.0
+    rows = [_source_row(vocab, s, src_lang, tgt_lang, domain) for s in sources]
+    src, src_mask = _pad_rows(rows, vocab.pad_id)
+    b = len(rows)
     with T.no_grad():
         enc = model.encode(src, src_mask)
         cache = model.decoder_cache(enc)

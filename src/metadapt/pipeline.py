@@ -13,6 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -48,12 +49,6 @@ from .training import (
     supervised_train,
     train_baseline,
 )
-
-ADAPTER_STRATEGIES = (STRATEGY_META_ADAPTER, STRATEGY_RANDOM_ADAPTER,
-                      BaselineStrategy.AGNOSTIC_ADAPTER.value)
-FULL_STRATEGIES = (BaselineStrategy.FULL_FT.value, BaselineStrategy.TAG_FT.value,
-                   BaselineStrategy.FULL_MODEL_META.value)
-
 
 @dataclass(frozen=True)
 class AdaptBudget:
@@ -173,6 +168,69 @@ def train_strategies(strategies: list[str], mc: ModelConfig, ac: AdapterConfig,
     return out
 
 
+def _keep_backbone(*_) -> None:
+    pass
+
+
+def _start_meta(model: TranslationModel, trained: TrainedStrategies, strategy: str,
+                dlp: DlpId, seed: int) -> None:
+    if trained.meta_adapter is None:
+        raise InputError("adapt_and_evaluate: meta_adapter snapshot missing")
+    restore_params(model, trained.meta_adapter)
+
+
+def _start_component(component: str):
+    """Start from one stored component ("adapter" or "model") of the
+    strategy's stage-one artifact."""
+    def start(model: TranslationModel, trained: TrainedStrategies, strategy: str,
+              dlp: DlpId, seed: int) -> None:
+        restore_params(model, trained.baselines[strategy].params[component])
+    return start
+
+
+def _start_stack(model: TranslationModel, trained: TrainedStrategies, strategy: str,
+                 dlp: DlpId, seed: int) -> None:
+    install_stack(model, trained.baselines[strategy], dlp, seed=seed)
+
+
+@dataclass(frozen=True)
+class StrategySetup:
+    """How stage two sets up one strategy. The model is built with
+    `adapter_groups` over the pretrained backbone; `start` writes the
+    strategy's stage-one weights into it; `adapts` names what the shared
+    budget fine-tunes (nothing: scored as is, and the pretrained backbone
+    counts as fully trained once). A stacked strategy counts one adapter set
+    per language pair and per domain of the meta-training registry."""
+
+    adapter_groups: tuple[str, ...]
+    start: Callable[[TranslationModel, TrainedStrategies, str, DlpId, int], None]
+    adapts: Callable[[TranslationModel], list[str]]
+    with_domain_tag: bool = False
+    stacked: bool = False
+
+
+def _all_params(model: TranslationModel) -> list[str]:
+    return list(model.params)
+
+
+STRATEGIES: dict[str, StrategySetup] = {
+    STRATEGY_BACKBONE: StrategySetup((), _keep_backbone, lambda model: []),
+    STRATEGY_META_ADAPTER: StrategySetup(("main",), _start_meta, TranslationModel.adapter_names),
+    STRATEGY_RANDOM_ADAPTER: StrategySetup(("main",), _keep_backbone,
+                                           TranslationModel.adapter_names),
+    BaselineStrategy.AGNOSTIC_ADAPTER.value: StrategySetup(
+        ("main",), _start_component("adapter"), TranslationModel.adapter_names),
+    BaselineStrategy.FULL_FT.value: StrategySetup((), _start_component("model"), _all_params),
+    BaselineStrategy.TAG_FT.value: StrategySetup((), _start_component("model"), _all_params,
+                                                 with_domain_tag=True),
+    BaselineStrategy.FULL_MODEL_META.value: StrategySetup((), _start_component("model"),
+                                                          _all_params),
+    BaselineStrategy.STACK_ADAPTER.value: StrategySetup((), _start_stack,
+                                                        TranslationModel.adapter_names,
+                                                        stacked=True),
+}
+
+
 def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
                        mc: ModelConfig, ac: AdapterConfig, vocab: Vocab,
                        backbone: dict[str, np.ndarray], trained: TrainedStrategies,
@@ -181,88 +239,42 @@ def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
     """Adapt one strategy to one held-out DLP under the shared budget, then
     score it on the DLP's test split."""
     t0 = time.perf_counter()
-    with_domain_tag = strategy == BaselineStrategy.TAG_FT.value
-    counts: tuple[int, float] | None = None
-    note = ""
-
-    if strategy == STRATEGY_BACKBONE:
-        model = build_model(mc, ac, seed=hash_seed(run_seed, 51), adapter_groups=())
-        restore_params(model, backbone)
-        model.set_trainable([])
-    elif strategy in ADAPTER_STRATEGIES:
-        model = build_model(mc, ac, seed=hash_seed(run_seed, 51), adapter_groups=("main",))
-        restore_params(model, backbone)
-        if strategy == STRATEGY_META_ADAPTER:
-            if trained.meta_adapter is None:
-                raise InputError("adapt_and_evaluate: meta_adapter snapshot missing")
-            restore_params(model, trained.meta_adapter)
-        elif strategy == BaselineStrategy.AGNOSTIC_ADAPTER.value:
-            restore_params(model, trained.baselines[strategy].params["adapter"])
-        trainable = model.adapter_names()
-        adapted, _ = meta_adapt(model, vocab, snapshot_params(model, trainable), dlp,
-                                dataset.adapt, budget.settings, epochs=budget.epochs,
-                                batch_size=budget.batch_size, seed=run_seed,
-                                trainable=trainable, max_steps=budget.max_steps)
-        restore_params(model, adapted)
-        counts = count_trainable(model, strategy)
-    elif strategy in FULL_STRATEGIES:
-        model = build_model(mc, ac, seed=hash_seed(run_seed, 51), adapter_groups=())
-        restore_params(model, trained.baselines[strategy].params["model"])
-        trainable = list(model.params)
-        adapted, _ = meta_adapt(model, vocab, snapshot_params(model, trainable), dlp,
-                                dataset.adapt, budget.settings, epochs=budget.epochs,
-                                batch_size=budget.batch_size, seed=run_seed,
-                                trainable=trainable, with_domain_tag=with_domain_tag,
-                                max_steps=budget.max_steps)
-        restore_params(model, adapted)
-        model.set_trainable(trainable)
-        counts = count_trainable(model, strategy)
-        note = trained.baselines[strategy].note
-    elif strategy == BaselineStrategy.STACK_ADAPTER.value:
-        model = build_model(mc, ac, seed=hash_seed(run_seed, 51), adapter_groups=())
-        restore_params(model, backbone)
-        artifact = trained.baselines[strategy]
-        trainable = install_stack(model, artifact, dlp, seed=run_seed)
-        adapted, _ = meta_adapt(model, vocab, snapshot_params(model, trainable), dlp,
-                                dataset.adapt, budget.settings, epochs=budget.epochs,
-                                batch_size=budget.batch_size, seed=run_seed,
-                                trainable=trainable, max_steps=budget.max_steps)
-        restore_params(model, adapted)
-        model.set_trainable(trainable)
+    setup = STRATEGIES.get(strategy)
+    if setup is None:
+        raise InputError(f"adapt_and_evaluate: unknown strategy '{strategy}'")
+    model = build_model(mc, ac, seed=hash_seed(run_seed, 51), adapter_groups=setup.adapter_groups)
+    restore_params(model, backbone)
+    setup.start(model, trained, strategy, dlp, run_seed)
+    trainable = setup.adapts(model)
+    if trainable:
+        meta_adapt(model, vocab, snapshot_params(model, trainable), dlp, dataset.adapt,
+                   budget.settings, epochs=budget.epochs, batch_size=budget.batch_size,
+                   seed=run_seed, trainable=trainable, with_domain_tag=setup.with_domain_tag,
+                   max_steps=budget.max_steps)
+    model.set_trainable(trainable)
+    artifact = trained.baselines.get(strategy)
+    counts = None
+    if setup.stacked:
         if registry_shape is None:
             lps = {k.split(":", 1)[1] for k in artifact.params if k.startswith("lp:")}
             doms = {k.split(":", 1)[1] for k in artifact.params if k.startswith("dom:")}
             registry_shape = (len(lps), len(doms))
         counts = count_trainable(model, strategy, n_language_pairs=registry_shape[0],
                                  n_domains=registry_shape[1])
-        note = artifact.note
-    else:
-        raise InputError(f"adapt_and_evaluate: unknown strategy '{strategy}'")
-
+    elif trainable:
+        counts = count_trainable(model, strategy)
     return evaluate_dlp(model, vocab, dlp, dataset.test, strategy, max_len,
-                        with_domain_tag=with_domain_tag, counts=counts,
-                        wall_time=time.perf_counter() - t0, note=note)
+                        with_domain_tag=setup.with_domain_tag, counts=counts,
+                        wall_time=time.perf_counter() - t0,
+                        note=artifact.note if artifact is not None else "")
 
 
-def run_comparison(strategies: list[str], registry: Registry, vocab: Vocab,
-                   mc: ModelConfig, ac: AdapterConfig, backbone: dict[str, np.ndarray],
-                   meta_datasets: dict[DlpId, DlpDataset],
-                   heldout: dict[DlpId, DlpDataset], cfg: MetaConfig,
-                   budget: AdaptBudget, max_len: int,
-                   train_batch_size: int = 16, train_max_steps: int | None = None,
-                   ) -> tuple[list[MetricsRecord], TrainedStrategies]:
-    """Stage one (train every strategy) then stage two (adapt + evaluate each
-    strategy on every held-out DLP) under one config and seed."""
-    trained = train_strategies(strategies, mc, ac, vocab, backbone, meta_datasets, cfg,
-                               batch_size=train_batch_size, max_steps=train_max_steps)
-    records = []
-    for dlp in sorted(heldout):
-        for strategy in strategies:
-            records.append(adapt_and_evaluate(
-                strategy, dlp, heldout[dlp], mc=mc, ac=ac, vocab=vocab,
-                backbone=backbone, trained=trained, budget=budget,
-                run_seed=cfg.seed, max_len=max_len))
-    return records, trained
+def compare_strategies(strategies: list[str], heldout: dict[DlpId, DlpDataset],
+                       **setup) -> list[MetricsRecord]:
+    """Stage two: `adapt_and_evaluate` every strategy on every held-out DLP,
+    DLPs in sorted order; `setup` holds its keyword arguments."""
+    return [adapt_and_evaluate(strategy, dlp, heldout[dlp], **setup)
+            for dlp in sorted(heldout) for strategy in strategies]
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +311,9 @@ def _sweep_run(point: dict, cfg: MetaConfig, mc, ac, vocab, backbone,
                meta_datasets, heldout, budget, max_len) -> dict:
     trained = train_strategies([STRATEGY_META_ADAPTER], mc, ac, vocab, backbone,
                                meta_datasets, cfg)
-    bleus = []
-    for dlp in sorted(heldout):
-        rec = adapt_and_evaluate(STRATEGY_META_ADAPTER, dlp, heldout[dlp], mc=mc, ac=ac,
-                                 vocab=vocab, backbone=backbone, trained=trained,
-                                 budget=budget, run_seed=cfg.seed, max_len=max_len)
-        bleus.append(rec.bleu)
+    bleus = [rec.bleu for rec in compare_strategies(
+        [STRATEGY_META_ADAPTER], heldout, mc=mc, ac=ac, vocab=vocab, backbone=backbone,
+        trained=trained, budget=budget, run_seed=cfg.seed, max_len=max_len)]
     row = {"m": cfg.m, "k": cfg.k, "beta": cfg.beta, "tau": cfg.tau, "n": cfg.n,
            "mean_bleu": sum(bleus) / len(bleus), "best": False}
     row.update({k: v for k, v in point.items() if k not in row})

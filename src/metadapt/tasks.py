@@ -19,10 +19,6 @@ log = logging.getLogger(__name__)
 
 SentencePair = tuple[str, str]
 
-#: Temperature sentinel meaning "sample uniformly"; kept as a real inf so
-#: configs can spell it "inf" and uniformity is exact rather than approximate.
-UNIFORM_TEMPERATURE = math.inf
-
 
 @dataclass(frozen=True, order=True)
 class DlpId:

@@ -26,7 +26,8 @@ from .tasks import DlpDataset, DlpId, SamplingPlan, SentencePair, build_episode,
 @dataclass(frozen=True)
 class MetaConfig:
     """Meta-training knobs; defaults follow the tuned setting m=8, k=3,
-    beta=1.0, tau=1 with 3 meta-epochs and 1 adaptation epoch."""
+    beta=1.0, tau=1 with 3 meta-epochs. The adaptation stage's budget is
+    `pipeline.AdaptBudget`."""
 
     m: int = 8
     n: int = 8
@@ -37,8 +38,6 @@ class MetaConfig:
     epochs: int = 3
     seed: int = 0
     inner: OptimizerSettings = field(default_factory=OptimizerSettings)
-    adapt_epochs: int = 1
-    adapt_batch_size: int = 16
     early_stop_patience: int = 3
     max_meta_batches: int | None = None
     sample_with_replacement: bool = False

@@ -46,3 +46,12 @@ def test_corrupted_framing_is_data_integrity_error(tmp_path):
     bad.write_bytes(bytes(raw) + b"\x00")
     with pytest.raises(DataIntegrityError):
         checkpoint.load_params(bad)
+
+
+def test_zero_dim_array_keeps_its_shape(tmp_path):
+    path = tmp_path / "s.ckpt"
+    checkpoint.save_params(path, {"scalar": np.asarray(1.5), **_params()})
+    loaded = checkpoint.load_params(path)
+    assert loaded["scalar"].shape == () and loaded["scalar"] == 1.5
+    for name, value in _params().items():
+        assert np.array_equal(loaded[name], value)

@@ -9,8 +9,10 @@ from metadapt.corpus import Vocab
 from metadapt.metrics import read_records
 from metadapt.model import AdapterConfig, ModelConfig
 from metadapt.optim import OptimizerSettings
+from metadapt.errors import InputError
 from metadapt.pipeline import (
     AdaptBudget,
+    TrainedStrategies,
     adapt_and_evaluate,
     backbone_dev_bleu,
     hyperparam_sweep,
@@ -217,6 +219,69 @@ def test_cli_backbone_manifest_checked_on_load(tmp_path, capsys):
     assert run(["meta-train", "--config", str(cfg)]) == 3
 
 
+def _baseline_run(tmp_path) -> Path:
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    assert run(["pretrain", "--config", str(cfg)]) == 0
+    assert run(["baseline", "--config", str(cfg), "--set", "strategy=agnostic_adapter"]) == 0
+    return cfg
+
+
+def _adapt_agnostic(cfg) -> int:
+    return run(["adapt", "--config", str(cfg), "--set", 'eval.strategies=["agnostic_adapter"]'])
+
+
+def test_cli_truncated_artifact_index_exit_3(tmp_path, capsys):
+    cfg = _baseline_run(tmp_path)
+    index = tmp_path / "run" / "baseline_agnostic_adapter" / "artifact.json"
+    index.write_bytes(index.read_bytes()[: index.stat().st_size // 2])
+    capsys.readouterr()
+    assert _adapt_agnostic(cfg) == 3
+    assert "artifact.json: invalid JSON" in capsys.readouterr().err
+
+
+def test_cli_artifact_index_without_components_exit_3(tmp_path, capsys):
+    cfg = _baseline_run(tmp_path)
+    index = tmp_path / "run" / "baseline_agnostic_adapter" / "artifact.json"
+    index.write_text(json.dumps({"strategy": "agnostic_adapter", "note": ""}), encoding="utf-8")
+    capsys.readouterr()
+    assert _adapt_agnostic(cfg) == 3
+    assert "artifact.json: no components list" in capsys.readouterr().err
+
+
+def test_cli_numeric_failure_exit_4_one_line(tmp_path, capfd):
+    """A diverging pretrain exits 4 with the one documented line on stderr,
+    and numpy prints no overflow warnings ahead of it."""
+    import warnings
+
+    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "smoke.json")
+    paths = ["--set", f"corpus_dir={tmp_path / 'corpus'}", "--set", f"out_dir={tmp_path / 'run'}"]
+    assert run(["gen-corpus", "--config", cfg] + paths) == 0
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would escape run()
+        assert run(["pretrain", "--config", cfg, "--set", "pretrain.lr=1e300"] + paths) == 4
+    err = capfd.readouterr().err
+    assert err.startswith("numeric error: non-finite values") and err.count("\n") == 1
+
+
+def test_cli_gen_corpus_world_table(tmp_path, capsys):
+    """gen-corpus reads the world table without changing it, and an unknown
+    world key is a config error naming the world spec."""
+    import copy
+
+    from metadapt.cli import cmd_gen_corpus, load_config
+
+    cfg = _smoke_config(tmp_path)
+    config = load_config(str(cfg), [])
+    world = copy.deepcopy(config["world"])
+    assert cmd_gen_corpus(config) == 0
+    assert config["world"] == world  # lists stay lists
+    capsys.readouterr()
+    assert run(["gen-corpus", "--config", str(cfg), "--set", "world.bogus=1"]) == 2
+    assert "world spec" in capsys.readouterr().err
+
+
 # --- pipeline functions directly -------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -275,6 +340,19 @@ def test_adapt_and_evaluate_identical_budgets_all_strategies(smoke_stack):
     dom_count = len({d.domain for d in meta_ds})
     single = by_strategy["meta_adapter"].trainable_params
     assert by_strategy["stack_adapter"].trainable_params == (lp_count + dom_count) * single
+
+
+def test_adapt_and_evaluate_rejects_unknown_strategy_and_missing_snapshot(smoke_stack):
+    registry, vocab, mc, ac, backbone = smoke_stack
+    heldout = role_datasets(registry, "heldout")
+    dlp = sorted(heldout)[0]
+    budget = AdaptBudget(epochs=1, batch_size=8, max_steps=1)
+    for strategy, message in (("bogus", "unknown strategy 'bogus'"),
+                              ("meta_adapter", "meta_adapter snapshot missing")):
+        with pytest.raises(InputError, match=message):
+            adapt_and_evaluate(strategy, dlp, heldout[dlp], mc=mc, ac=ac, vocab=vocab,
+                               backbone=backbone, trained=TrainedStrategies(), budget=budget,
+                               run_seed=0, max_len=10)
 
 
 def test_hyperparam_sweep_degenerate_and_deterministic(smoke_stack):
