@@ -9,13 +9,21 @@ Layout (all integers little-endian):
 
 Entries are written in sorted name order so identical parameter maps produce
 identical files.
+
+`atomic_write` is the one way the package writes an artifact (checkpoints,
+manifests, metrics and report tables): a reader or a crash sees the old file
+or the new one, never a part of either.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import secrets
 import struct
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -24,10 +32,28 @@ from .errors import DataIntegrityError
 MAGIC = b"MDCKPT01"
 
 
-def save_params(path: str | Path, params: dict[str, np.ndarray]) -> None:
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a new temp file beside `path` (text is UTF-8, newlines as written).
+
+    A clean exit syncs it and moves it over `path` with os.replace; an
+    exception deletes it and leaves `path` as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with (open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="")) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def save_params(path: str | Path, params: dict[str, np.ndarray]) -> None:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(params)))
         for name in sorted(params):

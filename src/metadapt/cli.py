@@ -26,6 +26,7 @@ from .metrics import aggregate, corpus_bleu, chrf, read_records, write_records, 
 from .model import AdapterConfig, ModelConfig, backbone_checksum
 from .optim import OptimizerSettings
 from .pipeline import (
+    STRATEGIES,
     AdaptBudget,
     TrainedStrategies,
     backbone_dev_bleu,
@@ -219,8 +220,8 @@ def cmd_pretrain(config: dict) -> int:
     meta = {"model": config["model"], "adapter": config["adapter"],
             "partition": {"backbone": sorted(part.backbone), "adapters": sorted(part.adapters)},
             "backbone_checksum": model.backbone_checksum()}
-    (out / "backbone.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                                       encoding="utf-8")
+    with checkpoint.atomic_write(out / "backbone.json") as fh:
+        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     write_training_log([{"step": i, "loss": v} for i, v in enumerate(losses)],
                        out / "pretrain_log.jsonl")
     dev = backbone_dev_bleu(model, vocab, registry, max_len=config["eval"]["max_len"])
@@ -260,12 +261,12 @@ def cmd_baseline(config: dict) -> int:
     trained = train_strategies([base.value], mc, ac, vocab, backbone, datasets, cfg)
     artifact = trained.baselines[base.value]
     art_dir = out / f"baseline_{base.value}"
-    art_dir.mkdir(parents=True, exist_ok=True)
     for component, params in artifact.params.items():
         checkpoint.save_params(art_dir / f"{component.replace(':', '_')}.ckpt", params)
-    (art_dir / "artifact.json").write_text(json.dumps(
-        {"strategy": base.value, "components": sorted(artifact.params), "note": artifact.note},
-        indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with checkpoint.atomic_write(art_dir / "artifact.json") as fh:
+        fh.write(json.dumps(
+            {"strategy": base.value, "components": sorted(artifact.params), "note": artifact.note},
+            indent=2, sort_keys=True) + "\n")
     print(f"trained baseline {base.value} ({len(artifact.params)} component(s))")
     return 0
 
@@ -300,10 +301,16 @@ def _load_trained(config: dict, strategies: list[str]) -> TrainedStrategies:
 
 
 def cmd_adapt_evaluate(config: dict) -> int:
+    strategies = config["eval"]["strategies"]
+    if not isinstance(strategies, list):
+        raise ConfigError(f"eval.strategies: expected a list of strategy names, got {strategies!r}")
+    unknown = [s for s in strategies if not isinstance(s, str) or s not in STRATEGIES]
+    if unknown:
+        raise ConfigError(f"eval.strategies: unknown strategy {', '.join(map(repr, unknown))}; "
+                          f"known strategies: {', '.join(STRATEGIES)}")
     registry, vocab = _load_world(config)
     mc, ac = _model_configs(config, vocab)
     backbone = _load_backbone(config)
-    strategies = config["eval"]["strategies"]
     trained = _load_trained(config, strategies)
     heldout = role_datasets(registry, "heldout", _caps(config))
     if not heldout:
@@ -384,7 +391,7 @@ def _write_efficiency(records, path: Path) -> None:
     rows = {}
     for rec in records:
         rows.setdefault(rec.strategy, (rec.trainable_params, rec.trainable_ratio, rec.note))
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with checkpoint.atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["strategy", "trainable_params", "trainable_ratio", "note"])
         for strategy in sorted(rows):
@@ -395,7 +402,7 @@ def _write_efficiency(records, path: Path) -> None:
 def _write_loss_curves(logs: list[dict], path: Path) -> None:
     import csv
 
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with checkpoint.atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["run", "log", "step", "loss"])
         for rec in logs:

@@ -130,6 +130,8 @@ def _rotation(spec: SyntheticWorldSpec, lang: str) -> int:
 def _reorder(tokens: list[str], r: int) -> list[str]:
     """Rotate each consecutive token block left by r (adjacent-pair swap for
     odd-class languages); invertible for any block size."""
+    if r % _REORDER_BLOCK == 0:
+        return list(tokens)
     out = []
     for start in range(0, len(tokens), _REORDER_BLOCK):
         block = tokens[start : start + _REORDER_BLOCK]
@@ -186,6 +188,32 @@ class _DomainModel:
     # fixed phrase templates (slots: 'C' or 'f<k>'); None means every sentence
     # draws a fresh pattern, the template-free regime of the pretrain domain
     templates: tuple[tuple[str, ...], ...] | None
+    # _cdf tables of `weights` and `function_profile`, built once per model
+    word_cdf: np.ndarray = field(repr=False, compare=False)
+    function_cdf: np.ndarray = field(repr=False, compare=False)
+
+
+#: Tolerance of the sum-to-one check, as in ``Generator.choice``.
+_P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _cdf(p, what: str) -> np.ndarray:
+    """Cumulative table for drawing index i with probability p[i].
+
+    Checked and built exactly as ``Generator.choice(len(p), p=p)`` does on
+    every call, so `_draw` on this table returns the index that call would
+    return, from the same single double of the stream."""
+    p = np.asarray(p, dtype=np.float64)
+    if (p.ndim != 1 or p.size == 0 or not np.isfinite(p).all() or (p < 0).any()
+            or abs(p.sum() - 1.0) > _P_ATOL):
+        raise ConfigError(f"world spec: {what} is not a probability vector")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw(cdf: np.ndarray, rng: np.random.Generator) -> int:
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _content_inventory(spec: SyntheticWorldSpec) -> list[str]:
@@ -218,6 +246,8 @@ def _domain_models(spec: SyntheticWorldSpec) -> dict[str, _DomainModel]:
         length_range=spec.neutral_len,
         function_profile=neutral_profile,
         templates=None,
+        word_cdf=_cdf(uniform, f"domain '{spec.pretrain_domain}' word weights"),
+        function_cdf=_cdf(neutral_profile, f"domain '{spec.pretrain_domain}' function profile"),
     )
 
     for idx, dom in enumerate(specialist):
@@ -235,6 +265,7 @@ def _domain_models(spec: SyntheticWorldSpec) -> dict[str, _DomainModel]:
         f_ranks[f_perm] = np.arange(N_FUNCTION_WORDS)
         f_raw = 1.0 / (f_ranks + 2.0)
         profile = tuple((f_raw / f_raw.sum()).tolist())
+        function_cdf = _cdf(profile, f"domain '{dom}' function profile")
         models[dom] = _DomainModel(
             name=dom,
             words=tuple(words),
@@ -242,45 +273,40 @@ def _domain_models(spec: SyntheticWorldSpec) -> dict[str, _DomainModel]:
             length_range=spec.specialist_len,
             function_profile=profile,
             templates=_make_templates(drng, spec.templates_per_domain,
-                                      spec.specialist_len, profile),
+                                      spec.specialist_len, function_cdf),
+            word_cdf=_cdf(weights, f"domain '{dom}' word weights"),
+            function_cdf=function_cdf,
         )
     return models
 
 
 def _pattern(rng: np.random.Generator, length_range: tuple[int, int],
-             function_profile) -> tuple[str, ...]:
+             function_cdf: np.ndarray) -> tuple[str, ...]:
     lo, hi = length_range
     if not 1 <= lo <= hi:
         raise ConfigError(f"world spec: bad sentence length range {length_range}")
     length = int(rng.integers(lo, hi + 1))
     slots: list[str] = []
-    profile = np.asarray(function_profile)
     while len(slots) < length:
         if rng.random() < 0.35:
-            slots.append(f"f{int(rng.choice(N_FUNCTION_WORDS, p=profile))}")
+            slots.append(f"f{_draw(function_cdf, rng)}")
         else:
             slots.append("C")
     return tuple(slots)
 
 
 def _make_templates(rng: np.random.Generator, count: int, length_range: tuple[int, int],
-                    function_profile) -> tuple[tuple[str, ...], ...]:
-    return tuple(_pattern(rng, length_range, function_profile) for _ in range(count))
+                    function_cdf: np.ndarray) -> tuple[tuple[str, ...], ...]:
+    return tuple(_pattern(rng, length_range, function_cdf) for _ in range(count))
 
 
 def _latent_sentence(model: _DomainModel, rng: np.random.Generator) -> list[str]:
     if model.templates is None:
-        template = _pattern(rng, model.length_range, model.function_profile)
+        template = _pattern(rng, model.length_range, model.function_cdf)
     else:
         template = model.templates[int(rng.integers(0, len(model.templates)))]
-    weights = np.asarray(model.weights)
-    out = []
-    for slot in template:
-        if slot == "C":
-            out.append(model.words[int(rng.choice(len(model.words), p=weights))])
-        else:
-            out.append(slot)
-    return out
+    words, cdf = model.words, model.word_cdf
+    return [words[_draw(cdf, rng)] if slot == "C" else slot for slot in template]
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +314,14 @@ def _latent_sentence(model: _DomainModel, rng: np.random.Generator) -> list[str]
 # ---------------------------------------------------------------------------
 
 def _is_punct_token(token: str) -> bool:
-    return bool(token) and all(c in PUNCTUATION_CHARS for c in token)
+    return bool(token) and PUNCTUATION_CHARS.issuperset(token)
 
 
 def _side_ok(text: str) -> bool:
     tokens = text.split()
     if not tokens or len(tokens) > MAX_SENTENCE_TOKENS:
         return False
-    punct = sum(1 for t in tokens if _is_punct_token(t))
+    punct = sum(map(_is_punct_token, tokens))
     return punct / len(tokens) <= PUNCTUATION_RATIO_LIMIT
 
 

@@ -25,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .checkpoint import atomic_write
 from .errors import InputError
 from .tasks import DlpId
 
@@ -141,9 +142,7 @@ RECORD_COLUMNS = ["domain", "src_lang", "tgt_lang", "strategy", "bleu", "chrf",
 
 
 def write_records(records: list[MetricsRecord], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
         for r in records:
@@ -237,9 +236,7 @@ REPORT_COLUMNS = ["group", "strategy", "mean_bleu", "mean_chrf", "mean_loss", "c
 
 
 def write_report(table: ReportTable, path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_COLUMNS)
         for r in table.rows:

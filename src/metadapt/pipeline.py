@@ -18,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import atomic_write
 from .corpus import Registry, Vocab, load_datasets
 from .errors import InputError
 from .metrics import MetricsRecord, corpus_bleu, chrf, count_trainable
@@ -323,9 +324,7 @@ def _sweep_run(point: dict, cfg: MetaConfig, mc, ac, vocab, backbone,
 def write_sweep(rows: list[dict], path: str | Path) -> None:
     import csv
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_COLUMNS)
         for row in rows:
@@ -341,11 +340,9 @@ def write_sweep(rows: list[dict], path: str | Path) -> None:
 def write_manifest(out_dir: str | Path, config: dict, seed: int) -> None:
     from . import __version__
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     payload = {"config": config, "seed": seed, "code_version": __version__}
-    (out / "manifest.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                                       encoding="utf-8")
+    with atomic_write(Path(out_dir) / "manifest.json") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def write_training_log(records: list[dict], path: str | Path) -> None:

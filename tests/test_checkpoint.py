@@ -55,3 +55,42 @@ def test_zero_dim_array_keeps_its_shape(tmp_path):
     assert loaded["scalar"].shape == () and loaded["scalar"] == 1.5
     for name, value in _params().items():
         assert np.array_equal(loaded[name], value)
+
+
+def _record(bleu):
+    from metadapt.metrics import MetricsRecord
+    from metadapt.tasks import DlpId
+
+    return MetricsRecord(DlpId("gears", "apa", "bel"), "backbone", bleu=bleu, chrf=1.0,
+                         loss=1.0, trainable_params=1, trainable_ratio=1.0)
+
+
+def _save_checkpoint(path, good):
+    # entries go out in sorted order, so "a/w" is written before "b/bias" fails to convert
+    checkpoint.save_params(path, _params() if good else {"a/w": np.ones(2), "b/bias": "nan?"})
+
+
+def _save_records(path, good):
+    from metadapt.metrics import write_records
+
+    write_records([_record(1.0), _record(2.0 if good else "two")], path)
+
+
+@pytest.mark.parametrize("save", [_save_checkpoint, _save_records])
+def test_failed_write_keeps_previous_file_and_no_temp_file(tmp_path, save):
+    path = tmp_path / "artifact"
+    save(path, good=True)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        save(path, good=False)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_atomic_write_replaces_file_and_creates_parents(tmp_path):
+    path = tmp_path / "new" / "dir" / "table.csv"
+    for text in ("old\n", "new\r\n"):
+        with checkpoint.atomic_write(path) as fh:
+            fh.write(text)
+    assert path.read_bytes() == b"new\r\n"  # text is written as given
+    assert list(path.parent.iterdir()) == [path]

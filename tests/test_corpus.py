@@ -1,12 +1,20 @@
+import hashlib
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metadapt.corpus import (
+    PUNCTUATION_CHARS,
+    SyntheticWorldSpec,
     Vocab,
+    _cdf,
+    _domain_models,
+    _draw,
+    _is_punct_token,
     detokenize,
     filter_corpus,
     generate_world,
@@ -185,3 +193,81 @@ def test_registry_roles(tiny_registry):
 def test_filter_idempotence_property(pairs):
     once = filter_corpus(pairs)
     assert filter_corpus(once) == once
+
+
+ACCEPTANCE_WORLD = Path(__file__).resolve().parent.parent / "configs" / "acceptance_world.json"
+#: SHA-256 over each file's relative path and then its bytes, in sorted
+#: rglob order, of the tree written for configs/acceptance_world.json by the
+#: generator that drew with ``Generator.choice(..., p=...)`` on every draw.
+ACCEPTANCE_WORLD_SHA256 = "1bc7178ac1f57cb40e7e973a615cfbabed3508dc6921a195656da96bcdee5bae"
+
+
+def _tree_sha256(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            digest.update(path.relative_to(root).as_posix().encode("utf-8"))
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def _acceptance_tables():
+    models = _domain_models(SyntheticWorldSpec.from_json(ACCEPTANCE_WORLD))
+    for model in models.values():
+        yield model.weights, model.word_cdf
+        yield model.function_profile, model.function_cdf
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 10, 31, 150):
+        w = rng.random(size) ** 3
+        w[rng.random(size) < 0.2] = 0.0  # zero-weight entries are never drawn
+        if not w.any():
+            w[0] = 1.0
+        w /= w.sum()
+        yield tuple(w.tolist()), _cdf(w, "random weights")
+
+
+def test_cdf_draw_equals_generator_choice():
+    for seed, (weights, cdf) in enumerate(_acceptance_tables()):
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        drawn = [_draw(cdf, ours) for _ in range(10_000)]
+        expected = [int(theirs.choice(len(weights), p=weights)) for _ in range(10_000)]
+        assert drawn == expected, seed
+        assert ours.random() == theirs.random()  # same number of doubles consumed
+
+
+class _FixedDouble:
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("u,expected", [(0.0, 1), (0.5, 3), (0.999, 3)])
+def test_cdf_draw_on_a_boundary_skips_zero_weight_entries(u, expected):
+    # Generator.choice searches its table with side="right": a double equal to
+    # a boundary (0.0 is a possible draw) never lands on a zero-weight index
+    cdf = _cdf([0.0, 0.5, 0.0, 0.5], "test weights")
+    assert _draw(cdf, _FixedDouble(u)) == expected
+
+
+@pytest.mark.parametrize("token,expected", [
+    ("", False), ("...", True), ("a.", False), ("apa.f3", False), ("!", True), ("w012", False)])
+def test_is_punct_token_matches_per_character_rule(token, expected):
+    assert _is_punct_token(token) is expected
+    assert expected == (bool(token) and all(c in PUNCTUATION_CHARS for c in token))
+
+
+@pytest.mark.parametrize("weights", [
+    [0.6, -0.1, 0.5], [0.5, float("nan"), 0.5], [0.5, float("inf")], [0.3, 0.3],
+    [[0.5, 0.5]], []])
+def test_bad_weight_table_raises_config_error(weights):
+    with pytest.raises(ConfigError):
+        _cdf(weights, "test weights")
+
+
+def test_acceptance_world_tree_is_pinned(tmp_path):
+    spec = SyntheticWorldSpec.from_json(ACCEPTANCE_WORLD)
+    generate_world(spec, tmp_path / "w")
+    assert _tree_sha256(tmp_path / "w") == ACCEPTANCE_WORLD_SHA256

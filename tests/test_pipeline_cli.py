@@ -249,6 +249,16 @@ def test_cli_artifact_index_without_components_exit_3(tmp_path, capsys):
     assert "artifact.json: no components list" in capsys.readouterr().err
 
 
+def test_cli_unknown_eval_strategy_exit_2(tmp_path, capsys):
+    cfg = _smoke_config(tmp_path)  # no corpus or backbone: the names are checked first
+    assert run(["adapt", "--config", str(cfg), "--set", 'eval.strategies=["backbone", "bogus"]']) == 2
+    err = capsys.readouterr().err
+    assert "unknown strategy 'bogus'" in err
+    assert "meta_adapter" in err and "agnostic_adapter" in err  # the known names are listed
+    assert run(["adapt", "--config", str(cfg), "--set", "eval.strategies=3"]) == 2
+    assert "expected a list of strategy names" in capsys.readouterr().err
+
+
 def test_cli_numeric_failure_exit_4_one_line(tmp_path, capfd):
     """A diverging pretrain exits 4 with the one documented line on stderr,
     and numpy prints no overflow warnings ahead of it."""
