@@ -366,8 +366,13 @@ def cmd_report(run_dirs: list[str], reference: str, out_dir: str) -> int:
         for log_name in ("training_log.jsonl", "pretrain_log.jsonl"):
             log_path = Path(run) / log_name
             if log_path.exists():
-                for line in log_path.read_text(encoding="utf-8").splitlines():
-                    rec = json.loads(line)
+                lines = log_path.read_text(encoding="utf-8").splitlines()
+                for number, line in enumerate(lines, start=1):
+                    try:  # a log is appended in place, so a killed run cuts its last line
+                        rec = json.loads(line)
+                    except ValueError as exc:
+                        raise DataIntegrityError(
+                            f"report: {log_path}: invalid JSON on line {number} ({exc})") from exc
                     if "meta_batch_loss" in rec or "loss" in rec:
                         logs.append({"run": Path(run).name, "log": log_name,
                                      "step": rec["step"],

@@ -140,15 +140,6 @@ def _reorder(tokens: list[str], r: int) -> list[str]:
     return out
 
 
-def _unreorder(tokens: list[str], r: int) -> list[str]:
-    out = []
-    for start in range(0, len(tokens), _REORDER_BLOCK):
-        block = tokens[start : start + _REORDER_BLOCK]
-        k = (-r) % len(block)
-        out.extend(block[k:] + block[:k])
-    return out
-
-
 def realize(spec: SyntheticWorldSpec, latent: list[str], lang: str) -> list[str]:
     """Latent sentence -> surface sentence in `lang` (deterministic, invertible)."""
     if lang not in spec.languages:
@@ -161,7 +152,7 @@ def to_latent(spec: SyntheticWorldSpec, surface: list[str], lang: str) -> list[s
     """Inverse of realize(); round-trips exactly."""
     if lang not in spec.languages:
         raise InputError(f"to_latent: unknown language '{lang}'")
-    ordered = _unreorder(list(surface), _rotation(spec, lang))
+    ordered = _reorder(list(surface), -_rotation(spec, lang))
     prefix = f"{lang}."
     out = []
     for t in ordered:
@@ -400,8 +391,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(raw["tokens"], raw["languages"], raw["domains"])
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+            return cls(raw["tokens"], raw["languages"], raw["domains"])
+        except (ValueError, KeyError, TypeError) as exc:  # invalid JSON, UTF-8 or tables
+            raise DataIntegrityError(f"{path}: not a vocabulary file ({exc!r})") from exc
 
 
 def tokenize(text: str, vocab: Vocab) -> list[int]:
@@ -568,13 +562,18 @@ def load_registry(root: str | Path) -> Registry:
     manifest = root / "registry.tsv"
     if not manifest.exists():
         raise FileNotFoundError(f"registry manifest not found: {manifest}")
-    spec = SyntheticWorldSpec.from_json(root / "world.json")
+    try:
+        spec = SyntheticWorldSpec.from_json(root / "world.json")
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise DataIntegrityError(f"{root / 'world.json'}: invalid JSON ({exc})") from exc
     lines = manifest.read_text(encoding="utf-8").strip().split("\n")
     if lines[0].split("\t") != MANIFEST_COLUMNS:
         raise DataIntegrityError("registry.tsv: unexpected column order")
     rows = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
+        if len(cells) != len(MANIFEST_COLUMNS) or not all(c.isdecimal() for c in cells[8:]):
+            raise DataIntegrityError(f"{manifest}: malformed row on line {number}")
         dlp = DlpId(cells[0], cells[1], cells[2])
         sizes = {s: int(cells[8 + i]) for i, s in enumerate(SPLITS)}
         rows.append(RegistryRow(dlp=dlp, role=cells[3], sizes=sizes))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .checkpoint import atomic_write
-from .errors import InputError
+from .errors import DataIntegrityError, InputError
 from .tasks import DlpId
 
 BLEU_ORDER = 4
@@ -34,8 +34,16 @@ CHRF_ORDER = 6
 CHRF_BETA = 2.0
 
 
-def _word_ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_matches(hyp: str | tuple[str, ...], ref: str | tuple[str, ...],
+                   n: int) -> tuple[int, int, int]:
+    """For the order-n n-grams of one hypothesis and its reference (a string
+    gives character n-grams, a tuple word n-grams): the clipped matches, each
+    hypothesis n-gram counted at most as often as the reference holds it, and
+    the hypothesis and reference n-gram counts."""
+    hyp_ngrams = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
+    ref_ngrams = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
+    return (sum((hyp_ngrams & ref_ngrams).values()),
+            max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0))
 
 
 def _check_corpus(hypotheses: list[str], references: list[str], op: str) -> None:
@@ -52,15 +60,14 @@ def corpus_bleu(hypotheses: list[str], references: list[str]) -> float:
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
-        hyp_toks = hyp.split()
-        ref_toks = ref.split()
+        hyp_toks = tuple(hyp.split())
+        ref_toks = tuple(ref.split())
         hyp_len += len(hyp_toks)
         ref_len += len(ref_toks)
         for n in range(1, BLEU_ORDER + 1):
-            hyp_ngrams = _word_ngrams(hyp_toks, n)
-            ref_ngrams = _word_ngrams(ref_toks, n)
-            total[n - 1] += sum(hyp_ngrams.values())
-            correct[n - 1] += sum(min(c, ref_ngrams[g]) for g, c in hyp_ngrams.items())
+            matched, hyp_count, _ = _ngram_matches(hyp_toks, ref_toks, n)
+            correct[n - 1] += matched
+            total[n - 1] += hyp_count
     effective_order = 0
     for n in range(1, BLEU_ORDER + 1):
         if total[n - 1] == 0:
@@ -76,10 +83,6 @@ def corpus_bleu(hypotheses: list[str], references: list[str]) -> float:
     return 100.0 * brevity * math.exp(log_mean)
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
-
-
 def chrf(hypotheses: list[str], references: list[str]) -> float:
     _check_corpus(hypotheses, references, "chrf")
     hyp_total = [0] * CHRF_ORDER
@@ -89,11 +92,10 @@ def chrf(hypotheses: list[str], references: list[str]) -> float:
         hyp_chars = "".join(hyp.split())
         ref_chars = "".join(ref.split())
         for n in range(1, CHRF_ORDER + 1):
-            hyp_ngrams = _char_ngrams(hyp_chars, n)
-            ref_ngrams = _char_ngrams(ref_chars, n)
-            hyp_total[n - 1] += sum(hyp_ngrams.values())
-            ref_total[n - 1] += sum(ref_ngrams.values())
-            matched[n - 1] += sum((hyp_ngrams & ref_ngrams).values())
+            matches, hyp_count, ref_count = _ngram_matches(hyp_chars, ref_chars, n)
+            matched[n - 1] += matches
+            hyp_total[n - 1] += hyp_count
+            ref_total[n - 1] += ref_count
     precision = 0.0
     recall = 0.0
     used = 0
@@ -155,23 +157,29 @@ def write_records(records: list[MetricsRecord], path: str | Path) -> None:
 
 
 def read_records(path: str | Path) -> list[MetricsRecord]:
+    """Records of a metrics file; wrong columns or a value that does not
+    parse are a DataIntegrityError naming the file."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != RECORD_COLUMNS:
-            raise InputError(f"{path}: unexpected metrics columns {reader.fieldnames}")
+            raise DataIntegrityError(f"{path}: unexpected metrics columns {reader.fieldnames}")
         for row in reader:
-            out.append(MetricsRecord(
-                dlp=DlpId(row["domain"], row["src_lang"], row["tgt_lang"]),
-                strategy=row["strategy"],
-                bleu=float(row["bleu"]),
-                chrf=float(row["chrf"]),
-                loss=float(row["loss"]),
-                trainable_params=int(row["trainable_params"]),
-                trainable_ratio=float(row["trainable_ratio"]),
-                wall_time=float(row["wall_time"]),
-                note=row["note"],
-            ))
+            try:
+                out.append(MetricsRecord(
+                    dlp=DlpId(row["domain"], row["src_lang"], row["tgt_lang"]),
+                    strategy=row["strategy"],
+                    bleu=float(row["bleu"]),
+                    chrf=float(row["chrf"]),
+                    loss=float(row["loss"]),
+                    trainable_params=int(row["trainable_params"]),
+                    trainable_ratio=float(row["trainable_ratio"]),
+                    wall_time=float(row["wall_time"]),
+                    note=row["note"],
+                ))
+            except (TypeError, ValueError) as exc:  # a short row reads None
+                raise DataIntegrityError(
+                    f"{path}: bad value on line {reader.line_num} ({exc})") from exc
     return out
 
 
@@ -248,22 +256,17 @@ def write_report(table: ReportTable, path: str | Path) -> None:
 # efficiency accounting
 # ---------------------------------------------------------------------------
 
-def count_trainable(model, strategy: str, n_language_pairs: int | None = None,
-                    n_domains: int | None = None) -> tuple[int, float]:
+def count_trainable(model, adapter_sets: int | None = None) -> tuple[int, float]:
     """Trainable-parameter count and its share of the total parameter count.
 
-    For the stacked-adapter strategy the count covers every adapter the
-    strategy trains across the registry, (#language-pairs + #domains) times
-    one adapter set, and requires those counts.
+    With `adapter_sets`, the count is that many adapter sets the size of one
+    of the model's adapter groups (the stacked-adapter strategy trains one
+    set per language pair and one per domain, but installs only two), and
+    the share is of the backbone plus those sets.
     """
-    total = model.param_count()
-    if strategy == "stack_adapter":
-        if n_language_pairs is None or n_domains is None:
-            raise InputError("count_trainable: stack_adapter needs n_language_pairs and n_domains")
-        groups = {name.split("/adapter/")[1].split("/")[0] for name in model.adapter_names()}
-        per_adapter = model.param_count(model.adapter_names()) // max(len(groups), 1)
-        count = (n_language_pairs + n_domains) * per_adapter
-        backbone = model.param_count(model.backbone_names())
-        return count, count / (backbone + count)
+    if adapter_sets is not None:
+        per_set = model.param_count(model.adapter_names()) // max(len(model.adapter_groups), 1)
+        count = adapter_sets * per_set
+        return count, count / (model.param_count(model.backbone_names()) + count)
     count = model.param_count(model.trainable_names())
-    return count, count / total
+    return count, count / model.param_count()

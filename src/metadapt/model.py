@@ -81,7 +81,6 @@ class Batch:
     dec_in: np.ndarray       # (B, Tt) int64, begins with bos
     gold: np.ndarray         # (B, Tt) int64, ends with eos before padding
     gold_mask: np.ndarray    # (B, Tt) float64
-    dlp: DlpId | None = None
 
 
 @dataclass
@@ -423,14 +422,12 @@ def set_adapter_params(model: TranslationModel, snapshot: dict[str, np.ndarray])
 # ---------------------------------------------------------------------------
 
 def make_batch(pairs: list[SentencePair], vocab: Vocab, dlp: DlpId,
-               with_domain_tag: bool = False,
-               extra_prefix_ids: tuple[int, ...] = ()) -> Batch:
+               with_domain_tag: bool = False) -> Batch:
     """Tokenize pairs of one DLP into a padded teacher-forced batch; source
     rows are laid out by `_source_row`."""
     if not pairs:
         raise InputError("make_batch: empty pair list")
-    return _teacher_forced([(dlp, pair) for pair in pairs], vocab, with_domain_tag,
-                           extra_prefix_ids, dlp)
+    return _teacher_forced([(dlp, pair) for pair in pairs], vocab, with_domain_tag, ())
 
 
 def make_mixed_batch(rows: list[tuple[DlpId, SentencePair]], vocab: Vocab,
@@ -439,12 +436,11 @@ def make_mixed_batch(rows: list[tuple[DlpId, SentencePair]], vocab: Vocab,
     """Batch whose rows may come from different DLPs; tags are per row."""
     if not rows:
         raise InputError("make_mixed_batch: empty row list")
-    return _teacher_forced(rows, vocab, with_domain_tag, extra_prefix_ids, None)
+    return _teacher_forced(rows, vocab, with_domain_tag, extra_prefix_ids)
 
 
 def _teacher_forced(rows: list[tuple[DlpId, SentencePair]], vocab: Vocab,
-                    with_domain_tag: bool, extra_prefix_ids: tuple[int, ...],
-                    dlp: DlpId | None) -> Batch:
+                    with_domain_tag: bool, extra_prefix_ids: tuple[int, ...]) -> Batch:
     src_rows = [_source_row(vocab, src, d.src_lang, d.tgt_lang,
                             d.domain if with_domain_tag else None, extra_prefix_ids)
                 for d, (src, _) in rows]
@@ -452,7 +448,7 @@ def _teacher_forced(rows: list[tuple[DlpId, SentencePair]], vocab: Vocab,
     src, src_mask = _pad_rows(src_rows, vocab.pad_id)
     dec_in, _ = _pad_rows([[vocab.bos_id] + t for t in tgt_rows], vocab.pad_id)
     gold, gold_mask = _pad_rows([t + [vocab.eos_id] for t in tgt_rows], vocab.pad_id)
-    return Batch(src=src, src_mask=src_mask, dec_in=dec_in, gold=gold, gold_mask=gold_mask, dlp=dlp)
+    return Batch(src=src, src_mask=src_mask, dec_in=dec_in, gold=gold, gold_mask=gold_mask)
 
 
 def _source_row(vocab: Vocab, text: str, src_lang: str, tgt_lang: str,

@@ -9,20 +9,17 @@ import numpy as np
 from .errors import StateError
 from .tensor import Tensor, active_tape
 
+# Adam's moment decay rates and denominator guard, at the common defaults.
+BETAS = (0.9, 0.999)
+EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Hyperparameters only; the mutable moment state lives in AdamW.
-
-    betas/epsilon are the common defaults (0.9, 0.999, 1e-8); they are a
-    config choice here, not a literature value. clip_norm is off by default.
-    """
+    """Hyperparameters only; the mutable moment state lives in AdamW."""
 
     lr: float = 1e-3
-    betas: tuple[float, float] = (0.9, 0.999)
-    epsilon: float = 1e-8
     weight_decay: float = 0.0
-    clip_norm: float | None = None
 
 
 @dataclass
@@ -54,15 +51,9 @@ class AdamW:
         for name, p in self.params.items():
             if not p.requires_grad or p.grad is None:
                 raise StateError(f"optimizer_step: parameter '{name}' has no gradient")
-        if s.clip_norm is not None:
-            total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in self.params.values()))
-            if total > s.clip_norm:
-                factor = s.clip_norm / (total + 1e-12)
-                for p in self.params.values():
-                    p.grad *= factor
         self.state.step_count += 1
         t = self.state.step_count
-        b1, b2 = s.betas
+        b1, b2 = BETAS
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
         for name, p in self.params.items():
@@ -75,7 +66,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= s.lr * (m / bc1) / (np.sqrt(v / bc2) + s.epsilon)
+            p.data -= s.lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
             p.grad.fill(0.0)
         active_tape().clear()
 

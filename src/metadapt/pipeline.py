@@ -147,25 +147,23 @@ class TrainedStrategies:
 def train_strategies(strategies: list[str], mc: ModelConfig, ac: AdapterConfig,
                      vocab: Vocab, backbone: dict[str, np.ndarray],
                      datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
-                     batch_size: int = 16, max_steps: int | None = None) -> TrainedStrategies:
-    """Run the meta-training stage for each strategy that needs one."""
+                     max_steps: int | None = None) -> TrainedStrategies:
+    """Run the meta-training stage for each strategy that needs one, on a
+    model built with the strategy's `STRATEGIES` adapter groups."""
     out = TrainedStrategies()
     for strategy in strategies:
-        if strategy == STRATEGY_META_ADAPTER:
-            model = build_model(mc, ac, seed=hash_seed(cfg.seed, 50), adapter_groups=("main",))
-            restore_params(model, backbone)
-            snap, log = meta_train(model, vocab, datasets, cfg)
-            out.meta_adapter = snap.tensors
-            out.meta_log = log
-        elif strategy in (STRATEGY_BACKBONE, STRATEGY_RANDOM_ADAPTER):
+        if strategy in (STRATEGY_BACKBONE, STRATEGY_RANDOM_ADAPTER):
             continue  # nothing to train
+        base = None if strategy == STRATEGY_META_ADAPTER else BaselineStrategy(strategy)
+        model = build_model(mc, ac, seed=hash_seed(cfg.seed, 50),
+                            adapter_groups=STRATEGIES[strategy].adapter_groups)
+        restore_params(model, backbone)
+        if base is None:
+            snap, log = meta_train(model, vocab, datasets, cfg)
+            out.meta_adapter, out.meta_log = snap.tensors, log
         else:
-            base = BaselineStrategy(strategy)
-            groups = ("main",) if base is BaselineStrategy.AGNOSTIC_ADAPTER else ()
-            model = build_model(mc, ac, seed=hash_seed(cfg.seed, 50), adapter_groups=groups)
-            restore_params(model, backbone)
             out.baselines[strategy] = train_baseline(base, model, vocab, datasets, cfg,
-                                                     batch_size=batch_size, max_steps=max_steps)
+                                                     max_steps=max_steps)
     return out
 
 
@@ -201,7 +199,8 @@ class StrategySetup:
     strategy's stage-one weights into it; `adapts` names what the shared
     budget fine-tunes (nothing: scored as is, and the pretrained backbone
     counts as fully trained once). A stacked strategy counts one adapter set
-    per language pair and per domain of the meta-training registry."""
+    per component of its artifact: one per language pair and one per domain
+    of the meta-training registry."""
 
     adapter_groups: tuple[str, ...]
     start: Callable[[TranslationModel, TrainedStrategies, str, DlpId, int], None]
@@ -235,8 +234,7 @@ STRATEGIES: dict[str, StrategySetup] = {
 def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
                        mc: ModelConfig, ac: AdapterConfig, vocab: Vocab,
                        backbone: dict[str, np.ndarray], trained: TrainedStrategies,
-                       budget: AdaptBudget, run_seed: int, max_len: int,
-                       registry_shape: tuple[int, int] | None = None) -> MetricsRecord:
+                       budget: AdaptBudget, run_seed: int, max_len: int) -> MetricsRecord:
     """Adapt one strategy to one held-out DLP under the shared budget, then
     score it on the DLP's test split."""
     t0 = time.perf_counter()
@@ -255,15 +253,8 @@ def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
     model.set_trainable(trainable)
     artifact = trained.baselines.get(strategy)
     counts = None
-    if setup.stacked:
-        if registry_shape is None:
-            lps = {k.split(":", 1)[1] for k in artifact.params if k.startswith("lp:")}
-            doms = {k.split(":", 1)[1] for k in artifact.params if k.startswith("dom:")}
-            registry_shape = (len(lps), len(doms))
-        counts = count_trainable(model, strategy, n_language_pairs=registry_shape[0],
-                                 n_domains=registry_shape[1])
-    elif trainable:
-        counts = count_trainable(model, strategy)
+    if trainable:
+        counts = count_trainable(model, len(artifact.params) if setup.stacked else None)
     return evaluate_dlp(model, vocab, dlp, dataset.test, strategy, max_len,
                         with_domain_tag=setup.with_domain_tag, counts=counts,
                         wall_time=time.perf_counter() - t0,

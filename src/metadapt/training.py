@@ -22,6 +22,10 @@ from .model import Batch, TranslationModel, forward_loss, make_batch, make_mixed
 from .optim import AdamW, OptimizerSettings
 from .tasks import DlpDataset, DlpId, SamplingPlan, SentencePair, build_episode, sample_dlps
 
+#: Meta-training stops once the pooled per-epoch query loss has not improved
+#: for this many epochs.
+EARLY_STOP_PATIENCE = 3
+
 
 @dataclass(frozen=True)
 class MetaConfig:
@@ -38,7 +42,6 @@ class MetaConfig:
     epochs: int = 3
     seed: int = 0
     inner: OptimizerSettings = field(default_factory=OptimizerSettings)
-    early_stop_patience: int = 3
     max_meta_batches: int | None = None
     sample_with_replacement: bool = False
 
@@ -154,8 +157,7 @@ def _train_epochs(model: TranslationModel, n_rows: int, make, settings: Optimize
 def inner_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarray],
                 dlp: DlpId, support: list[SentencePair], k: int,
                 settings: OptimizerSettings, rng: np.random.Generator,
-                trainable: list[str] | None = None,
-                with_domain_tag: bool = False) -> dict[str, np.ndarray]:
+                trainable: list[str] | None = None) -> dict[str, np.ndarray]:
     """k gradient updates from `start` on the support set; returns the updated
     parameter map. One batch holds the whole support (batch size = n). The
     optimizer state is fresh for every call."""
@@ -165,7 +167,7 @@ def inner_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarr
         raise InputError("inner_adapt: empty support set")
     trainable = list(start) if trainable is None else trainable
     restore_params(model, start)
-    batch = make_batch(list(support), vocab, dlp, with_domain_tag=with_domain_tag)
+    batch = make_batch(list(support), vocab, dlp)
     _train_steps(model, [batch] * k, settings, rng, trainable)
     return snapshot_params(model, trainable)
 
@@ -203,14 +205,14 @@ def meta_batches_per_epoch(datasets: dict[DlpId, DlpDataset], cfg: MetaConfig) -
 
 def meta_train(model: TranslationModel, vocab: Vocab, datasets: dict[DlpId, DlpDataset],
                cfg: MetaConfig, trainable: list[str] | None = None,
-               run_id: str = "", with_domain_tag: bool = False,
                ) -> tuple[AdapterSnapshot, list[dict]]:
     """Reptile meta-training over the DLP registry.
 
     Per meta-batch: sample m DLPs from the temperature multinomial, run the
     k-step inner loop per task from the current shared parameters, apply the
     Reptile update, and log the post-update query losses. Early-stops when
-    the pooled per-epoch query loss fails to improve for `patience` epochs.
+    the pooled per-epoch query loss fails to improve for
+    EARLY_STOP_PATIENCE epochs. Batches carry no domain tag.
     """
     if not datasets:
         raise InputError("meta_train: empty DLP registry")
@@ -240,12 +242,11 @@ def meta_train(model: TranslationModel, vocab: Vocab, datasets: dict[DlpId, DlpD
             for t_idx, task in enumerate(episode.tasks):
                 adapted = inner_adapt(model, vocab, shared, task.dlp, list(task.support),
                                       cfg.k, cfg.inner, inner_stream(cfg.seed, step, t_idx),
-                                      trainable=trainable, with_domain_tag=with_domain_tag)
+                                      trainable=trainable)
                 if task.query:
                     with T.no_grad():
                         qloss = float(forward_loss(
-                            model, make_batch(list(task.query), vocab, task.dlp,
-                                              with_domain_tag=with_domain_tag)).data)
+                            model, make_batch(list(task.query), vocab, task.dlp)).data)
                     task_losses[task.dlp.key()] = qloss
                 results.append(adapted)
             shared = reptile_step(shared, results, cfg.beta)
@@ -262,12 +263,12 @@ def meta_train(model: TranslationModel, vocab: Vocab, datasets: dict[DlpId, DlpD
                 stale_epochs = 0
             else:
                 stale_epochs += 1
-                if stale_epochs >= cfg.early_stop_patience:
+                if stale_epochs >= EARLY_STOP_PATIENCE:
                     log.append({"step": step, "epoch": epoch, "early_stop": True})
                     break
         if cfg.max_meta_batches is not None and step >= cfg.max_meta_batches:
             break
-    return AdapterSnapshot(shared, run_id=run_id, step=step), log
+    return AdapterSnapshot(shared, step=step), log
 
 
 def meta_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarray],

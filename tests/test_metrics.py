@@ -43,6 +43,63 @@ def oracle_chrf_single(hyp: str, ref: str, order=6, beta=2.0) -> float:
     return 100.0 * (1 + beta * beta) * p * r / (beta * beta * p + r)
 
 
+def _oracle_clipped_matches(hyp_grams: list, ref_grams: list) -> int:
+    """Match each hypothesis n-gram against a still-unused reference copy."""
+    matched = 0
+    pool = list(ref_grams)
+    for g in hyp_grams:
+        if g in pool:
+            pool.remove(g)
+            matched += 1
+    return matched
+
+
+def oracle_bleu(hyps: list[str], refs: list[str], order=4) -> float:
+    """Corpus BLEU by enumeration: clipped n-gram matches and hypothesis
+    n-gram counts summed over the corpus, precisions over the leading orders
+    with any hypothesis n-gram, brevity penalty from the summed lengths."""
+    correct, total = [0] * order, [0] * order
+    hyp_len = ref_len = 0
+    for hyp, ref in zip(hyps, refs):
+        h, r = hyp.split(), ref.split()
+        hyp_len += len(h)
+        ref_len += len(r)
+        for n in range(1, order + 1):
+            hyp_grams = [h[i:i + n] for i in range(len(h) - n + 1)]
+            ref_grams = [r[i:i + n] for i in range(len(r) - n + 1)]
+            correct[n - 1] += _oracle_clipped_matches(hyp_grams, ref_grams)
+            total[n - 1] += len(hyp_grams)
+    used = 0
+    while used < order and total[used] > 0:
+        used += 1
+    if used == 0 or hyp_len == 0 or 0 in correct[:used]:
+        return 0.0
+    log_mean = sum(math.log(correct[i] / total[i]) for i in range(used)) / used
+    return 100.0 * math.exp(min(0.0, 1.0 - ref_len / hyp_len)) * math.exp(log_mean)
+
+
+def oracle_chrf(hyps: list[str], refs: list[str], order=6, beta=2.0) -> float:
+    """Corpus chrF by enumeration: per-order counts summed over the corpus
+    before precision and recall are taken."""
+    matched, hyp_total, ref_total = [0] * order, [0] * order, [0] * order
+    for hyp, ref in zip(hyps, refs):
+        h, r = hyp.replace(" ", ""), ref.replace(" ", "")
+        for n in range(1, order + 1):
+            hyp_grams = [h[i:i + n] for i in range(len(h) - n + 1)]
+            ref_grams = [r[i:i + n] for i in range(len(r) - n + 1)]
+            matched[n - 1] += _oracle_clipped_matches(hyp_grams, ref_grams)
+            hyp_total[n - 1] += len(hyp_grams)
+            ref_total[n - 1] += len(ref_grams)
+    used = [i for i in range(order) if hyp_total[i] and ref_total[i]]
+    if not used:
+        return 0.0
+    p = sum(matched[i] / hyp_total[i] for i in used) / len(used)
+    r = sum(matched[i] / ref_total[i] for i in used) / len(used)
+    if p + r == 0:
+        return 0.0
+    return 100.0 * (1 + beta * beta) * p * r / (beta * beta * p + r)
+
+
 # --- BLEU ---------------------------------------------------------------------
 
 def test_bleu_perfect_match_is_100():
@@ -130,6 +187,24 @@ def test_chrf_random_single_pairs_match_bruteforce_oracle():
         hyp = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12))).strip() or "a"
         ref = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 12))).strip() or "b"
         assert chrf([hyp], [ref]) == pytest.approx(oracle_chrf_single(hyp, ref), abs=1e-9)
+
+
+def test_random_corpora_match_bruteforce_oracles():
+    """Multi-pair corpora over two- and three-word alphabets repeat words and
+    characters within and across sentences, so both metrics' clipping and
+    their corpus-level sums are checked against enumeration."""
+    rng = random.Random(1)
+    for _ in range(200):
+        words = ["a", "b", "ab", "ba", "c"][: rng.randint(2, 3)]
+        pairs = rng.randint(2, 5)
+
+        def sentence(min_len):
+            return " ".join(rng.choice(words) for _ in range(rng.randint(min_len, 9)))
+
+        hyps = [sentence(0) for _ in range(pairs)]
+        refs = [sentence(1) for _ in range(pairs)]
+        assert corpus_bleu(hyps, refs) == pytest.approx(oracle_bleu(hyps, refs), abs=1e-9)
+        assert chrf(hyps, refs) == pytest.approx(oracle_chrf(hyps, refs), abs=1e-9)
 
 
 def test_chrf_whitespace_removed_before_ngrams():

@@ -6,7 +6,7 @@ import pytest
 from metadapt import checkpoint
 from metadapt.cli import run
 from metadapt.corpus import Vocab
-from metadapt.metrics import read_records
+from metadapt.metrics import MetricsRecord, read_records, write_records
 from metadapt.model import AdapterConfig, ModelConfig
 from metadapt.optim import OptimizerSettings
 from metadapt.errors import InputError
@@ -20,6 +20,7 @@ from metadapt.pipeline import (
     role_datasets,
     train_strategies,
 )
+from metadapt.tasks import DlpId
 from metadapt.training import MetaConfig
 
 from conftest import tiny_world_spec
@@ -257,6 +258,55 @@ def test_cli_unknown_eval_strategy_exit_2(tmp_path, capsys):
     assert "meta_adapter" in err and "agnostic_adapter" in err  # the known names are listed
     assert run(["adapt", "--config", str(cfg), "--set", "eval.strategies=3"]) == 2
     assert "expected a list of strategy names" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, cut", [("registry.tsv", 20), ("world.json", None),
+                                       ("vocab.json", None)])
+def test_cli_damaged_corpus_file_exit_3(tmp_path, capsys, name, cut):
+    """The corpus tree is written in place, so an interrupted gen-corpus
+    leaves a cut file: registry.tsv short by its last bytes, or world.json or
+    vocab.json that is no longer JSON (cut in half)."""
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    path = tmp_path / "corpus" / name
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) - cut] if cut else data[: len(data) // 2])
+    capsys.readouterr()
+    assert run(["pretrain", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and name in err and err.count("\n") == 1
+
+
+def _report_run(tmp_path) -> Path:
+    """A run directory with one metrics record and a two-line training log."""
+    run_dir = tmp_path / "run"
+    write_records([MetricsRecord(DlpId("gears", "apa", "bel"), "backbone", bleu=10.0,
+                                 chrf=20.0, loss=1.5, trainable_params=100,
+                                 trainable_ratio=1.0)], run_dir / "metrics.csv")
+    (run_dir / "training_log.jsonl").write_text(
+        "".join(json.dumps({"step": i, "meta_batch_loss": 1.0}) + "\n" for i in range(2)),
+        encoding="utf-8")
+    return run_dir
+
+
+@pytest.mark.parametrize("damaged, old, new, message", [
+    # a run killed mid-append leaves a partial last log line
+    ("training_log.jsonl", b"1.0}\n", b"1", "training_log.jsonl: invalid JSON on line 2"),
+    ("metrics.csv", b",10.0000,", b",ten,", "metrics.csv: bad value on line 2"),
+    ("metrics.csv", b",bleu,", b",BLEU,", "metrics.csv: unexpected metrics columns"),
+])
+def test_cli_report_damaged_input_exit_3(tmp_path, capsys, damaged, old, new, message):
+    run_dir = _report_run(tmp_path)
+    report = ["report", "--runs", str(run_dir), "--reference", "backbone",
+              "--out", str(tmp_path / "report")]
+    assert run(report) == 0
+    path = run_dir / damaged
+    head, _, tail = path.read_bytes().rpartition(old)
+    path.write_bytes(head + new + tail)
+    capsys.readouterr()
+    assert run(report) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and message in err and err.count("\n") == 1
 
 
 def test_cli_numeric_failure_exit_4_one_line(tmp_path, capfd):

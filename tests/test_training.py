@@ -213,6 +213,28 @@ def test_meta_train_m1_k1_beta1_equals_sequential_fine_tuning(world):
                                    rtol=0.0, atol=1e-12)
 
 
+def test_meta_train_early_stops_after_three_stale_epochs(world, monkeypatch):
+    """With every query loss stubbed to 1.0, epoch 0 sets the best pooled
+    loss and epochs 1-3 fail to improve it, so the run stops after epoch 3
+    of 10, logging the stop as its last entry."""
+    from metadapt import training
+
+    _, vocab, datasets = world
+    real = training.forward_loss
+
+    def flat_query_loss(model, batch, train=False, rng=None):
+        if T.grad_enabled():  # support steps train for real
+            return real(model, batch, train=train, rng=rng)
+        return T.Tensor(1.0)
+
+    monkeypatch.setattr(training, "forward_loss", flat_query_loss)
+    cfg = small_cfg(m=2, n=4, q=2, k=1, epochs=10, max_meta_batches=None)
+    _, log = meta_train(small_model(vocab), vocab, datasets, cfg)
+    per_epoch = training.meta_batches_per_epoch(datasets, cfg)
+    assert sum(1 for rec in log if "meta_batch_loss" in rec) == 4 * per_epoch
+    assert log[-1] == {"step": 4 * per_epoch, "epoch": 3, "early_stop": True}
+
+
 # --- meta_adapt -----------------------------------------------------------------------
 
 def test_meta_adapt_zero_lr_identity(world):
