@@ -566,7 +566,12 @@ def load_registry(root: str | Path) -> Registry:
         spec = SyntheticWorldSpec.from_json(root / "world.json")
     except ValueError as exc:  # invalid JSON or UTF-8
         raise DataIntegrityError(f"{root / 'world.json'}: invalid JSON ({exc})") from exc
-    lines = manifest.read_text(encoding="utf-8").strip().split("\n")
+    except ConfigError as exc:  # JSON, but not the spec generate_world wrote
+        raise DataIntegrityError(f"{root / 'world.json'}: not a world spec ({exc})") from exc
+    text = manifest.read_text(encoding="utf-8")
+    if not text.endswith("\n"):  # _write_manifest ends every file with one
+        raise DataIntegrityError(f"{manifest}: truncated (no newline at the end)")
+    lines = text.strip().split("\n")
     if lines[0].split("\t") != MANIFEST_COLUMNS:
         raise DataIntegrityError("registry.tsv: unexpected column order")
     rows = []
@@ -581,16 +586,21 @@ def load_registry(root: str | Path) -> Registry:
 
 
 def load_dlp_dataset(registry: Registry, dlp: DlpId, caps: dict[str, int] | None = None) -> DlpDataset:
-    """Load one DLP's splits, enforce caps (head-of-file truncation), and
-    assert pairwise cross-split disjointness."""
+    """Load one DLP's splits, check each split's line count against the
+    registry, enforce caps (head-of-file truncation), and assert pairwise
+    cross-split disjointness."""
     row = registry.row(dlp)
     splits: dict[str, list[SentencePair]] = {}
     for split in SPLITS:
         path = row.path(registry.root, split)
         if not path.exists():
             raise FileNotFoundError(f"missing split file: {path}")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if len(lines) != row.sizes[split]:
+            raise DataIntegrityError(
+                f"{path}: {len(lines)} lines, registry.tsv lists {row.sizes[split]}")
         pairs: list[SentencePair] = []
-        for line in path.read_text(encoding="utf-8").splitlines():
+        for line in lines:
             src, _, tgt = line.partition("\t")
             if not tgt:
                 raise DataIntegrityError(f"{path}: malformed line without tab separator")

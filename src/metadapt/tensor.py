@@ -3,7 +3,9 @@
 The op suite is deliberately small: exactly what a miniature transformer with
 bottleneck adapters needs. Every op validates shapes, checks its output for
 NaN/Inf, and, when gradients are enabled and some input requires them, records
-itself on the active tape. backward() replays the tape in reverse.
+itself on the active tape. backward() replays the tape in reverse; an op's
+backward computes an input's gradient only when that input requires one, so
+a frozen weight's gradient is never formed.
 """
 
 from __future__ import annotations
@@ -146,7 +148,7 @@ def _coerce(x) -> Tensor:
 
 
 def _finite_or_raise(out: Array, op: str) -> None:
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
@@ -154,8 +156,11 @@ def _accumulate(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # A fresh buffer in t.data's memory layout, not g's: a later matmul
+        # reads it, and BLAS sums in an order that depends on the layout.
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -191,8 +196,10 @@ def add(a, b) -> Tensor:
         raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
 
     def bwd(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _make(data, (a, b), bwd, "add")
 
@@ -214,8 +221,10 @@ def mul(a, b) -> Tensor:
         raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
 
     def bwd(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), bwd, "mul")
 
@@ -242,8 +251,10 @@ def matmul(a, b) -> Tensor:
         raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from exc
 
     def bwd(g: Array) -> None:
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _make(data, (a, b), bwd, "matmul")
 
@@ -290,11 +301,14 @@ def layer_norm(x, gain, bias, epsilon: float = 1e-5) -> Tensor:
 
     def bwd(g: Array) -> None:
         lead = tuple(range(g.ndim - 1))
-        _accumulate(gain, _unbroadcast((g * xhat).sum(axis=lead), gain.shape))
-        _accumulate(bias, _unbroadcast(g.sum(axis=lead), bias.shape))
-        gxhat = g * gain.data
-        term = gxhat - gxhat.mean(axis=-1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv * term)
+        if gain.requires_grad:
+            _accumulate(gain, _unbroadcast((g * xhat).sum(axis=lead), gain.shape))
+        if bias.requires_grad:
+            _accumulate(bias, _unbroadcast(g.sum(axis=lead), bias.shape))
+        if x.requires_grad:
+            gxhat = g * gain.data
+            term = gxhat - gxhat.mean(axis=-1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
+            _accumulate(x, inv * term)
 
     return _make(data, (x, gain, bias), bwd, "layer_norm")
 

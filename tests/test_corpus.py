@@ -271,3 +271,12 @@ def test_acceptance_world_tree_is_pinned(tmp_path):
     spec = SyntheticWorldSpec.from_json(ACCEPTANCE_WORLD)
     generate_world(spec, tmp_path / "w")
     assert _tree_sha256(tmp_path / "w") == ACCEPTANCE_WORLD_SHA256
+
+
+def test_split_line_count_differing_from_registry_raises(tmp_path):
+    reg = generate_world(tiny_world_spec(seed=9), tmp_path / "w")
+    row = reg.rows[0]
+    path = row.path(reg.root, "valid")
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(DataIntegrityError, match="registry.tsv lists"):
+        load_dlp_dataset(reg, row.dlp)

@@ -358,3 +358,30 @@ def test_full_model_gradients_match_finite_differences():
 
     report = grad_check(lambda: forward_loss(model, batch), checked, tol=1e-4)
     assert report.passed, report
+
+
+def test_adapter_only_backward_equals_adapter_slice_of_full_backward(tiny_registry):
+    """Skipping the frozen backbone's gradients moves no adapter gradient
+    bit: a training step's adapter gradients with only the adapter trainable
+    equal those with every parameter trainable."""
+    vocab = Vocab.load(tiny_registry.root / "vocab.json")
+    dlp = DlpId("gears", "apa", "bel")
+    batch = make_batch(load_dlp_dataset(tiny_registry, dlp).train[:6], vocab, dlp)
+    mc = ModelConfig(vocab_size=len(vocab), model_dim=16, num_layers=2, num_heads=2,
+                     ffn_dim=24, max_seq_len=24, dropout=0.1)
+    model = build_model(mc, tiny_ac(), seed=4)
+    rng = np.random.default_rng(5)
+    set_adapter_params(model, {n: rng.normal(0.0, 0.1, size=v.shape)
+                               for n, v in get_adapter_params(model).items()})
+
+    def adapter_grads(trainable):
+        model.set_trainable(trainable)
+        for p in model.params.values():
+            p.zero_grad()
+        with T.use_tape(T.Tape()):
+            T.backward(forward_loss(model, batch, train=True, rng=np.random.default_rng(9)))
+        return {n: model.params[n].grad.tobytes() for n in model.adapter_names()}
+
+    only = adapter_grads(model.adapter_names())
+    assert all(np.frombuffer(g).any() for g in only.values())
+    assert only == adapter_grads(list(model.params))

@@ -277,6 +277,30 @@ def test_cli_damaged_corpus_file_exit_3(tmp_path, capsys, name, cut):
     assert err.startswith("data error: ") and name in err and err.count("\n") == 1
 
 
+def test_cli_registry_cut_inside_last_number_exit_3(tmp_path, capsys):
+    """Cut by 2 bytes, registry.tsv still parses: its last size, the test
+    split's 12, loses a digit and the file its final newline."""
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg), "--set", "world.test_size=12"]) == 0
+    path = tmp_path / "corpus" / "registry.tsv"
+    path.write_bytes(path.read_bytes()[:-2])
+    capsys.readouterr()
+    assert run(["pretrain", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "registry.tsv" in err and err.count("\n") == 1
+
+
+def test_cli_world_json_not_a_spec_exit_3(tmp_path, capsys):
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    (tmp_path / "corpus" / "world.json").write_text("{}", encoding="utf-8")
+    capsys.readouterr()
+    assert run(["pretrain", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "world.json: not a world spec" in err
+    assert err.count("\n") == 1
+
+
 def _report_run(tmp_path) -> Path:
     """A run directory with one metrics record and a two-line training log."""
     run_dir = tmp_path / "run"

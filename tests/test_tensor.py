@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -229,3 +230,55 @@ def test_grad_check_composite_ops_finite_difference():
 
     report = grad_check(f, {"w1": w1, "g": g, "b": b}, tol=1e-4)
     assert report.passed, report
+
+
+# --- which gradients a backward computes ------------------------------------
+
+def _multi_input_cases():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(2, 3, 4))
+    return {
+        "add": (T.add, [x, rng.normal(size=4)]),
+        "mul": (T.mul, [x, rng.normal(size=(3, 1))]),
+        "matmul": (T.matmul, [x, rng.normal(size=(4, 5))]),
+        "layer_norm": (T.layer_norm, [x, rng.normal(size=4), rng.normal(size=4)]),
+    }
+
+
+@pytest.mark.parametrize("op", sorted(_multi_input_cases()))
+def test_backward_leaves_frozen_inputs_and_matches_all_trainable(op):
+    """Every subset of frozen inputs: a frozen input's gradient buffer stays
+    as it was, and each trainable input's gradient is byte-equal to the one
+    it gets when every input trains."""
+    fn, values = _multi_input_cases()[op]
+    start = [np.random.default_rng(i).normal(size=v.shape) for i, v in enumerate(values)]
+
+    def grads(frozen):
+        inputs = [T.Tensor(v, requires_grad=True) for v in values]
+        for i, t in enumerate(inputs):
+            t.grad[...] = start[i]
+            t.set_requires_grad(i not in frozen)
+        with T.use_tape(T.Tape()):
+            out = fn(*inputs)
+            weights = T.Tensor(np.random.default_rng(9).normal(size=out.shape))
+            T.backward(T.tensor_sum(T.mul(out, weights)))
+        return [t.grad for t in inputs]
+
+    everything = grads(())
+    for size in range(1, len(values) + 1):
+        for frozen in itertools.combinations(range(len(values)), size):
+            for i, g in enumerate(grads(frozen)):
+                expected = start[i] if i in frozen else everything[i]
+                assert g.tobytes() == expected.tobytes(), (op, frozen, i)
+
+
+def test_op_output_gradient_keeps_the_data_layout():
+    """An op output's first gradient buffer takes the layout of its data,
+    not of the incoming gradient: a later matmul reads the buffer, and BLAS
+    sums in an order that depends on the layout."""
+    rng = np.random.default_rng(2)
+    x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    y = T.swapaxes(x, 1, 2)
+    T.backward(T.tensor_sum(T.matmul(y, w)))
+    assert y.grad.strides == y.data.strides
