@@ -12,11 +12,16 @@ identical files.
 
 `atomic_write` is the one way the package writes an artifact (checkpoints,
 manifests, metrics and report tables): a reader or a crash sees the old file
-or the new one, never a part of either.
+or the new one, never a part of either. The text helpers below are the one
+encoding of every other artifact: UTF-8, JSON sorted with indent 2, CSV with
+"\n" line ends; bytes that are not UTF-8, or text that is not JSON, are a
+DataIntegrityError naming the file.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 import os
 import secrets
@@ -50,6 +55,33 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, payload) -> None:
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_text(path: str | Path) -> str:
+    """The file's text, exactly as stored (no newline translation)."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataIntegrityError(f"{path}: not UTF-8 ({exc})") from exc
+
+
+def read_json(path: str | Path):
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataIntegrityError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def save_params(path: str | Path, params: dict[str, np.ndarray]) -> None:

@@ -78,22 +78,54 @@ def _deep_merge(base: dict, extra: dict) -> dict:
     return out
 
 
+def _strict_json(text: str):
+    """json.loads without Python's NaN and Infinity, which JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def _parse_value(text: str):
-    if text == "inf":
-        return math.inf
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
+        return _strict_json(text)
+    except ValueError:
         return text
+
+
+def _check_shape(config: dict) -> None:
+    """Every key is one of DEFAULT_CONFIG's, and every table stays a table
+    holding only its default keys (the world spec checks its own)."""
+    for key, value in config.items():
+        if key not in DEFAULT_CONFIG:
+            raise ConfigError(f"unknown config key '{key}'")
+        default = DEFAULT_CONFIG[key]
+        if not isinstance(default, dict):
+            _check_number(key, default, value)
+        elif not isinstance(value, dict):
+            raise ConfigError(f"config '{key}' must be a table, got {value!r}")
+        elif key != "world":
+            for name, item in value.items():
+                if name not in default:
+                    raise ConfigError(f"unknown config key '{key}.{name}'")
+                _check_number(f"{key}.{name}", default[name], item)
+
+
+def _check_number(key: str, default, value) -> None:
+    """A number stays a number; JSON has no infinity, so meta.tau may be "inf"."""
+    number = (int, float)  # not bool
+    if type(default) in number and type(value) not in number and (key, value) != ("meta.tau", "inf"):
+        raise ConfigError(f"config '{key}' must be a number, got {value!r}")
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path:
         try:
-            user = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+            user = _strict_json(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # invalid JSON or UTF-8
             raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {path}: not a table")
         config = _deep_merge(config, user)
     for item in overrides:
         key, sep, value = item.partition("=")
@@ -106,6 +138,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {key}: '{part}' is not a table")
         node[parts[-1]] = _parse_value(value)
+    _check_shape(config)
     return config
 
 
@@ -132,12 +165,15 @@ def _model_configs(config: dict, vocab: Vocab) -> tuple[ModelConfig, AdapterConf
     return mc, ac
 
 
+def _with_inf(table: dict) -> dict:
+    """`table` with each "inf" as math.inf: the config keeps the string, as
+    JSON has no infinity."""
+    return {k: math.inf if v == "inf" else v for k, v in table.items()}
+
+
 def _meta_config(config: dict) -> MetaConfig:
-    meta = dict(config["meta"])
-    inner = OptimizerSettings(lr=meta.pop("inner_lr", 1e-3))
-    tau = meta.get("tau", 1.0)
-    if tau == "inf":
-        meta["tau"] = math.inf
+    meta = _with_inf(config["meta"])
+    inner = OptimizerSettings(lr=meta.pop("inner_lr"))
     try:
         return MetaConfig(seed=config["seed"], inner=inner, **meta)
     except TypeError as exc:
@@ -148,7 +184,7 @@ def _budget(config: dict) -> AdaptBudget:
     adapt = config["adapt"]
     return AdaptBudget(epochs=adapt["epochs"], batch_size=adapt["batch_size"],
                        settings=OptimizerSettings(lr=adapt["lr"]),
-                       max_steps=adapt.get("max_steps"))
+                       max_steps=adapt["max_steps"])
 
 
 def _load_world(config: dict) -> tuple[Registry, Vocab]:
@@ -170,11 +206,9 @@ def _load_backbone(config: dict) -> dict[str, np.ndarray]:
         raise DataIntegrityError(f"backbone checkpoint not found at {path}; run `pretrain` first")
     info_path = path.with_suffix(".json")
     try:
-        info = json.loads(info_path.read_text(encoding="utf-8"))
+        info = checkpoint.read_json(info_path)
     except FileNotFoundError as exc:
         raise DataIntegrityError(f"{info_path} not found; run `pretrain` again") from exc
-    except json.JSONDecodeError as exc:
-        raise DataIntegrityError(f"{info_path}: invalid JSON ({exc})") from exc
     if not (isinstance(info, dict) and all(isinstance(info.get(t), dict)
                                            for t in ("model", "adapter"))):
         raise DataIntegrityError(f"{info_path}: no model and adapter tables")
@@ -214,14 +248,13 @@ def cmd_pretrain(config: dict) -> int:
         registry, vocab, mc, ac,
         OptimizerSettings(lr=pre["lr"], weight_decay=pre["weight_decay"]),
         epochs=pre["epochs"], batch_size=pre["batch_size"], seed=config["seed"],
-        caps=_caps(config), max_steps=pre.get("max_steps"))
+        caps=_caps(config), max_steps=pre["max_steps"])
     checkpoint.save_params(out / "backbone.ckpt", {n: model.params[n].data for n in model.params})
     part = model.partition()
-    meta = {"model": config["model"], "adapter": config["adapter"],
-            "partition": {"backbone": sorted(part.backbone), "adapters": sorted(part.adapters)},
-            "backbone_checksum": model.backbone_checksum()}
-    with checkpoint.atomic_write(out / "backbone.json") as fh:
-        fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    checkpoint.write_json(out / "backbone.json", {
+        "model": config["model"], "adapter": config["adapter"],
+        "partition": {"backbone": sorted(part.backbone), "adapters": sorted(part.adapters)},
+        "backbone_checksum": model.backbone_checksum()})
     write_training_log([{"step": i, "loss": v} for i, v in enumerate(losses)],
                        out / "pretrain_log.jsonl")
     dev = backbone_dev_bleu(model, vocab, registry, max_len=config["eval"]["max_len"])
@@ -263,10 +296,8 @@ def cmd_baseline(config: dict) -> int:
     art_dir = out / f"baseline_{base.value}"
     for component, params in artifact.params.items():
         checkpoint.save_params(art_dir / f"{component.replace(':', '_')}.ckpt", params)
-    with checkpoint.atomic_write(art_dir / "artifact.json") as fh:
-        fh.write(json.dumps(
-            {"strategy": base.value, "components": sorted(artifact.params), "note": artifact.note},
-            indent=2, sort_keys=True) + "\n")
+    checkpoint.write_json(art_dir / "artifact.json", {
+        "strategy": base.value, "components": sorted(artifact.params), "note": artifact.note})
     print(f"trained baseline {base.value} ({len(artifact.params)} component(s))")
     return 0
 
@@ -287,10 +318,7 @@ def _load_trained(config: dict, strategies: list[str]) -> TrainedStrategies:
         index = art_dir / "artifact.json"
         if not index.exists():
             raise DataIntegrityError(f"{index} missing; run `baseline` for '{strategy}' first")
-        try:
-            info = json.loads(index.read_text(encoding="utf-8"))
-        except ValueError as exc:  # invalid JSON or UTF-8
-            raise DataIntegrityError(f"{index}: invalid JSON ({exc})") from exc
+        info = checkpoint.read_json(index)
         if not (isinstance(info, dict) and isinstance(info.get("components"), list)):
             raise DataIntegrityError(f"{index}: no components list")
         params = {c: checkpoint.load_params(art_dir / f"{c.replace(':', '_')}.ckpt")
@@ -327,8 +355,8 @@ def cmd_adapt_evaluate(config: dict) -> int:
 
 
 def cmd_evaluate_files(hyp_path: str, ref_path: str) -> int:
-    hyps = Path(hyp_path).read_text(encoding="utf-8").splitlines()
-    refs = Path(ref_path).read_text(encoding="utf-8").splitlines()
+    hyps = checkpoint.read_text(hyp_path).splitlines()
+    refs = checkpoint.read_text(ref_path).splitlines()
     print(f"BLEU {corpus_bleu(hyps, refs):.2f}")
     print(f"chrF {chrf(hyps, refs):.2f}")
     return 0
@@ -338,7 +366,7 @@ def cmd_sweep(config: dict) -> int:
     points = config["sweep"]["points"]
     if not points:
         raise ConfigError("sweep: config must list sweep.points")
-    points = [{k: (math.inf if v == "inf" else v) for k, v in p.items()} for p in points]
+    points = [_with_inf(p) for p in points]
     registry, vocab = _load_world(config)
     mc, ac = _model_configs(config, vocab)
     backbone = _load_backbone(config)
@@ -366,7 +394,7 @@ def cmd_report(run_dirs: list[str], reference: str, out_dir: str) -> int:
         for log_name in ("training_log.jsonl", "pretrain_log.jsonl"):
             log_path = Path(run) / log_name
             if log_path.exists():
-                lines = log_path.read_text(encoding="utf-8").splitlines()
+                lines = checkpoint.read_text(log_path).splitlines()
                 for number, line in enumerate(lines, start=1):
                     try:  # a log is appended in place, so a killed run cuts its last line
                         rec = json.loads(line)
@@ -391,27 +419,17 @@ def cmd_report(run_dirs: list[str], reference: str, out_dir: str) -> int:
 
 
 def _write_efficiency(records, path: Path) -> None:
-    import csv
-
     rows = {}
     for rec in records:
         rows.setdefault(rec.strategy, (rec.trainable_params, rec.trainable_ratio, rec.note))
-    with checkpoint.atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["strategy", "trainable_params", "trainable_ratio", "note"])
-        for strategy in sorted(rows):
-            count, ratio, note = rows[strategy]
-            writer.writerow([strategy, count, f"{ratio:.6f}", note])
+    checkpoint.write_csv(path, ["strategy", "trainable_params", "trainable_ratio", "note"],
+                         ([s, count, f"{ratio:.6f}", note]
+                          for s, (count, ratio, note) in sorted(rows.items())))
 
 
 def _write_loss_curves(logs: list[dict], path: Path) -> None:
-    import csv
-
-    with checkpoint.atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run", "log", "step", "loss"])
-        for rec in logs:
-            writer.writerow([rec["run"], rec["log"], rec["step"], f"{rec['loss']:.6f}"])
+    checkpoint.write_csv(path, ["run", "log", "step", "loss"],
+                         ([r["run"], r["log"], r["step"], f"{r['loss']:.6f}"] for r in logs))
 
 
 # ---------------------------------------------------------------------------

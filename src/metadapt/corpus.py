@@ -40,6 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import read_json, read_text
 from .errors import ConfigError, DataIntegrityError, InputError
 from .tasks import DlpDataset, DlpId, SentencePair
 
@@ -112,8 +113,7 @@ class SyntheticWorldSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticWorldSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh), str(path))
+        return cls.from_dict(read_json(path), str(path))
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
@@ -391,10 +391,10 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
+        raw = read_json(path)
         try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
             return cls(raw["tokens"], raw["languages"], raw["domains"])
-        except (ValueError, KeyError, TypeError) as exc:  # invalid JSON, UTF-8 or tables
+        except (KeyError, TypeError) as exc:
             raise DataIntegrityError(f"{path}: not a vocabulary file ({exc!r})") from exc
 
 
@@ -564,11 +564,9 @@ def load_registry(root: str | Path) -> Registry:
         raise FileNotFoundError(f"registry manifest not found: {manifest}")
     try:
         spec = SyntheticWorldSpec.from_json(root / "world.json")
-    except ValueError as exc:  # invalid JSON or UTF-8
-        raise DataIntegrityError(f"{root / 'world.json'}: invalid JSON ({exc})") from exc
     except ConfigError as exc:  # JSON, but not the spec generate_world wrote
         raise DataIntegrityError(f"{root / 'world.json'}: not a world spec ({exc})") from exc
-    text = manifest.read_text(encoding="utf-8")
+    text = read_text(manifest)
     if not text.endswith("\n"):  # _write_manifest ends every file with one
         raise DataIntegrityError(f"{manifest}: truncated (no newline at the end)")
     lines = text.strip().split("\n")
@@ -595,7 +593,7 @@ def load_dlp_dataset(registry: Registry, dlp: DlpId, caps: dict[str, int] | None
         path = row.path(registry.root, split)
         if not path.exists():
             raise FileNotFoundError(f"missing split file: {path}")
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = read_text(path).splitlines()
         if len(lines) != row.sizes[split]:
             raise DataIntegrityError(
                 f"{path}: {len(lines)} lines, registry.tsv lists {row.sizes[split]}")

@@ -20,12 +20,13 @@ chrF
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-from .checkpoint import atomic_write
+from .checkpoint import read_text, write_csv
 from .errors import DataIntegrityError, InputError
 from .tasks import DlpId
 
@@ -144,42 +145,37 @@ RECORD_COLUMNS = ["domain", "src_lang", "tgt_lang", "strategy", "bleu", "chrf",
 
 
 def write_records(records: list[MetricsRecord], path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for r in records:
-            writer.writerow([
-                r.dlp.domain, r.dlp.src_lang, r.dlp.tgt_lang, r.strategy,
-                f"{r.bleu:.4f}", f"{r.chrf:.4f}", f"{r.loss:.6f}",
-                r.trainable_params, f"{r.trainable_ratio:.6f}",
-                f"{r.wall_time:.3f}", r.note,
-            ])
+    write_csv(path, RECORD_COLUMNS, ([
+        r.dlp.domain, r.dlp.src_lang, r.dlp.tgt_lang, r.strategy,
+        f"{r.bleu:.4f}", f"{r.chrf:.4f}", f"{r.loss:.6f}",
+        r.trainable_params, f"{r.trainable_ratio:.6f}",
+        f"{r.wall_time:.3f}", r.note,
+    ] for r in records))
 
 
 def read_records(path: str | Path) -> list[MetricsRecord]:
     """Records of a metrics file; wrong columns or a value that does not
     parse are a DataIntegrityError naming the file."""
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RECORD_COLUMNS:
-            raise DataIntegrityError(f"{path}: unexpected metrics columns {reader.fieldnames}")
-        for row in reader:
-            try:
-                out.append(MetricsRecord(
-                    dlp=DlpId(row["domain"], row["src_lang"], row["tgt_lang"]),
-                    strategy=row["strategy"],
-                    bleu=float(row["bleu"]),
-                    chrf=float(row["chrf"]),
-                    loss=float(row["loss"]),
-                    trainable_params=int(row["trainable_params"]),
-                    trainable_ratio=float(row["trainable_ratio"]),
-                    wall_time=float(row["wall_time"]),
-                    note=row["note"],
-                ))
-            except (TypeError, ValueError) as exc:  # a short row reads None
-                raise DataIntegrityError(
-                    f"{path}: bad value on line {reader.line_num} ({exc})") from exc
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    if reader.fieldnames != RECORD_COLUMNS:
+        raise DataIntegrityError(f"{path}: unexpected metrics columns {reader.fieldnames}")
+    for row in reader:
+        try:
+            out.append(MetricsRecord(
+                dlp=DlpId(row["domain"], row["src_lang"], row["tgt_lang"]),
+                strategy=row["strategy"],
+                bleu=float(row["bleu"]),
+                chrf=float(row["chrf"]),
+                loss=float(row["loss"]),
+                trainable_params=int(row["trainable_params"]),
+                trainable_ratio=float(row["trainable_ratio"]),
+                wall_time=float(row["wall_time"]),
+                note=row["note"],
+            ))
+        except (TypeError, ValueError) as exc:  # a short row reads None
+            raise DataIntegrityError(
+                f"{path}: bad value on line {reader.line_num} ({exc})") from exc
     return out
 
 
@@ -244,12 +240,9 @@ REPORT_COLUMNS = ["group", "strategy", "mean_bleu", "mean_chrf", "mean_loss", "c
 
 
 def write_report(table: ReportTable, path: str | Path) -> None:
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(REPORT_COLUMNS)
-        for r in table.rows:
-            writer.writerow([r.group, r.strategy, f"{r.mean_bleu:.4f}", f"{r.mean_chrf:.4f}",
-                             f"{r.mean_loss:.6f}", r.count, f"{r.delta_bleu:.4f}"])
+    write_csv(path, REPORT_COLUMNS, ([r.group, r.strategy, f"{r.mean_bleu:.4f}",
+                                      f"{r.mean_chrf:.4f}", f"{r.mean_loss:.6f}", r.count,
+                                      f"{r.delta_bleu:.4f}"] for r in table.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import atomic_write
+from .checkpoint import write_csv, write_json
 from .corpus import Registry, Vocab, load_datasets
 from .errors import InputError
 from .metrics import MetricsRecord, corpus_bleu, chrf, count_trainable
@@ -313,15 +313,10 @@ def _sweep_run(point: dict, cfg: MetaConfig, mc, ac, vocab, backbone,
 
 
 def write_sweep(rows: list[dict], path: str | Path) -> None:
-    import csv
-
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([row["m"], row["k"], row["beta"],
-                             "inf" if row["tau"] == float("inf") else row["tau"],
-                             row["n"], f"{row['mean_bleu']:.4f}", str(row["best"]).lower()])
+    write_csv(path, SWEEP_COLUMNS, ([row["m"], row["k"], row["beta"],
+                                     "inf" if row["tau"] == float("inf") else row["tau"],
+                                     row["n"], f"{row['mean_bleu']:.4f}", str(row["best"]).lower()]
+                                    for row in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +326,8 @@ def write_sweep(rows: list[dict], path: str | Path) -> None:
 def write_manifest(out_dir: str | Path, config: dict, seed: int) -> None:
     from . import __version__
 
-    payload = {"config": config, "seed": seed, "code_version": __version__}
-    with atomic_write(Path(out_dir) / "manifest.json") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(Path(out_dir) / "manifest.json",
+               {"config": config, "seed": seed, "code_version": __version__})
 
 
 def write_training_log(records: list[dict], path: str | Path) -> None:

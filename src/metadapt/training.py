@@ -141,6 +141,8 @@ def _train_epochs(model: TranslationModel, n_rows: int, make, settings: Optimize
     rng is SeedSequence([seed, stream, e]): it draws the permutation, then the
     dropout masks. Only the batches the max_steps budget will use are built,
     and no epoch starts once it is spent."""
+    if batch_size < 1:
+        raise InputError(f"batch_size must be at least 1, got {batch_size}")
     losses: list[float] = []
     for epoch in range(epochs):
         remaining = None if max_steps is None else max_steps - len(losses)

@@ -1,13 +1,17 @@
 """Output pins: SHA-256 digests of what stage one and greedy decoding produce
-on the acceptance world, starting from the checked-in benchmark backbone.
+on the acceptance world, starting from the checked-in benchmark backbone,
+and of every artifact the smoke CLI chain writes.
 
-A change that claims the same outputs must leave both digests as they are.
+A change that claims the same outputs must leave every digest as it is.
 Float bytes depend on numpy and on the BLAS build, so `pins.json` records
 both, and in any other environment the tests fail naming the difference.
 Print this environment's values with `PYTHONPATH=src python tests/test_pins.py`.
 """
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -15,10 +19,13 @@ import numpy as np
 import pytest
 
 from metadapt import checkpoint, training
+from metadapt.cli import run
 from metadapt.corpus import SyntheticWorldSpec, Vocab, generate_world
 from metadapt.model import AdapterConfig, ModelConfig, build_model, greedy_decode, hash_seed
 from metadapt.optim import OptimizerSettings
-from metadapt.pipeline import role_datasets
+from metadapt.pipeline import STRATEGIES, role_datasets
+
+from test_pipeline_cli import _smoke_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = Path(__file__).resolve().with_name("pins.json")
@@ -27,6 +34,10 @@ SEED = 1
 META_BATCHES = 8
 SAMPLES = 24
 SAMPLE_SIZE = 32
+SWEEP_POINTS = [{"tau": 1.0}, {"tau": "inf", "k": 2}]
+# hypotheses shorter than their references, so BLEU's brevity penalty shows
+HYPOTHESES = "a b c d\ne f g h i\nj k l\n"
+REFERENCES = "a b c d x\ne f g h i y z\nj k l m\n"
 
 
 def environment() -> dict:
@@ -84,7 +95,55 @@ def greedy_hypotheses(world) -> str:
     return hashlib.sha256(json.dumps(hyps).encode("utf-8")).hexdigest()
 
 
-def pinned(key: str) -> str:
+def _tree_digest(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def _artifact_digest(path: Path) -> str:
+    """SHA-256 of the file's bytes; a metrics table is digested without its
+    wall_time column."""
+    data = path.read_bytes()
+    if path.name in ("metrics.csv", "details_by_dlp.csv"):
+        rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+        wall = rows[0].index("wall_time")
+        data = json.dumps([row[:wall] + row[wall + 1 :] for row in rows]).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+def smoke_chain(tmp: Path) -> dict[str, str]:
+    """Run gen-corpus, pretrain, meta-train, every baseline, adapt over every
+    strategy, a two-point sweep and report on the smoke world, and digest the
+    corpus tree, every file of the run directory but its manifest and JSONL
+    logs (absolute paths and wall times), and the stdout of scoring a fixed
+    hypotheses file."""
+    config = str(_smoke_config(tmp))
+    out = tmp / "run"
+    commands = [["gen-corpus"], ["pretrain"], ["meta-train"]]
+    commands += [["baseline", "--set", f"strategy={s.value}"] for s in training.BaselineStrategy]
+    commands += [["adapt", "--set", f"eval.strategies={json.dumps(list(STRATEGIES))}"],
+                 ["sweep", "--set", f"sweep.points={json.dumps(SWEEP_POINTS)}"]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in commands:
+            assert run([command[0], "--config", config, *command[1:]]) == 0, command
+        assert run(["report", "--runs", str(out), "--out", str(out / "report")]) == 0
+    (tmp / "hyp.txt").write_text(HYPOTHESES, encoding="utf-8")
+    (tmp / "ref.txt").write_text(REFERENCES, encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        assert run(["evaluate", "--hyp-file", str(tmp / "hyp.txt"),
+                    "--ref-file", str(tmp / "ref.txt")]) == 0
+    digests = {"corpus": _tree_digest(tmp / "corpus"),
+               "evaluate_stdout": hashlib.sha256(stdout.getvalue().encode("utf-8")).hexdigest()}
+    for path in sorted(out.rglob("*")):
+        if path.is_file() and path.name != "manifest.json" and path.suffix != ".jsonl":
+            digests[path.relative_to(out).as_posix()] = _artifact_digest(path)
+    return digests
+
+
+def pinned(key: str):
     """The pinned digest `key`; fails in one line if this environment is not
     the one the pins were taken in."""
     pins = json.loads(PINS.read_text(encoding="utf-8"))
@@ -111,11 +170,19 @@ def test_greedy_hypotheses_are_pinned(world):
     assert greedy_hypotheses(world) == expected
 
 
+def test_smoke_chain_artifacts_are_pinned(tmp_path):
+    expected = pinned("smoke_chain")
+    assert smoke_chain(tmp_path) == expected
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        acceptance = _world(Path(tmp))
+        acceptance = _world(Path(tmp) / "acceptance")
+        smoke = Path(tmp) / "smoke"
+        smoke.mkdir()
         print(json.dumps({"environment": environment(),
                           "meta_train_snapshot": meta_train_snapshot(acceptance),
-                          "greedy_hypotheses": greedy_hypotheses(acceptance)}, indent=2))
+                          "greedy_hypotheses": greedy_hypotheses(acceptance),
+                          "smoke_chain": smoke_chain(smoke)}, indent=2))

@@ -366,6 +366,101 @@ def test_cli_gen_corpus_world_table(tmp_path, capsys):
     assert "world spec" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory) -> Path:
+    """A smoke-world directory with a corpus and a run that went through
+    pretrain, meta-train, the agnostic_adapter baseline and adapt."""
+    root = tmp_path_factory.mktemp("smoke_run")
+    cfg = _smoke_config(root)
+    for command in (["gen-corpus"], ["pretrain"], ["meta-train"],
+                    ["baseline", "--set", "strategy=agnostic_adapter"], ["adapt"]):
+        assert run([command[0], "--config", str(cfg), *command[1:]]) == 0
+    return root
+
+
+def _copy_of(smoke_run: Path, tmp_path: Path) -> list[str]:
+    """Config arguments for a copy of `smoke_run` under `tmp_path`."""
+    import shutil
+
+    for name in ("corpus", "run"):
+        shutil.copytree(smoke_run / name, tmp_path / name)
+    return ["--config", str(smoke_run / "config.json"), "--set", f"corpus_dir={tmp_path / 'corpus'}",
+            "--set", f"out_dir={tmp_path / 'run'}"]
+
+
+@pytest.mark.parametrize("name, command", [
+    ("corpus/registry.tsv", ["pretrain"]),
+    ("corpus/general/apa-bel/train.tsv", ["pretrain"]),
+    ("corpus/world.json", ["pretrain"]),
+    ("corpus/vocab.json", ["pretrain"]),
+    ("run/backbone.json", ["meta-train"]),
+    ("run/baseline_agnostic_adapter/artifact.json",
+     ["adapt", "--set", 'eval.strategies=["agnostic_adapter"]']),
+    ("run/metrics.csv", ["report"]),
+    ("run/training_log.jsonl", ["report"]),
+    ("hyp.txt", ["evaluate"]),
+])
+def test_cli_non_utf8_artifact_exit_3(smoke_run, tmp_path, capsys, name, command):
+    args = _copy_of(smoke_run, tmp_path)
+    (tmp_path / "hyp.txt").write_text("a b c\n", encoding="utf-8")
+    path = tmp_path / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    if command == ["report"]:
+        args = ["--runs", str(tmp_path / "run"), "--out", str(tmp_path / "report")]
+    elif command == ["evaluate"]:
+        args = ["--hyp-file", str(path), "--ref-file", str(path)]
+    capsys.readouterr()
+    assert run(command[:1] + args + command[1:]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("override, message", [
+    ("adapt.epoch=5", "unknown config key 'adapt.epoch'"),
+    ("pretrain.lrr=3", "unknown config key 'pretrain.lrr'"),
+    ("seeed=2", "unknown config key 'seeed'"),
+    ("adapt=3", "config 'adapt' must be a table"),
+    ("eval=3", "config 'eval' must be a table"),
+    ("caps=3", "config 'caps' must be a table"),
+    ("pretrain.lr=inf", "config 'pretrain.lr' must be a number"),
+    ("meta.tau=Infinity", "config 'meta.tau' must be a number"),
+    ("adapt.batch_size=0", "batch_size must be at least 1"),
+])
+def test_cli_config_shape_exit_2(smoke_run, capsys, override, message):
+    """Checked once, in load_config; a batch size below 1 when training."""
+    capsys.readouterr()
+    assert run(["adapt", "--config", str(smoke_run / "config.json"), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("head, body", [(b"\xff", None), (b"", b"[]"),
+                                        (b"", b'{"seed": NaN}')])
+def test_cli_config_file_not_a_json_table_exit_2(tmp_path, capsys, head, body):
+    cfg = _smoke_config(tmp_path)
+    cfg.write_bytes(head + (body or cfg.read_bytes()))
+    assert run(["gen-corpus", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(cfg) in err and err.count("\n") == 1
+
+
+def test_cli_inf_tau_keeps_the_manifest_strict_json(smoke_run, tmp_path):
+    import math
+
+    from metadapt.cli import _meta_config, load_config
+
+    args = _copy_of(smoke_run, tmp_path)
+    assert run(["meta-train", *args, "--set", "meta.tau=inf"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    manifest = (tmp_path / "run" / "manifest.json").read_text(encoding="utf-8")
+    assert json.loads(manifest, parse_constant=reject)["config"]["meta"]["tau"] == "inf"
+    config = load_config(str(smoke_run / "config.json"), ["meta.tau=inf"])
+    assert _meta_config(config).tau == math.inf
+
+
 # --- pipeline functions directly -------------------------------------------------
 
 @pytest.fixture(scope="module")
