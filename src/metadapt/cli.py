@@ -26,7 +26,6 @@ from .metrics import aggregate, corpus_bleu, chrf, read_records, write_records, 
 from .model import AdapterConfig, ModelConfig, backbone_checksum
 from .optim import OptimizerSettings
 from .pipeline import (
-    STRATEGIES,
     AdaptBudget,
     TrainedStrategies,
     backbone_dev_bleu,
@@ -40,12 +39,12 @@ from .pipeline import (
     write_training_log,
 )
 from .training import (
+    STRATEGIES,
     BaselineArtifact,
     BaselineStrategy,
     MetaConfig,
     STRATEGY_BACKBONE,
     STRATEGY_META_ADAPTER,
-    STRATEGY_RANDOM_ADAPTER,
 )
 
 DEFAULT_CONFIG: dict = {
@@ -93,8 +92,9 @@ def _parse_value(text: str):
 
 
 def _check_shape(config: dict) -> None:
-    """Every key is one of DEFAULT_CONFIG's, and every table stays a table
-    holding only its default keys (the world spec checks its own)."""
+    """Every key is one of DEFAULT_CONFIG's, every table stays a table
+    holding only its default keys (the world spec checks its own), and
+    sweep.points stays a list of tables of meta values."""
     for key, value in config.items():
         if key not in DEFAULT_CONFIG:
             raise ConfigError(f"unknown config key '{key}'")
@@ -108,13 +108,32 @@ def _check_shape(config: dict) -> None:
                 if name not in default:
                     raise ConfigError(f"unknown config key '{key}.{name}'")
                 _check_number(f"{key}.{name}", default[name], item)
+    points = config["sweep"].get("points", [])
+    if not (isinstance(points, list) and all(isinstance(p, dict) for p in points)):
+        raise ConfigError(f"config 'sweep.points' must be a list of tables, got {points!r}")
+    meta = DEFAULT_CONFIG["meta"]
+    for i, point in enumerate(points):
+        for name, item in point.items():
+            if name in meta:
+                _check_number(f"sweep.points[{i}].{name}", meta[name], item)
 
 
 def _check_number(key: str, default, value) -> None:
-    """A number stays a number; JSON has no infinity, so meta.tau may be "inf"."""
-    number = (int, float)  # not bool
-    if type(default) in number and type(value) not in number and (key, value) != ("meta.tau", "inf"):
-        raise ConfigError(f"config '{key}' must be a number, got {value!r}")
+    """A number stays a number, and a whole number stays whole; a key whose
+    default is null takes null or a whole number. JSON has no infinity, so
+    meta.tau may be "inf"."""
+    whole = type(value) is int  # not bool
+    if default is None:
+        ok, kind = value is None or whole, "null or a whole number"
+    elif type(default) is int:
+        ok, kind = whole, "a whole number"
+    elif type(default) is float:
+        ok = whole or type(value) is float or (key.endswith(".tau") and value == "inf")
+        kind = "a number"
+    else:
+        return
+    if not ok:
+        raise ConfigError(f"config '{key}' must be {kind}, got {value!r}")
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -306,7 +325,7 @@ def _load_trained(config: dict, strategies: list[str]) -> TrainedStrategies:
     out = _out_dir(config)
     trained = TrainedStrategies()
     for strategy in strategies:
-        if strategy in (STRATEGY_BACKBONE, STRATEGY_RANDOM_ADAPTER):
+        if STRATEGIES[strategy].stage_one is None:
             continue
         if strategy == STRATEGY_META_ADAPTER:
             path = out / "meta_adapter.ckpt"
@@ -323,8 +342,8 @@ def _load_trained(config: dict, strategies: list[str]) -> TrainedStrategies:
             raise DataIntegrityError(f"{index}: no components list")
         params = {c: checkpoint.load_params(art_dir / f"{c.replace(':', '_')}.ckpt")
                   for c in info["components"]}
-        trained.baselines[strategy] = BaselineArtifact(
-            BaselineStrategy(strategy), params, note=info.get("note", ""))
+        trained.baselines[strategy] = BaselineArtifact(BaselineStrategy(strategy), params,
+                                                       note=STRATEGIES[strategy].note)
     return trained
 
 

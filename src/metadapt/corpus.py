@@ -81,6 +81,22 @@ class SyntheticWorldSpec:
     seed: int = 0
 
     def __post_init__(self):
+        whole = ["content_vocab_size", "domain_vocab_size", "templates_per_domain", "train_size",
+                 "adapt_size", "valid_size", "test_size", "seed"]
+        if self.pretrain_train_size is not None:
+            whole.append("pretrain_train_size")
+        for name in whole:
+            if type(getattr(self, name)) is not int:  # not bool
+                raise ConfigError(f"world spec: {name} must be a whole number, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("neutral_len", "specialist_len"):
+            span = getattr(self, name)
+            if not (isinstance(span, (tuple, list)) and len(span) == 2
+                    and all(type(n) is int for n in span)):
+                raise ConfigError(f"world spec: {name} must be two whole numbers, got {span!r}")
+        if type(self.min_domain_tv) not in (int, float):
+            raise ConfigError(f"world spec: min_domain_tv must be a number, "
+                              f"got {self.min_domain_tv!r}")
         if len(self.languages) < 2:
             raise ConfigError("world spec: need at least two languages")
         if len(self.domains) < 2:

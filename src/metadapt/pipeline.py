@@ -13,7 +13,6 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -35,20 +34,19 @@ from .model import (
 from .optim import OptimizerSettings
 from .tasks import DlpDataset, DlpId
 from .training import (
+    STRATEGIES,
     BaselineArtifact,
     BaselineStrategy,
     MetaConfig,
-    STRATEGY_BACKBONE,
     STRATEGY_META_ADAPTER,
-    STRATEGY_RANDOM_ADAPTER,
     install_stack,
     meta_adapt,
-    meta_train,
     pooled_rows,
     restore_params,
     snapshot_params,
     supervised_train,
     train_baseline,
+    train_stage_one,
 )
 
 @dataclass(frozen=True)
@@ -148,87 +146,25 @@ def train_strategies(strategies: list[str], mc: ModelConfig, ac: AdapterConfig,
                      vocab: Vocab, backbone: dict[str, np.ndarray],
                      datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
                      max_steps: int | None = None) -> TrainedStrategies:
-    """Run the meta-training stage for each strategy that needs one, on a
-    model built with the strategy's `STRATEGIES` adapter groups."""
+    """Run stage one for each strategy that has one, on a model built with
+    the strategy's `STRATEGIES` adapter groups."""
     out = TrainedStrategies()
     for strategy in strategies:
-        if strategy in (STRATEGY_BACKBONE, STRATEGY_RANDOM_ADAPTER):
-            continue  # nothing to train
-        base = None if strategy == STRATEGY_META_ADAPTER else BaselineStrategy(strategy)
+        setup = STRATEGIES.get(strategy)
+        if setup is None:
+            raise InputError(f"train_strategies: unknown strategy '{strategy}'")
+        if setup.stage_one is None:
+            continue
         model = build_model(mc, ac, seed=hash_seed(cfg.seed, 50),
-                            adapter_groups=STRATEGIES[strategy].adapter_groups)
+                            adapter_groups=setup.adapter_groups)
         restore_params(model, backbone)
-        if base is None:
-            snap, log = meta_train(model, vocab, datasets, cfg)
-            out.meta_adapter, out.meta_log = snap.tensors, log
+        if strategy == STRATEGY_META_ADAPTER:
+            params, out.meta_log = train_stage_one(strategy, model, vocab, datasets, cfg)
+            out.meta_adapter = params[setup.component]
         else:
-            out.baselines[strategy] = train_baseline(base, model, vocab, datasets, cfg,
-                                                     max_steps=max_steps)
+            out.baselines[strategy] = train_baseline(BaselineStrategy(strategy), model, vocab,
+                                                     datasets, cfg, max_steps=max_steps)
     return out
-
-
-def _keep_backbone(*_) -> None:
-    pass
-
-
-def _start_meta(model: TranslationModel, trained: TrainedStrategies, strategy: str,
-                dlp: DlpId, seed: int) -> None:
-    if trained.meta_adapter is None:
-        raise InputError("adapt_and_evaluate: meta_adapter snapshot missing")
-    restore_params(model, trained.meta_adapter)
-
-
-def _start_component(component: str):
-    """Start from one stored component ("adapter" or "model") of the
-    strategy's stage-one artifact."""
-    def start(model: TranslationModel, trained: TrainedStrategies, strategy: str,
-              dlp: DlpId, seed: int) -> None:
-        restore_params(model, trained.baselines[strategy].params[component])
-    return start
-
-
-def _start_stack(model: TranslationModel, trained: TrainedStrategies, strategy: str,
-                 dlp: DlpId, seed: int) -> None:
-    install_stack(model, trained.baselines[strategy], dlp, seed=seed)
-
-
-@dataclass(frozen=True)
-class StrategySetup:
-    """How stage two sets up one strategy. The model is built with
-    `adapter_groups` over the pretrained backbone; `start` writes the
-    strategy's stage-one weights into it; `adapts` names what the shared
-    budget fine-tunes (nothing: scored as is, and the pretrained backbone
-    counts as fully trained once). A stacked strategy counts one adapter set
-    per component of its artifact: one per language pair and one per domain
-    of the meta-training registry."""
-
-    adapter_groups: tuple[str, ...]
-    start: Callable[[TranslationModel, TrainedStrategies, str, DlpId, int], None]
-    adapts: Callable[[TranslationModel], list[str]]
-    with_domain_tag: bool = False
-    stacked: bool = False
-
-
-def _all_params(model: TranslationModel) -> list[str]:
-    return list(model.params)
-
-
-STRATEGIES: dict[str, StrategySetup] = {
-    STRATEGY_BACKBONE: StrategySetup((), _keep_backbone, lambda model: []),
-    STRATEGY_META_ADAPTER: StrategySetup(("main",), _start_meta, TranslationModel.adapter_names),
-    STRATEGY_RANDOM_ADAPTER: StrategySetup(("main",), _keep_backbone,
-                                           TranslationModel.adapter_names),
-    BaselineStrategy.AGNOSTIC_ADAPTER.value: StrategySetup(
-        ("main",), _start_component("adapter"), TranslationModel.adapter_names),
-    BaselineStrategy.FULL_FT.value: StrategySetup((), _start_component("model"), _all_params),
-    BaselineStrategy.TAG_FT.value: StrategySetup((), _start_component("model"), _all_params,
-                                                 with_domain_tag=True),
-    BaselineStrategy.FULL_MODEL_META.value: StrategySetup((), _start_component("model"),
-                                                          _all_params),
-    BaselineStrategy.STACK_ADAPTER.value: StrategySetup((), _start_stack,
-                                                        TranslationModel.adapter_names,
-                                                        stacked=True),
-}
 
 
 def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
@@ -243,22 +179,28 @@ def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
         raise InputError(f"adapt_and_evaluate: unknown strategy '{strategy}'")
     model = build_model(mc, ac, seed=hash_seed(run_seed, 51), adapter_groups=setup.adapter_groups)
     restore_params(model, backbone)
-    setup.start(model, trained, strategy, dlp, run_seed)
-    trainable = setup.adapts(model)
+    adapter_sets = None
+    if setup.stage_one == "stack":
+        artifact = trained.baselines[strategy]
+        install_stack(model, artifact, dlp, seed=run_seed)
+        adapter_sets = len(artifact.params)
+    elif strategy == STRATEGY_META_ADAPTER:
+        if trained.meta_adapter is None:
+            raise InputError("adapt_and_evaluate: meta_adapter snapshot missing")
+        restore_params(model, trained.meta_adapter)
+    elif setup.stage_one is not None:
+        restore_params(model, trained.baselines[strategy].params[setup.component])
+    trainable = setup.trains(model)
     if trainable:
         meta_adapt(model, vocab, snapshot_params(model, trainable), dlp, dataset.adapt,
                    budget.settings, epochs=budget.epochs, batch_size=budget.batch_size,
                    seed=run_seed, trainable=trainable, with_domain_tag=setup.with_domain_tag,
                    max_steps=budget.max_steps)
     model.set_trainable(trainable)
-    artifact = trained.baselines.get(strategy)
-    counts = None
-    if trainable:
-        counts = count_trainable(model, len(artifact.params) if setup.stacked else None)
+    counts = count_trainable(model, adapter_sets) if trainable else None
     return evaluate_dlp(model, vocab, dlp, dataset.test, strategy, max_len,
                         with_domain_tag=setup.with_domain_tag, counts=counts,
-                        wall_time=time.perf_counter() - t0,
-                        note=artifact.note if artifact is not None else "")
+                        wall_time=time.perf_counter() - t0, note=setup.note)
 
 
 def compare_strategies(strategies: list[str], heldout: dict[DlpId, DlpDataset],

@@ -12,13 +12,23 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, Literal
 
 import numpy as np
 
 from . import tensor as T
 from .corpus import Vocab
 from .errors import InputError, NumericError, StateError
-from .model import Batch, TranslationModel, forward_loss, make_batch, make_mixed_batch
+from .model import (
+    Batch,
+    TranslationModel,
+    add_adapter_group,
+    forward_loss,
+    hash_seed,
+    make_batch,
+    make_mixed_batch,
+    remove_adapter_group,
+)
 from .optim import AdamW, OptimizerSettings
 from .tasks import DlpDataset, DlpId, SamplingPlan, SentencePair, build_episode, sample_dlps
 
@@ -79,6 +89,52 @@ class BaselineStrategy(str, Enum):
 STRATEGY_BACKBONE = "backbone"
 STRATEGY_META_ADAPTER = "meta_adapter"
 STRATEGY_RANDOM_ADAPTER = "random_adapter"
+
+
+@dataclass(frozen=True)
+class StrategySetup:
+    """What both stages know of one strategy. Each stage builds its model
+    with `adapter_groups` over the pretrained backbone. `stage_one` says how
+    stage one trains `trains(model)` on the meta-training registry: not at
+    all (None), the Reptile loop ("meta"), pooled mixed-batch training
+    ("supervised"), or one adapter per language pair and one per domain
+    ("stack"). It stores the result as the artifact's `component` (a stacked
+    artifact has one component per adapter it trained), and every record
+    carries `note`. Stage two starts from that artifact and fine-tunes
+    `trains(model)` under the shared budget; with an empty set the model is
+    scored as is, and the pretrained backbone counts as fully trained once.
+    The domain tag is prepended in both stages when `with_domain_tag`."""
+
+    adapter_groups: tuple[str, ...]
+    trains: Callable[[TranslationModel], list[str]]
+    stage_one: Literal["meta", "supervised", "stack"] | None = None
+    with_domain_tag: bool = False
+    component: str = ""
+    note: str = ""
+
+
+def _all_params(model: TranslationModel) -> list[str]:
+    return list(model.params)
+
+
+STRATEGIES: dict[str, StrategySetup] = {
+    STRATEGY_BACKBONE: StrategySetup((), lambda model: []),
+    STRATEGY_META_ADAPTER: StrategySetup(("main",), TranslationModel.adapter_names, "meta",
+                                         component="adapter"),
+    STRATEGY_RANDOM_ADAPTER: StrategySetup(("main",), TranslationModel.adapter_names),
+    BaselineStrategy.AGNOSTIC_ADAPTER.value: StrategySetup(
+        ("main",), TranslationModel.adapter_names, "supervised", component="adapter"),
+    BaselineStrategy.FULL_FT.value: StrategySetup((), _all_params, "supervised",
+                                                  component="model"),
+    BaselineStrategy.TAG_FT.value: StrategySetup((), _all_params, "supervised",
+                                                 with_domain_tag=True, component="model"),
+    BaselineStrategy.FULL_MODEL_META.value: StrategySetup(
+        (), _all_params, "meta", component="model",
+        note="first-order meta-learning over all parameters"),
+    BaselineStrategy.STACK_ADAPTER.value: StrategySetup(
+        (), TranslationModel.adapter_names, "stack",
+        note="language-pair adapter then domain adapter, stacked in sequence"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -332,47 +388,47 @@ def supervised_train(model: TranslationModel, vocab: Vocab,
                          seed, 31, trainable)
 
 
+def train_stage_one(strategy: str, model: TranslationModel, vocab: Vocab,
+                    datasets: dict[DlpId, DlpDataset], cfg: MetaConfig, batch_size: int = 16,
+                    max_steps: int | None = None,
+                    ) -> tuple[dict[str, dict[str, np.ndarray]], list[dict]]:
+    """Stage one of a `STRATEGIES` entry on `model`, built with the entry's
+    adapter groups over the backbone: returns the artifact's components and
+    the meta-training log (empty unless the entry runs the meta loop, which
+    `max_steps` does not cut)."""
+    setup = STRATEGIES.get(strategy)
+    if setup is None or setup.stage_one is None:
+        raise InputError(f"train_stage_one: no stage one for strategy {strategy!r}")
+    if setup.stage_one == "stack":
+        return _train_stack_adapter(model, vocab, datasets, cfg, batch_size, max_steps), []
+    trainable = setup.trains(model)
+    if not trainable:
+        raise StateError(f"{strategy} needs an adapter-equipped model")
+    if setup.stage_one == "meta":
+        snapshot, log = meta_train(model, vocab, datasets, cfg, trainable=trainable)
+        return {setup.component: snapshot.tensors}, log
+    supervised_train(model, vocab, pooled_rows(datasets), cfg.inner, cfg.epochs, batch_size,
+                     cfg.seed, trainable, with_domain_tag=setup.with_domain_tag,
+                     max_steps=max_steps)
+    return {setup.component: snapshot_params(model, trainable)}, []
+
+
 def train_baseline(strategy: BaselineStrategy, model: TranslationModel, vocab: Vocab,
                    datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
                    batch_size: int = 16, max_steps: int | None = None) -> BaselineArtifact:
-    """Train one baseline on the meta-training registry.
-
-    FULL_FT / TAG_FT update every parameter (TAG_FT additionally prepends the
-    domain tag); AGNOSTIC_ADAPTER trains one shared adapter set on pooled
-    data; STACK_ADAPTER trains one adapter per language pair and one per
-    domain, composed in sequence at inference; FULL_MODEL_META runs the
-    first-order meta loop over all parameters.
-    """
+    """Train one baseline on the meta-training registry, as its `STRATEGIES`
+    entry says."""
     if not isinstance(strategy, BaselineStrategy):
         raise InputError(f"train_baseline: unknown strategy {strategy!r}")
-    rows = pooled_rows(datasets)
-    if strategy in (BaselineStrategy.FULL_FT, BaselineStrategy.TAG_FT):
-        trainable = list(model.params)
-        supervised_train(model, vocab, rows, cfg.inner, cfg.epochs, batch_size, cfg.seed,
-                         trainable, with_domain_tag=strategy is BaselineStrategy.TAG_FT,
-                         max_steps=max_steps)
-        return BaselineArtifact(strategy, {"model": snapshot_params(model, trainable)})
-    if strategy is BaselineStrategy.AGNOSTIC_ADAPTER:
-        trainable = model.adapter_names()
-        if not trainable:
-            raise StateError("agnostic_adapter baseline needs an adapter-equipped model")
-        supervised_train(model, vocab, rows, cfg.inner, cfg.epochs, batch_size, cfg.seed,
-                         trainable, max_steps=max_steps)
-        return BaselineArtifact(strategy, {"adapter": snapshot_params(model, trainable)})
-    if strategy is BaselineStrategy.FULL_MODEL_META:
-        snapshot, _ = meta_train(model, vocab, datasets, cfg, trainable=list(model.params))
-        return BaselineArtifact(strategy, {"model": snapshot.tensors},
-                                note="first-order meta-learning over all parameters")
-    if strategy is BaselineStrategy.STACK_ADAPTER:
-        return _train_stack_adapter(model, vocab, datasets, cfg, batch_size, max_steps)
-    raise InputError(f"train_baseline: unknown strategy {strategy!r}")
+    params, _ = train_stage_one(strategy.value, model, vocab, datasets, cfg, batch_size,
+                                max_steps)
+    return BaselineArtifact(strategy, params, note=STRATEGIES[strategy.value].note)
 
 
 def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
                          datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
-                         batch_size: int, max_steps: int | None) -> BaselineArtifact:
-    from .model import add_adapter_group, hash_seed, remove_adapter_group
-
+                         batch_size: int, max_steps: int | None,
+                         ) -> dict[str, dict[str, np.ndarray]]:
     lang_pairs = sorted({(d.src_lang, d.tgt_lang) for d in datasets})
     domains = sorted({d.domain for d in datasets})
     components: dict[str, dict[str, np.ndarray]] = {}
@@ -396,8 +452,7 @@ def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
         train_component(f"dom:{domain}", subset, hash_seed(cfg.seed, 42, idx))
     for group in list(model.adapter_groups):
         remove_adapter_group(model, group)
-    return BaselineArtifact(BaselineStrategy.STACK_ADAPTER, components,
-                            note="language-pair adapter then domain adapter, stacked in sequence")
+    return components
 
 
 def install_stack(model: TranslationModel, artifact: BaselineArtifact, dlp: DlpId,
@@ -405,8 +460,6 @@ def install_stack(model: TranslationModel, artifact: BaselineArtifact, dlp: DlpI
     """Insert the language-pair and domain adapters for `dlp` (freshly
     initialized when that component was never trained), returning the
     trainable adapter names in stack order."""
-    from .model import add_adapter_group, hash_seed, remove_adapter_group
-
     if artifact.strategy is not BaselineStrategy.STACK_ADAPTER:
         raise InputError("install_stack: artifact is not a stacked-adapter artifact")
     for group in list(model.adapter_groups):

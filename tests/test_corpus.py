@@ -86,6 +86,16 @@ def test_too_similar_domains_rejected(tmp_path):
         generate_world(spec, tmp_path / "w")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("templates_per_domain", 2.5), ("train_size", 60.5), ("test_size", True),
+    ("content_vocab_size", "40"), ("pretrain_train_size", 30.0), ("min_domain_tv", "x"),
+    ("neutral_len", (3.5, 6)), ("specialist_len", (5,)), ("neutral_len", 4),
+])
+def test_world_spec_field_of_the_wrong_type_raises(field, value):
+    with pytest.raises(ConfigError, match=f"world spec: {field} must be"):
+        tiny_world_spec(**{field: value})
+
+
 def test_filter_drops_long_sentences():
     long_side = " ".join(["tok"] * 176)
     ok_side = " ".join(["tok"] * 175)

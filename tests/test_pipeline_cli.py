@@ -434,6 +434,60 @@ def test_cli_config_shape_exit_2(smoke_run, capsys, override, message):
     assert err.startswith("config error: ") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("override, message", [
+    ("pretrain.epochs=1.5", "config 'pretrain.epochs' must be a whole number, got 1.5"),
+    ("eval.max_len=2.5", "config 'eval.max_len' must be a whole number"),
+    ("seed=true", "config 'seed' must be a whole number"),
+    ('caps.train="x"', "config 'caps.train' must be null or a whole number"),
+    ('adapt.max_steps="x"', "config 'adapt.max_steps' must be null or a whole number"),
+    ("pretrain.max_steps=true", "config 'pretrain.max_steps' must be null or a whole number"),
+    ("meta.max_meta_batches=2.0", "config 'meta.max_meta_batches' must be null or a whole"),
+    ("sweep.points=[3]", "config 'sweep.points' must be a list of tables, got [3]"),
+    ('sweep.points=[{"tau": "inf"}, {"k": 1.5}]', "config 'sweep.points[1].k' must be a whole"),
+])
+def test_cli_config_types_exit_2(tmp_path, capsys, override, message):
+    """A key whose default is a whole number takes only a whole number, one
+    whose default is null takes null or a whole number, and sweep.points is
+    a list of tables of meta values; checked before any file is read."""
+    cfg = _smoke_config(tmp_path)
+    assert run(["adapt", "--config", str(cfg), "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+
+
+def test_cli_config_types_accept_numbers_and_null(tmp_path):
+    from metadapt.cli import load_config
+
+    config = load_config(str(_smoke_config(tmp_path)), [
+        "pretrain.lr=1", "caps.train=5", "adapt.max_steps=null",
+        'sweep.points=[{"tau": "inf"}, {"m": 2, "beta": 1, "max_meta_batches": null}]'])
+    assert config["pretrain"]["lr"] == 1 and config["caps"]["train"] == 5
+    assert config["adapt"]["max_steps"] is None
+
+
+WORLD_WRONG_TYPES = [("seed", 1.5), ("templates_per_domain", 2.5), ("min_domain_tv", "x"),
+                     ("train_size", 60.5), ("neutral_len", [3.5, 6])]
+
+
+def test_cli_world_field_of_the_wrong_type(tmp_path, capsys):
+    """gen-corpus rejects it as a config error; a world.json holding it is a
+    damaged data file."""
+    cfg = _smoke_config(tmp_path)
+    for key, value in WORLD_WRONG_TYPES:
+        assert run(["gen-corpus", "--config", str(cfg), "--set", f"world.{key}={json.dumps(value)}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: world spec: ") and key in err and err.count("\n") == 1
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    path = tmp_path / "corpus" / "world.json"
+    world = json.loads(path.read_text(encoding="utf-8"))
+    for key, value in WORLD_WRONG_TYPES:
+        path.write_text(json.dumps({**world, key: value}), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["pretrain", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "world.json: not a world spec" in err and key in err
+
+
 @pytest.mark.parametrize("head, body", [(b"\xff", None), (b"", b"[]"),
                                         (b"", b'{"seed": NaN}')])
 def test_cli_config_file_not_a_json_table_exit_2(tmp_path, capsys, head, body):
@@ -532,6 +586,13 @@ def test_adapt_and_evaluate_rejects_unknown_strategy_and_missing_snapshot(smoke_
             adapt_and_evaluate(strategy, dlp, heldout[dlp], mc=mc, ac=ac, vocab=vocab,
                                backbone=backbone, trained=TrainedStrategies(), budget=budget,
                                run_seed=0, max_len=10)
+
+
+def test_train_strategies_rejects_unknown_strategy(smoke_stack):
+    registry, vocab, mc, ac, backbone = smoke_stack
+    with pytest.raises(InputError, match="unknown strategy 'bogus'"):
+        train_strategies(["bogus"], mc, ac, vocab, backbone, role_datasets(registry, "meta_train"),
+                         MetaConfig())
 
 
 def test_hyperparam_sweep_degenerate_and_deterministic(smoke_stack):

@@ -13,6 +13,7 @@ from metadapt.model import (
 )
 from metadapt.optim import AdamW, OptimizerSettings
 from metadapt.training import (
+    STRATEGIES,
     AdapterSnapshot,
     BaselineStrategy,
     MetaConfig,
@@ -28,6 +29,7 @@ from metadapt.training import (
     snapshot_params,
     supervised_train,
     train_baseline,
+    train_stage_one,
 )
 
 
@@ -424,6 +426,40 @@ def test_train_baseline_unknown_strategy(world):
     _, vocab, datasets = world
     with pytest.raises(InputError):
         train_baseline("not_a_strategy", small_model(vocab), vocab, datasets, small_cfg())
+
+
+# --- the strategy table ------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", [n for n, s in STRATEGIES.items()
+                                  if s.stage_one not in (None, "stack")])
+def test_stage_one_trains_exactly_the_tables_set(world, name):
+    """Stage one stores its row's component, holding exactly `trains(model)`,
+    and leaves every other parameter bitwise as it was."""
+    _, vocab, datasets = world
+    setup = STRATEGIES[name]
+    model = small_model(vocab, groups=setup.adapter_groups)
+    before = snapshot_params(model, list(model.params))
+    params, _ = train_stage_one(name, model, vocab, datasets, small_cfg(max_meta_batches=1),
+                                max_steps=1)
+    trains = setup.trains(model)
+    assert list(params) == [setup.component]
+    assert sorted(params[setup.component]) == sorted(trains)
+    for param, value in before.items():
+        if param not in trains:
+            assert np.array_equal(model.params[param].data, value), param
+
+
+def test_stack_stage_one_keeps_the_backbone(world):
+    _, vocab, datasets = world
+    model = small_model(vocab, groups=STRATEGIES["stack_adapter"].adapter_groups)
+    before = snapshot_params(model, list(model.params))
+    params, _ = train_stage_one("stack_adapter", model, vocab, datasets, small_cfg(),
+                                max_steps=1)
+    assert sorted(params) == sorted({f"lp:{d.src_lang}-{d.tgt_lang}" for d in datasets}
+                                    | {f"dom:{d.domain}" for d in datasets})
+    assert list(model.params) == list(before)
+    for param, value in before.items():
+        assert np.array_equal(model.params[param].data, value), param
 
 
 def test_adapter_snapshot_copy_is_deep():
