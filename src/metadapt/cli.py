@@ -382,7 +382,7 @@ def cmd_evaluate_files(hyp_path: str, ref_path: str) -> int:
 
 
 def cmd_sweep(config: dict) -> int:
-    points = config["sweep"]["points"]
+    points = config["sweep"].get("points")
     if not points:
         raise ConfigError("sweep: config must list sweep.points")
     points = [_with_inf(p) for p in points]

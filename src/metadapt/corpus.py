@@ -89,6 +89,11 @@ class SyntheticWorldSpec:
             if type(getattr(self, name)) is not int:  # not bool
                 raise ConfigError(f"world spec: {name} must be a whole number, "
                                   f"got {getattr(self, name)!r}")
+        for name, low in (("templates_per_domain", 1), ("train_size", 0), ("adapt_size", 0),
+                          ("valid_size", 0), ("test_size", 0), ("pretrain_train_size", 0)):
+            value = getattr(self, name)
+            if value is not None and value < low:
+                raise ConfigError(f"world spec: {name} must be at least {low}, got {value!r}")
         for name in ("neutral_len", "specialist_len"):
             span = getattr(self, name)
             if not (isinstance(span, (tuple, list)) and len(span) == 2

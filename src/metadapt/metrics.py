@@ -22,9 +22,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .checkpoint import read_text, write_csv
 from .errors import DataIntegrityError, InputError
@@ -35,16 +36,35 @@ CHRF_ORDER = 6
 CHRF_BETA = 2.0
 
 
-def _ngram_matches(hyp: str | tuple[str, ...], ref: str | tuple[str, ...],
-                   n: int) -> tuple[int, int, int]:
-    """For the order-n n-grams of one hypothesis and its reference (a string
-    gives character n-grams, a tuple word n-grams): the clipped matches, each
-    hypothesis n-gram counted at most as often as the reference holds it, and
-    the hypothesis and reference n-gram counts."""
-    hyp_ngrams = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
-    ref_ngrams = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
-    return (sum((hyp_ngrams & ref_ngrams).values()),
-            max(len(hyp) - n + 1, 0), max(len(ref) - n + 1, 0))
+def _ngram_matches(hyp_ids: np.ndarray, hyp_lens: list[int], ref_ids: np.ndarray,
+                   ref_lens: list[int], order: int) -> tuple[list[int], list[int], list[int]]:
+    """Corpus n-gram counts of integer sequences, given concatenated with
+    their lengths, hypothesis i paired with reference i. Per order n =
+    1..order: the clipped matches (within each pair, every hypothesis n-gram
+    counts at most as often as its reference holds it, summed over pairs)
+    and the hypothesis and reference n-gram totals.
+
+    Every n-gram is keyed by its pair and ranked among the distinct keys of
+    the corpus, order by order from the (n-1)-gram's rank and its last id,
+    so keys stay below (pairs + ids) squared whatever the ids are."""
+    ids = np.concatenate([hyp_ids, ref_ids])
+    lens = np.array(hyp_lens + ref_lens, dtype=np.int64)
+    # before order 1, the rank of a position's key is its pair's index
+    ranks = np.repeat(np.concatenate([np.arange(len(hyp_lens)), np.arange(len(ref_lens))]), lens)
+    left = np.repeat(np.cumsum(lens), lens) - np.arange(len(ids))  # ids up to sentence end
+    alphabet, tokens = np.unique(ids, return_inverse=True)
+    matched, hyp_total, ref_total = [], [], []
+    for n in range(1, order + 1):
+        starts = np.flatnonzero(left >= n)
+        keys, rank = np.unique(ranks[starts] * len(alphabet) + tokens[starts + n - 1],
+                               return_inverse=True)
+        ranks[starts] = rank
+        split = int(np.searchsorted(starts, len(hyp_ids)))  # hypothesis n-grams come first
+        matched.append(int(np.minimum(np.bincount(rank[:split], minlength=len(keys)),
+                                      np.bincount(rank[split:], minlength=len(keys))).sum()))
+        hyp_total.append(split)
+        ref_total.append(len(starts) - split)
+    return matched, hyp_total, ref_total
 
 
 def _check_corpus(hypotheses: list[str], references: list[str], op: str) -> None:
@@ -54,21 +74,20 @@ def _check_corpus(hypotheses: list[str], references: list[str], op: str) -> None
         raise InputError(f"{op}: {len(hypotheses)} hypotheses vs {len(references)} references")
 
 
+def _word_ids(texts: list[str], word_ids: dict[str, int]) -> tuple[np.ndarray, list[int]]:
+    """Ids of the texts' whitespace tokens, concatenated, with new words
+    numbered into `word_ids` as they appear, and each text's count of them."""
+    words = [text.split() for text in texts]
+    ids = [word_ids.setdefault(word, len(word_ids)) for line in words for word in line]
+    return np.array(ids, dtype=np.int64), [len(line) for line in words]
+
+
 def corpus_bleu(hypotheses: list[str], references: list[str]) -> float:
     _check_corpus(hypotheses, references, "corpus_bleu")
-    correct = [0] * BLEU_ORDER
-    total = [0] * BLEU_ORDER
-    hyp_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        hyp_toks = tuple(hyp.split())
-        ref_toks = tuple(ref.split())
-        hyp_len += len(hyp_toks)
-        ref_len += len(ref_toks)
-        for n in range(1, BLEU_ORDER + 1):
-            matched, hyp_count, _ = _ngram_matches(hyp_toks, ref_toks, n)
-            correct[n - 1] += matched
-            total[n - 1] += hyp_count
+    word_ids: dict[str, int] = {}
+    correct, total, ref_total = _ngram_matches(*_word_ids(hypotheses, word_ids),
+                                               *_word_ids(references, word_ids), BLEU_ORDER)
+    hyp_len, ref_len = total[0], ref_total[0]
     effective_order = 0
     for n in range(1, BLEU_ORDER + 1):
         if total[n - 1] == 0:
@@ -84,19 +103,18 @@ def corpus_bleu(hypotheses: list[str], references: list[str]) -> float:
     return 100.0 * brevity * math.exp(log_mean)
 
 
+def _code_points(texts: list[str]) -> tuple[np.ndarray, list[int]]:
+    """Code points of the texts without whitespace, concatenated, and each
+    text's count of them."""
+    chars = ["".join(text.split()) for text in texts]
+    joined = "".join(chars).encode("utf-32-le", "surrogatepass")
+    return np.frombuffer(joined, dtype="<u4"), [len(c) for c in chars]
+
+
 def chrf(hypotheses: list[str], references: list[str]) -> float:
     _check_corpus(hypotheses, references, "chrf")
-    hyp_total = [0] * CHRF_ORDER
-    ref_total = [0] * CHRF_ORDER
-    matched = [0] * CHRF_ORDER
-    for hyp, ref in zip(hypotheses, references):
-        hyp_chars = "".join(hyp.split())
-        ref_chars = "".join(ref.split())
-        for n in range(1, CHRF_ORDER + 1):
-            matches, hyp_count, ref_count = _ngram_matches(hyp_chars, ref_chars, n)
-            matched[n - 1] += matches
-            hyp_total[n - 1] += hyp_count
-            ref_total[n - 1] += ref_count
+    matched, hyp_total, ref_total = _ngram_matches(*_code_points(hypotheses),
+                                                   *_code_points(references), CHRF_ORDER)
     precision = 0.0
     recall = 0.0
     used = 0

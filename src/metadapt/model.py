@@ -11,7 +11,8 @@ the whole model, asserted on every build.
 
 Teacher-forced batches (`make_batch` for one DLP, `make_mixed_batch` for rows
 of several) and greedy decoding lay out every source row the same way,
-control tags then tokens then eos, and pad rows with one helper.
+control tags then tokens then eos, and pad rows with one helper, so one
+encoder output of a batch's sources serves both (`enc`).
 """
 
 from __future__ import annotations
@@ -240,6 +241,18 @@ class TranslationModel:
             x = self._adapters("enc", i, x)
         return self._ln("enc/ln_f", x)
 
+    def encoder_output(self, src: np.ndarray, src_mask: np.ndarray, enc: Tensor | None = None,
+                       train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+        """`enc`, an encoder output the caller already holds for `src`, or
+        src encoded now. An `enc` of another shape than src's encoder output
+        is a DimensionError."""
+        if enc is None:
+            return self.encode(src, src_mask, train, rng)
+        if enc.shape != (*src.shape, self.mc.model_dim):
+            raise DimensionError(f"encoder output of shape {enc.shape} given for sources "
+                                 f"of shape {src.shape}")
+        return enc
+
     def decoder_cache(self, enc_out: Tensor) -> DecoderCache:
         """Empty incremental-decoding cache over `enc_out`, holding every decoder
         layer's cross-attention keys and values."""
@@ -278,8 +291,9 @@ class TranslationModel:
         return T.matmul(x, T.swapaxes(self._p("embed/tok"), 0, 1))
 
     def forward_logits(self, batch: Batch, train: bool = False,
-                       rng: np.random.Generator | None = None) -> Tensor:
-        enc = self.encode(batch.src, batch.src_mask, train, rng)
+                       rng: np.random.Generator | None = None,
+                       enc: Tensor | None = None) -> Tensor:
+        enc = self.encoder_output(batch.src, batch.src_mask, enc, train, rng)
         return self.decode_logits(enc, batch.src_mask, batch.dec_in, batch.gold_mask, train, rng)
 
 
@@ -477,25 +491,28 @@ def _pad_rows(rows: list[list[int]], pad_id: int) -> tuple[np.ndarray, np.ndarra
 
 
 def forward_loss(model: TranslationModel, batch: Batch, train: bool = False,
-                 rng: np.random.Generator | None = None) -> Tensor:
-    """Mean token cross-entropy over non-padding gold positions."""
-    logits = model.forward_logits(batch, train=train, rng=rng)
+                 rng: np.random.Generator | None = None, enc: Tensor | None = None) -> Tensor:
+    """Mean token cross-entropy over non-padding gold positions; `enc` is
+    the encoder output of batch.src, if the caller already holds it."""
+    logits = model.forward_logits(batch, train=train, rng=rng, enc=enc)
     return T.cross_entropy(logits, batch.gold, batch.gold_mask)
 
 
 def greedy_decode(model: TranslationModel, vocab: Vocab, sources: list[str],
                   src_lang: str, tgt_lang: str, max_len: int,
-                  domain: str | None = None) -> list[str]:
+                  domain: str | None = None, enc: Tensor | None = None) -> list[str]:
     """Deterministic argmax decoding until eos or max_len; returns detokenized
     hypothesis text (special tokens stripped). Incremental: each step feeds
-    only the newest token through the decoder, against a DecoderCache."""
+    only the newest token through the decoder, against a DecoderCache. `enc`
+    is the encoder output of the padded source rows, if the caller already
+    holds it (a teacher-forced batch of the same sources has the same rows)."""
     if max_len < 1:
         raise InputError("greedy_decode: max_len must be >= 1")
     rows = [_source_row(vocab, s, src_lang, tgt_lang, domain) for s in sources]
     src, src_mask = _pad_rows(rows, vocab.pad_id)
     b = len(rows)
     with T.no_grad():
-        enc = model.encode(src, src_mask)
+        enc = model.encoder_output(src, src_mask, enc)
         cache = model.decoder_cache(enc)
         out = np.full((b, 1), vocab.bos_id, dtype=np.int64)
         step_mask = np.ones((b, 1))

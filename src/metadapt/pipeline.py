@@ -113,11 +113,13 @@ def evaluate_dlp(model: TranslationModel, vocab: Vocab, dlp: DlpId,
         raise InputError(f"evaluate_dlp: no test pairs for {dlp.key()}")
     sources = [s for s, _ in test_pairs]
     refs = [t for _, t in test_pairs]
-    hyps = greedy_decode(model, vocab, sources, dlp.src_lang, dlp.tgt_lang, max_len,
-                         domain=dlp.domain if with_domain_tag else None)
+    batch = make_batch(list(test_pairs), vocab, dlp, with_domain_tag=with_domain_tag)
     with T.no_grad():
-        loss = float(forward_loss(model, make_batch(list(test_pairs), vocab, dlp,
-                                                    with_domain_tag=with_domain_tag)).data)
+        # decoding and the test loss read the same source rows: encode them once
+        enc = model.encode(batch.src, batch.src_mask)
+        hyps = greedy_decode(model, vocab, sources, dlp.src_lang, dlp.tgt_lang, max_len,
+                             domain=dlp.domain if with_domain_tag else None, enc=enc)
+        loss = float(forward_loss(model, batch, enc=enc).data)
     if counts is None:
         # the pretrained backbone counts as fully trained once (ratio 1)
         counts = (model.param_count(), 1.0)

@@ -90,6 +90,8 @@ def test_too_similar_domains_rejected(tmp_path):
     ("seed", 1.5), ("templates_per_domain", 2.5), ("train_size", 60.5), ("test_size", True),
     ("content_vocab_size", "40"), ("pretrain_train_size", 30.0), ("min_domain_tv", "x"),
     ("neutral_len", (3.5, 6)), ("specialist_len", (5,)), ("neutral_len", 4),
+    ("train_size", -5), ("valid_size", -1), ("pretrain_train_size", -3),
+    ("templates_per_domain", 0),
 ])
 def test_world_spec_field_of_the_wrong_type_raises(field, value):
     with pytest.raises(ConfigError, match=f"world spec: {field} must be"):

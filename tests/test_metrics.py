@@ -207,6 +207,24 @@ def test_random_corpora_match_bruteforce_oracles():
         assert chrf(hyps, refs) == pytest.approx(oracle_chrf(hyps, refs), abs=1e-9)
 
 
+EDGE_CORPORA = [
+    # the repeated "a b" of the first hypothesis is held once by its own
+    # reference and once by the other pair's: clipping is per pair
+    pytest.param(["a b c d a b", "e f g h"], ["a b c d e f", "e f g h a b"], id="clip-per-pair"),
+    pytest.param(["", "a b c d"], ["a b", "a b c d"], id="empty-hypothesis"),
+    pytest.param([""], ["a b"], id="only-empty-hypothesis"),
+    pytest.param(["a b"], ["a b c"], id="fewer-tokens-than-order"),
+    pytest.param(["a"], ["a"], id="one-character"),
+    pytest.param(["é 𝔸é", "𝔸𝔸 é"], ["é 𝔸e", "𝔸𝔹 é"], id="non-ascii-and-astral"),
+]
+
+
+@pytest.mark.parametrize("hyps, refs", EDGE_CORPORA)
+def test_edge_corpora_match_bruteforce_oracles(hyps, refs):
+    assert corpus_bleu(hyps, refs) == pytest.approx(oracle_bleu(hyps, refs), abs=1e-9)
+    assert chrf(hyps, refs) == pytest.approx(oracle_chrf(hyps, refs), abs=1e-9)
+
+
 def test_chrf_whitespace_removed_before_ngrams():
     assert chrf(["ab cd"], ["abcd"]) == pytest.approx(100.0)
 

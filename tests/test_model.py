@@ -290,6 +290,48 @@ def test_greedy_decode_matches_full_prefix_reference(tiny_registry):
     assert greedy_decode(model, vocab, sources, "apa", "bel", max_len, domain="gears") == expected
 
 
+@pytest.mark.parametrize("with_domain_tag", [False, True])
+def test_evaluate_dlp_shared_encoder_matches_separate_calls(tiny_registry, monkeypatch,
+                                                            with_domain_tag):
+    """evaluate_dlp encodes the sources once for decoding and the test loss;
+    its hypotheses, BLEU, chrF and loss equal, bitwise, those of separate
+    calls that each encode them."""
+    from metadapt import pipeline
+    from metadapt.metrics import chrf, corpus_bleu
+
+    vocab = Vocab.load(tiny_registry.root / "vocab.json")
+    model = _cache_model(vocab)
+    dlp = DlpId("gears", "apa", "bel")
+    pairs = load_dlp_dataset(tiny_registry, dlp).train[:8]
+    sources = [s for s, _ in pairs]
+    refs = [t for _, t in pairs]
+    domain = dlp.domain if with_domain_tag else None
+    hyps = greedy_decode(model, vocab, sources, "apa", "bel", 12, domain=domain)
+    batch = make_batch(pairs, vocab, dlp, with_domain_tag=with_domain_tag)
+    with T.no_grad():
+        loss = float(forward_loss(model, batch).data)
+        enc = model.encode(batch.src, batch.src_mask)
+    decoded = []
+
+    def keep_hypotheses(*args, **kwargs):
+        decoded.append(greedy_decode(*args, **kwargs))
+        return decoded[-1]
+
+    monkeypatch.setattr(pipeline, "greedy_decode", keep_hypotheses)
+    record = pipeline.evaluate_dlp(model, vocab, dlp, pairs, "s", 12,
+                                   with_domain_tag=with_domain_tag)
+    assert decoded == [hyps]
+    assert (record.bleu, record.chrf, record.loss) == (corpus_bleu(hyps, refs),
+                                                       chrf(hyps, refs), loss)
+    assert greedy_decode(model, vocab, sources, "apa", "bel", 12, domain=domain, enc=enc) == hyps
+    for wrong in (enc.data[:-1], enc.data[:, :-1], enc.data[..., :-1]):
+        with pytest.raises(DimensionError):
+            greedy_decode(model, vocab, sources, "apa", "bel", 12, domain=domain,
+                          enc=Tensor(wrong))
+        with pytest.raises(DimensionError):
+            forward_loss(model, batch, enc=Tensor(wrong))
+
+
 def test_greedy_decode_past_max_seq_len_is_dimension_error(tiny_registry):
     vocab = Vocab.load(tiny_registry.root / "vocab.json")
     model = _cache_model(vocab, max_seq_len=6)

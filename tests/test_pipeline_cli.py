@@ -466,7 +466,10 @@ def test_cli_config_types_accept_numbers_and_null(tmp_path):
 
 
 WORLD_WRONG_TYPES = [("seed", 1.5), ("templates_per_domain", 2.5), ("min_domain_tv", "x"),
-                     ("train_size", 60.5), ("neutral_len", [3.5, 6])]
+                     ("train_size", 60.5), ("neutral_len", [3.5, 6]),
+                     # out of range
+                     ("train_size", -5), ("valid_size", -1), ("pretrain_train_size", -3),
+                     ("templates_per_domain", 0)]
 
 
 def test_cli_world_field_of_the_wrong_type(tmp_path, capsys):
@@ -486,6 +489,15 @@ def test_cli_world_field_of_the_wrong_type(tmp_path, capsys):
         assert run(["pretrain", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "world.json: not a world spec" in err and key in err
+
+
+def test_cli_sweep_without_points_exit_2(tmp_path, capsys):
+    """`--set sweep={}` replaces the whole table; sweep reports the missing
+    points like an empty list, before reading any file."""
+    cfg = _smoke_config(tmp_path)
+    assert run(["sweep", "--config", str(cfg), "--set", "sweep={}"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: sweep: config must list sweep.points\n"
 
 
 @pytest.mark.parametrize("head, body", [(b"\xff", None), (b"", b"[]"),
