@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .model import AdapterConfig, ModelConfig, backbone_checksum
 from .optim import OptimizerSettings
 from .pipeline import (
     AdaptBudget,
-    TrainedStrategies,
     backbone_dev_bleu,
     compare_strategies,
     hyperparam_sweep,
@@ -40,11 +40,11 @@ from .pipeline import (
 )
 from .training import (
     STRATEGIES,
-    BaselineArtifact,
-    BaselineStrategy,
+    Components,
     MetaConfig,
     STRATEGY_BACKBONE,
     STRATEGY_META_ADAPTER,
+    component_shapes,
 )
 
 DEFAULT_CONFIG: dict = {
@@ -281,69 +281,81 @@ def cmd_pretrain(config: dict) -> int:
     return 0
 
 
-def cmd_meta_train(config: dict) -> int:
+def _artifact_files(out: Path, strategy: str) -> tuple[Path | None, Callable[[str], Path]]:
+    """Where stage one keeps the artifact of `strategy`: its index (None when
+    it has none) and the file of each component. meta_adapter keeps
+    meta-train's layout, meta_adapter.ckpt beside training_log.jsonl; every
+    other strategy writes baseline_<strategy>/<component>.ckpt, indexed by
+    artifact.json."""
+    if strategy == STRATEGY_META_ADAPTER:
+        return None, lambda c: out / "meta_adapter.ckpt"
+    art_dir = out / f"baseline_{strategy}"
+    return art_dir / "artifact.json", lambda c: art_dir / f"{c.replace(':', '_')}.ckpt"
+
+
+def cmd_stage_one(config: dict, strategy: str) -> int:
+    """Train stage one of `strategy` on the meta-training DLPs and write its
+    artifact."""
+    setup = STRATEGIES.get(strategy) if isinstance(strategy, str) else None
+    if setup is None or setup.stage_one is None:
+        raise ConfigError(f"baseline: no stage one for strategy {strategy!r}; strategies "
+                          f"with one: {', '.join(s for s, r in STRATEGIES.items() if r.stage_one)}")
     registry, vocab = _load_world(config)
     mc, ac = _model_configs(config, vocab)
     backbone = _load_backbone(config)
     datasets = role_datasets(registry, "meta_train", _caps(config))
-    cfg = _meta_config(config)
     out = _out_dir(config)
     write_manifest(out, config, config["seed"])
-    trained = train_strategies([STRATEGY_META_ADAPTER], mc, ac, vocab, backbone, datasets, cfg)
-    checkpoint.save_params(out / "meta_adapter.ckpt", trained.meta_adapter)
-    write_training_log(trained.meta_log, out / "training_log.jsonl")
-    print(f"meta-trained adapter over {len(datasets)} DLPs "
-          f"({sum(1 for r in trained.meta_log if 'meta_batch_loss' in r)} meta-batches)")
+    trained, logs = train_strategies([strategy], mc, ac, vocab, backbone, datasets,
+                                     _meta_config(config))
+    components = trained[strategy]
+    index, file_of = _artifact_files(out, strategy)
+    for component, params in components.items():
+        checkpoint.save_params(file_of(component), params)
+    if index is None:
+        write_training_log(logs[strategy], out / "training_log.jsonl")
+    else:
+        checkpoint.write_json(index, {"strategy": strategy, "components": sorted(components),
+                                      "note": setup.note})
+    batches = sum(1 for r in logs[strategy] if "meta_batch_loss" in r)
+    print(f"trained {strategy} over {len(datasets)} DLPs ({len(components)} component(s), "
+          f"{batches} meta-batches)")
     return 0
 
 
-def cmd_baseline(config: dict) -> int:
-    strategy = config["strategy"]
-    try:
-        base = BaselineStrategy(strategy)
-    except ValueError as exc:
-        raise ConfigError(f"baseline: unknown strategy '{strategy}'") from exc
-    registry, vocab = _load_world(config)
-    mc, ac = _model_configs(config, vocab)
-    backbone = _load_backbone(config)
-    datasets = role_datasets(registry, "meta_train", _caps(config))
-    cfg = _meta_config(config)
+def _load_trained(config: dict, strategies: list[str], mc: ModelConfig,
+                  ac: AdapterConfig) -> dict[str, Components]:
+    """The stage-one artifact of each strategy that has one, each component
+    checked to hold exactly the tensors its stage one trains."""
     out = _out_dir(config)
-    write_manifest(out, config, config["seed"])
-    trained = train_strategies([base.value], mc, ac, vocab, backbone, datasets, cfg)
-    artifact = trained.baselines[base.value]
-    art_dir = out / f"baseline_{base.value}"
-    for component, params in artifact.params.items():
-        checkpoint.save_params(art_dir / f"{component.replace(':', '_')}.ckpt", params)
-    checkpoint.write_json(art_dir / "artifact.json", {
-        "strategy": base.value, "components": sorted(artifact.params), "note": artifact.note})
-    print(f"trained baseline {base.value} ({len(artifact.params)} component(s))")
-    return 0
-
-
-def _load_trained(config: dict, strategies: list[str]) -> TrainedStrategies:
-    out = _out_dir(config)
-    trained = TrainedStrategies()
+    trained = {}
     for strategy in strategies:
-        if STRATEGIES[strategy].stage_one is None:
+        setup = STRATEGIES[strategy]
+        if setup.stage_one is None:
             continue
-        if strategy == STRATEGY_META_ADAPTER:
-            path = out / "meta_adapter.ckpt"
-            if not path.exists():
-                raise DataIntegrityError(f"{path} missing; run `meta-train` first")
-            trained.meta_adapter = checkpoint.load_params(path)
-            continue
-        art_dir = out / f"baseline_{strategy}"
-        index = art_dir / "artifact.json"
-        if not index.exists():
-            raise DataIntegrityError(f"{index} missing; run `baseline` for '{strategy}' first")
-        info = checkpoint.read_json(index)
-        if not (isinstance(info, dict) and isinstance(info.get("components"), list)):
-            raise DataIntegrityError(f"{index}: no components list")
-        params = {c: checkpoint.load_params(art_dir / f"{c.replace(':', '_')}.ckpt")
-                  for c in info["components"]}
-        trained.baselines[strategy] = BaselineArtifact(BaselineStrategy(strategy), params,
-                                                       note=STRATEGIES[strategy].note)
+        index, file_of = _artifact_files(out, strategy)
+        first = index or file_of(setup.component)
+        if not first.exists():
+            raise DataIntegrityError(f"{first} missing; run `meta-train` or `baseline` "
+                                     f"for '{strategy}' first")
+        names = [setup.component]
+        if index is not None:
+            info = checkpoint.read_json(index)
+            names = info.get("components") if isinstance(info, dict) else None
+            if not isinstance(names, list):
+                raise DataIntegrityError(f"{index}: no components list")
+            if not (all(isinstance(c, str) for c in names)
+                    and (setup.stage_one == "stack" or names == [setup.component])):
+                raise DataIntegrityError(f"{index}: components {names!r} are not "
+                                         f"what {strategy} trains")
+        shapes = component_shapes(strategy, mc, ac)
+        trained[strategy] = {}
+        for component in names:
+            params = checkpoint.load_params(file_of(component))
+            if {n: v.shape for n, v in params.items()} != shapes:
+                raise DataIntegrityError(f"{file_of(component)}: tensor names or shapes differ "
+                                         f"from what {strategy} trains")
+            trained[strategy][component] = params
     return trained
 
 
@@ -358,7 +370,7 @@ def cmd_adapt_evaluate(config: dict) -> int:
     registry, vocab = _load_world(config)
     mc, ac = _model_configs(config, vocab)
     backbone = _load_backbone(config)
-    trained = _load_trained(config, strategies)
+    trained = _load_trained(config, strategies, mc, ac)
     heldout = role_datasets(registry, "heldout", _caps(config))
     if not heldout:
         raise DataIntegrityError("no held-out DLPs in the registry")
@@ -471,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     with_config(sub.add_parser("gen-corpus", help="generate the synthetic corpus tree"))
     with_config(sub.add_parser("pretrain", help="pretrain the frozen backbone"))
     with_config(sub.add_parser("meta-train", help="meta-train the shared adapter"))
-    with_config(sub.add_parser("baseline", help="train the baseline named by config.strategy"))
+    with_config(sub.add_parser("baseline", help="train stage one of the strategy named by "
+                                               "config.strategy"))
     with_config(sub.add_parser("adapt", help="adapt every strategy to each held-out DLP "
                                              "and score it (writes metrics.csv)"))
     ev = with_config(sub.add_parser("evaluate", help="score adapted strategies, or score "
@@ -504,9 +517,9 @@ def run(argv: list[str] | None = None) -> int:
             if args.command == "pretrain":
                 return cmd_pretrain(config)
             if args.command == "meta-train":
-                return cmd_meta_train(config)
+                return cmd_stage_one(config, STRATEGY_META_ADAPTER)
             if args.command == "baseline":
-                return cmd_baseline(config)
+                return cmd_stage_one(config, config["strategy"])
             if args.command in ("adapt", "evaluate"):
                 return cmd_adapt_evaluate(config)
             if args.command == "sweep":

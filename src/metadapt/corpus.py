@@ -89,7 +89,8 @@ class SyntheticWorldSpec:
             if type(getattr(self, name)) is not int:  # not bool
                 raise ConfigError(f"world spec: {name} must be a whole number, "
                                   f"got {getattr(self, name)!r}")
-        for name, low in (("templates_per_domain", 1), ("train_size", 0), ("adapt_size", 0),
+        for name, low in (("content_vocab_size", 1), ("domain_vocab_size", 1),
+                          ("templates_per_domain", 1), ("train_size", 0), ("adapt_size", 0),
                           ("valid_size", 0), ("test_size", 0), ("pretrain_train_size", 0)):
             value = getattr(self, name)
             if value is not None and value < low:

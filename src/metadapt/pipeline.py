@@ -35,8 +35,7 @@ from .optim import OptimizerSettings
 from .tasks import DlpDataset, DlpId
 from .training import (
     STRATEGIES,
-    BaselineArtifact,
-    BaselineStrategy,
+    Components,
     MetaConfig,
     STRATEGY_META_ADAPTER,
     install_stack,
@@ -45,7 +44,6 @@ from .training import (
     restore_params,
     snapshot_params,
     supervised_train,
-    train_baseline,
     train_stage_one,
 )
 
@@ -135,22 +133,16 @@ def evaluate_dlp(model: TranslationModel, vocab: Vocab, dlp: DlpId,
 # strategy training + adaptation runs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TrainedStrategies:
-    """Stage-one artifacts keyed by strategy name."""
-
-    meta_adapter: dict[str, np.ndarray] | None = None
-    baselines: dict[str, BaselineArtifact] = field(default_factory=dict)
-    meta_log: list[dict] = field(default_factory=list)
-
-
 def train_strategies(strategies: list[str], mc: ModelConfig, ac: AdapterConfig,
                      vocab: Vocab, backbone: dict[str, np.ndarray],
                      datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
-                     max_steps: int | None = None) -> TrainedStrategies:
+                     max_steps: int | None = None,
+                     ) -> tuple[dict[str, Components], dict[str, list[dict]]]:
     """Run stage one for each strategy that has one, on a model built with
-    the strategy's `STRATEGIES` adapter groups."""
-    out = TrainedStrategies()
+    the strategy's `STRATEGIES` adapter groups; returns each one's artifact
+    and meta-training log, keyed by strategy."""
+    trained: dict[str, Components] = {}
+    logs: dict[str, list[dict]] = {}
     for strategy in strategies:
         setup = STRATEGIES.get(strategy)
         if setup is None:
@@ -160,38 +152,32 @@ def train_strategies(strategies: list[str], mc: ModelConfig, ac: AdapterConfig,
         model = build_model(mc, ac, seed=hash_seed(cfg.seed, 50),
                             adapter_groups=setup.adapter_groups)
         restore_params(model, backbone)
-        if strategy == STRATEGY_META_ADAPTER:
-            params, out.meta_log = train_stage_one(strategy, model, vocab, datasets, cfg)
-            out.meta_adapter = params[setup.component]
-        else:
-            out.baselines[strategy] = train_baseline(BaselineStrategy(strategy), model, vocab,
-                                                     datasets, cfg, max_steps=max_steps)
-    return out
+        trained[strategy], logs[strategy] = train_stage_one(strategy, model, vocab, datasets,
+                                                            cfg, max_steps=max_steps)
+    return trained, logs
 
 
 def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
                        mc: ModelConfig, ac: AdapterConfig, vocab: Vocab,
-                       backbone: dict[str, np.ndarray], trained: TrainedStrategies,
+                       backbone: dict[str, np.ndarray], trained: dict[str, Components],
                        budget: AdaptBudget, run_seed: int, max_len: int) -> MetricsRecord:
-    """Adapt one strategy to one held-out DLP under the shared budget, then
-    score it on the DLP's test split."""
+    """Adapt one strategy to one held-out DLP under the shared budget, starting
+    from its stage-one artifact in `trained`, then score it on the DLP's test
+    split."""
     t0 = time.perf_counter()
     setup = STRATEGIES.get(strategy)
     if setup is None:
         raise InputError(f"adapt_and_evaluate: unknown strategy '{strategy}'")
+    if setup.stage_one is not None and strategy not in trained:
+        raise InputError(f"adapt_and_evaluate: {strategy} snapshot missing")
     model = build_model(mc, ac, seed=hash_seed(run_seed, 51), adapter_groups=setup.adapter_groups)
     restore_params(model, backbone)
     adapter_sets = None
     if setup.stage_one == "stack":
-        artifact = trained.baselines[strategy]
-        install_stack(model, artifact, dlp, seed=run_seed)
-        adapter_sets = len(artifact.params)
-    elif strategy == STRATEGY_META_ADAPTER:
-        if trained.meta_adapter is None:
-            raise InputError("adapt_and_evaluate: meta_adapter snapshot missing")
-        restore_params(model, trained.meta_adapter)
+        install_stack(model, trained[strategy], dlp, seed=run_seed)
+        adapter_sets = len(trained[strategy])
     elif setup.stage_one is not None:
-        restore_params(model, trained.baselines[strategy].params[setup.component])
+        restore_params(model, trained[strategy][setup.component])
     trainable = setup.trains(model)
     if trainable:
         meta_adapt(model, vocab, snapshot_params(model, trainable), dlp, dataset.adapt,
@@ -245,8 +231,8 @@ def hyperparam_sweep(grid: list[dict], base_cfg: MetaConfig, *, mc: ModelConfig,
 
 def _sweep_run(point: dict, cfg: MetaConfig, mc, ac, vocab, backbone,
                meta_datasets, heldout, budget, max_len) -> dict:
-    trained = train_strategies([STRATEGY_META_ADAPTER], mc, ac, vocab, backbone,
-                               meta_datasets, cfg)
+    trained, _ = train_strategies([STRATEGY_META_ADAPTER], mc, ac, vocab, backbone,
+                                  meta_datasets, cfg)
     bleus = [rec.bleu for rec in compare_strategies(
         [STRATEGY_META_ADAPTER], heldout, mc=mc, ac=ac, vocab=vocab, backbone=backbone,
         trained=trained, budget=budget, run_seed=cfg.seed, max_len=max_len)]

@@ -1,4 +1,4 @@
-"""Reptile meta-training, meta-adaptation, and the baseline strategies.
+"""Reptile meta-training, meta-adaptation, and stage one of every strategy.
 
 Inner loops always run from a copy of the current shared parameters with a
 fresh optimizer per task (the optimizer *settings* are shared, its moment
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Literal
 
 import numpy as np
@@ -20,9 +19,12 @@ from . import tensor as T
 from .corpus import Vocab
 from .errors import InputError, NumericError, StateError
 from .model import (
+    AdapterConfig,
     Batch,
+    ModelConfig,
     TranslationModel,
     add_adapter_group,
+    build_model,
     forward_loss,
     hash_seed,
     make_batch,
@@ -66,26 +68,15 @@ class MetaConfig:
 
 @dataclass
 class AdapterSnapshot:
-    """Named tensor map matching a model's adapter layout, plus provenance."""
+    """Named tensor map matching a model's adapter layout."""
 
     tensors: dict[str, np.ndarray]
-    run_id: str = ""
-    step: int = 0
-
-    def copy(self) -> "AdapterSnapshot":
-        return AdapterSnapshot({k: v.copy() for k, v in self.tensors.items()},
-                               run_id=self.run_id, step=self.step)
 
 
-class BaselineStrategy(str, Enum):
-    FULL_FT = "full_ft"
-    TAG_FT = "tag_ft"
-    AGNOSTIC_ADAPTER = "agnostic_adapter"
-    STACK_ADAPTER = "stack_adapter"
-    FULL_MODEL_META = "full_model_meta"
+#: Stage one's artifact of one strategy: component name -> parameter map.
+Components = dict[str, dict[str, np.ndarray]]
 
-
-# strategy-name strings used in metrics records for non-baseline runs
+# strategy names the code refers to directly; every other one lives in STRATEGIES
 STRATEGY_BACKBONE = "backbone"
 STRATEGY_META_ADAPTER = "meta_adapter"
 STRATEGY_RANDOM_ADAPTER = "random_adapter"
@@ -122,16 +113,14 @@ STRATEGIES: dict[str, StrategySetup] = {
     STRATEGY_META_ADAPTER: StrategySetup(("main",), TranslationModel.adapter_names, "meta",
                                          component="adapter"),
     STRATEGY_RANDOM_ADAPTER: StrategySetup(("main",), TranslationModel.adapter_names),
-    BaselineStrategy.AGNOSTIC_ADAPTER.value: StrategySetup(
-        ("main",), TranslationModel.adapter_names, "supervised", component="adapter"),
-    BaselineStrategy.FULL_FT.value: StrategySetup((), _all_params, "supervised",
-                                                  component="model"),
-    BaselineStrategy.TAG_FT.value: StrategySetup((), _all_params, "supervised",
-                                                 with_domain_tag=True, component="model"),
-    BaselineStrategy.FULL_MODEL_META.value: StrategySetup(
-        (), _all_params, "meta", component="model",
-        note="first-order meta-learning over all parameters"),
-    BaselineStrategy.STACK_ADAPTER.value: StrategySetup(
+    "agnostic_adapter": StrategySetup(("main",), TranslationModel.adapter_names, "supervised",
+                                      component="adapter"),
+    "full_ft": StrategySetup((), _all_params, "supervised", component="model"),
+    "tag_ft": StrategySetup((), _all_params, "supervised", with_domain_tag=True,
+                            component="model"),
+    "full_model_meta": StrategySetup((), _all_params, "meta", component="model",
+                                     note="first-order meta-learning over all parameters"),
+    "stack_adapter": StrategySetup(
         (), TranslationModel.adapter_names, "stack",
         note="language-pair adapter then domain adapter, stacked in sequence"),
 }
@@ -326,7 +315,7 @@ def meta_train(model: TranslationModel, vocab: Vocab, datasets: dict[DlpId, DlpD
                     break
         if cfg.max_meta_batches is not None and step >= cfg.max_meta_batches:
             break
-    return AdapterSnapshot(shared, step=step), log
+    return AdapterSnapshot(shared), log
 
 
 def meta_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarray],
@@ -351,15 +340,8 @@ def meta_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# baselines
+# stage one of every other strategy
 # ---------------------------------------------------------------------------
-
-@dataclass
-class BaselineArtifact:
-    strategy: BaselineStrategy
-    params: dict[str, dict[str, np.ndarray]]   # component name -> parameter map
-    note: str = ""
-
 
 def pooled_rows(datasets: dict[DlpId, DlpDataset]) -> list[tuple[DlpId, SentencePair]]:
     rows = []
@@ -390,8 +372,7 @@ def supervised_train(model: TranslationModel, vocab: Vocab,
 
 def train_stage_one(strategy: str, model: TranslationModel, vocab: Vocab,
                     datasets: dict[DlpId, DlpDataset], cfg: MetaConfig, batch_size: int = 16,
-                    max_steps: int | None = None,
-                    ) -> tuple[dict[str, dict[str, np.ndarray]], list[dict]]:
+                    max_steps: int | None = None) -> tuple[Components, list[dict]]:
     """Stage one of a `STRATEGIES` entry on `model`, built with the entry's
     adapter groups over the backbone: returns the artifact's components and
     the meta-training log (empty unless the entry runs the meta loop, which
@@ -413,25 +394,12 @@ def train_stage_one(strategy: str, model: TranslationModel, vocab: Vocab,
     return {setup.component: snapshot_params(model, trainable)}, []
 
 
-def train_baseline(strategy: BaselineStrategy, model: TranslationModel, vocab: Vocab,
-                   datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
-                   batch_size: int = 16, max_steps: int | None = None) -> BaselineArtifact:
-    """Train one baseline on the meta-training registry, as its `STRATEGIES`
-    entry says."""
-    if not isinstance(strategy, BaselineStrategy):
-        raise InputError(f"train_baseline: unknown strategy {strategy!r}")
-    params, _ = train_stage_one(strategy.value, model, vocab, datasets, cfg, batch_size,
-                                max_steps)
-    return BaselineArtifact(strategy, params, note=STRATEGIES[strategy.value].note)
-
-
 def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
                          datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
-                         batch_size: int, max_steps: int | None,
-                         ) -> dict[str, dict[str, np.ndarray]]:
+                         batch_size: int, max_steps: int | None) -> Components:
     lang_pairs = sorted({(d.src_lang, d.tgt_lang) for d in datasets})
     domains = sorted({d.domain for d in datasets})
-    components: dict[str, dict[str, np.ndarray]] = {}
+    components: Components = {}
 
     def train_component(name: str, subset: dict[DlpId, DlpDataset], comp_seed: int) -> None:
         for group in list(model.adapter_groups):
@@ -440,8 +408,7 @@ def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
         trainable = model.adapter_names("stack")
         supervised_train(model, vocab, pooled_rows(subset), cfg.inner, cfg.epochs,
                          batch_size, cfg.seed, trainable, max_steps=max_steps)
-        # keys stored group-agnostically as "<side>/<layer>/<param>"
-        components[name] = {k.replace("/adapter/stack", ""): v
+        components[name] = {_stack_key(k): v
                             for k, v in snapshot_params(model, trainable).items()}
 
     for idx, (src, tgt) in enumerate(lang_pairs):
@@ -455,20 +422,37 @@ def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
     return components
 
 
-def install_stack(model: TranslationModel, artifact: BaselineArtifact, dlp: DlpId,
+def _stack_key(name: str) -> str:
+    """A stacked component stores its adapter group-agnostically, keyed
+    "<side>/<layer>/<param>"."""
+    return name.replace("/adapter/stack", "")
+
+
+def component_shapes(strategy: str, mc: ModelConfig, ac: AdapterConfig,
+                     ) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor that each stage-one component of
+    `strategy` holds: the row's `trains(model)`, or one adapter group for a
+    stacked row."""
+    setup = STRATEGIES[strategy]
+    if setup.stage_one == "stack":
+        model = build_model(mc, ac, seed=0, adapter_groups=("stack",))
+        return {_stack_key(n): model.params[n].data.shape for n in model.adapter_names()}
+    model = build_model(mc, ac, seed=0, adapter_groups=setup.adapter_groups)
+    return {n: model.params[n].data.shape for n in setup.trains(model)}
+
+
+def install_stack(model: TranslationModel, components: Components, dlp: DlpId,
                   seed: int = 0) -> list[str]:
     """Insert the language-pair and domain adapters for `dlp` (freshly
     initialized when that component was never trained), returning the
     trainable adapter names in stack order."""
-    if artifact.strategy is not BaselineStrategy.STACK_ADAPTER:
-        raise InputError("install_stack: artifact is not a stacked-adapter artifact")
     for group in list(model.adapter_groups):
         remove_adapter_group(model, group)
     wanted = [("lp", f"lp:{dlp.src_lang}-{dlp.tgt_lang}"), ("dom", f"dom:{dlp.domain}")]
     for g_idx, (group, component) in enumerate(wanted):
         add_adapter_group(model, group, seed=hash_seed(seed, 43, g_idx))
-        if component in artifact.params:
-            for key, value in artifact.params[component].items():
+        if component in components:
+            for key, value in components[component].items():
                 side, layer, param = key.split("/")
                 model.params[f"{side}/{layer}/adapter/{group}/{param}"].data = value.copy()
     return model.adapter_names()

@@ -29,7 +29,6 @@ from metadapt.model import (
 from metadapt.optim import AdamW, OptimizerSettings
 from metadapt.pipeline import (
     AdaptBudget,
-    TrainedStrategies,
     adapt_and_evaluate,
     backbone_dev_bleu,
     hyperparam_sweep,
@@ -39,14 +38,13 @@ from metadapt.pipeline import (
 )
 from metadapt.tasks import DlpId, SamplingPlan, build_episode, sample_dlps
 from metadapt.training import (
-    BaselineStrategy,
     MetaConfig,
     episode_stream,
     inner_stream,
     meta_adapt,
     meta_train,
     restore_params,
-    train_baseline,
+    train_stage_one,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -120,12 +118,11 @@ def experiment(tmp_path_factory):
                    batch_size=budget.batch_size, seed=seed)
         checksums.append((checksum_before, model.backbone_checksum()))
 
-        trained = TrainedStrategies(meta_adapter=snapshot.tensors)
+        trained = {"meta_adapter": {"adapter": snapshot.tensors}}
         if "full_ft" in strategies:
             ft_model = build_model(mc, ac, seed=hash_seed(seed, 50), adapter_groups=())
             restore_params(ft_model, backbone)
-            trained.baselines["full_ft"] = train_baseline(
-                BaselineStrategy.FULL_FT, ft_model, vocab, meta_ds, cfg)
+            trained["full_ft"], _ = train_stage_one("full_ft", ft_model, vocab, meta_ds, cfg)
         trained_by_seed[seed] = trained
 
         records[seed] = {}
@@ -314,14 +311,14 @@ def test_criterion_07_efficiency_accounting(experiment):
     restore_params(model, experiment["backbone"])
     cfg = MetaConfig(m=2, n=4, q=0, k=1, epochs=1, seed=0, max_meta_batches=1,
                      inner=OptimizerSettings(lr=1e-3))
-    artifact = train_baseline(BaselineStrategy.STACK_ADAPTER, model, vocab=experiment["vocab"],
-                              datasets=subset, cfg=cfg, max_steps=1)
+    artifact, _ = train_stage_one("stack_adapter", model, vocab=experiment["vocab"],
+                                  datasets=subset, cfg=cfg, max_steps=1)
     lp_count = len({(d.src_lang, d.tgt_lang) for d in subset})
     dom_count = len({d.domain for d in subset})
     rec = adapt_and_evaluate("stack_adapter", sorted(subset)[0], subset[sorted(subset)[0]],
                              mc=mc, ac=ac, vocab=experiment["vocab"],
                              backbone=experiment["backbone"],
-                             trained=TrainedStrategies(baselines={"stack_adapter": artifact}),
+                             trained={"stack_adapter": artifact},
                              budget=AdaptBudget(epochs=1, batch_size=8,
                                                 settings=OptimizerSettings(lr=1e-3), max_steps=1),
                              run_seed=0, max_len=experiment["max_len"])
@@ -375,7 +372,7 @@ def test_invariant_adaptation_speed(experiment):
             model = build_model(mc, ac, seed=hash_seed(1, 51), adapter_groups=("main",))
             restore_params(model, experiment["backbone"])
             if init_name == "meta":
-                restore_params(model, experiment["trained"][1].meta_adapter)
+                restore_params(model, experiment["trained"][1]["meta_adapter"]["adapter"])
             names = model.adapter_names()
             model.set_trainable(names)
             valid_batch = make_batch(ds.valid, vocab, dlp)

@@ -91,7 +91,8 @@ def test_too_similar_domains_rejected(tmp_path):
     ("content_vocab_size", "40"), ("pretrain_train_size", 30.0), ("min_domain_tv", "x"),
     ("neutral_len", (3.5, 6)), ("specialist_len", (5,)), ("neutral_len", 4),
     ("train_size", -5), ("valid_size", -1), ("pretrain_train_size", -3),
-    ("templates_per_domain", 0),
+    ("templates_per_domain", 0), ("content_vocab_size", -3), ("domain_vocab_size", -1),
+    ("domain_vocab_size", 0),
 ])
 def test_world_spec_field_of_the_wrong_type_raises(field, value):
     with pytest.raises(ConfigError, match=f"world spec: {field} must be"):

@@ -123,7 +123,8 @@ def smoke_chain(tmp: Path) -> dict[str, str]:
     config = str(_smoke_config(tmp))
     out = tmp / "run"
     commands = [["gen-corpus"], ["pretrain"], ["meta-train"]]
-    commands += [["baseline", "--set", f"strategy={s.value}"] for s in training.BaselineStrategy]
+    commands += [["baseline", "--set", f"strategy={s}"] for s, setup in STRATEGIES.items()
+                 if setup.stage_one and s != "meta_adapter"]
     commands += [["adapt", "--set", f"eval.strategies={json.dumps(list(STRATEGIES))}"],
                  ["sweep", "--set", f"sweep.points={json.dumps(SWEEP_POINTS)}"]]
     with contextlib.redirect_stdout(io.StringIO()):

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from metadapt import checkpoint
@@ -12,7 +13,6 @@ from metadapt.optim import OptimizerSettings
 from metadapt.errors import InputError
 from metadapt.pipeline import (
     AdaptBudget,
-    TrainedStrategies,
     adapt_and_evaluate,
     backbone_dev_bleu,
     hyperparam_sweep,
@@ -415,6 +415,59 @@ def test_cli_non_utf8_artifact_exit_3(smoke_run, tmp_path, capsys, name, command
     assert err.startswith("data error: ") and str(path) in err and err.count("\n") == 1
 
 
+def _index_listing(components):
+    def damage(path: Path) -> None:
+        path.write_text(json.dumps({"strategy": "agnostic_adapter", "components": components,
+                                    "note": ""}), encoding="utf-8")
+    return damage
+
+
+def _with_extra_tensor(path: Path) -> None:
+    checkpoint.save_params(path, {**checkpoint.load_params(path),
+                                  "enc/0/adapter/main/extra": np.zeros(2)})
+
+
+def _backbone_copy(path: Path) -> None:
+    path.write_bytes((path.parent / "backbone.ckpt").read_bytes())
+
+
+@pytest.mark.parametrize("name, strategy, damage", [
+    ("baseline_agnostic_adapter/artifact.json", "agnostic_adapter", _index_listing([1])),
+    ("baseline_agnostic_adapter/artifact.json", "agnostic_adapter", _index_listing([])),
+    ("meta_adapter.ckpt", "meta_adapter", _with_extra_tensor),
+    ("meta_adapter.ckpt", "meta_adapter", _backbone_copy),
+], ids=["component-not-a-name", "no-component", "unknown-tensor", "backbone-as-adapter"])
+def test_cli_stage_one_artifact_checked_on_load(smoke_run, tmp_path, capsys, name, strategy,
+                                                damage):
+    """Each loaded component holds exactly the tensors its strategy's stage
+    one trains; anything else is a damaged file, named in one line."""
+    args = _copy_of(smoke_run, tmp_path)
+    path = tmp_path / "run" / name
+    damage(path)
+    capsys.readouterr()
+    assert run(["adapt", *args, "--set", f"eval.strategies={json.dumps([strategy])}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("strategy", ["backbone", "random_adapter", "bogus", 3])
+def test_cli_baseline_without_stage_one_exit_2(tmp_path, capsys, strategy):
+    cfg = _smoke_config(tmp_path)  # no corpus or backbone: the name is checked first
+    assert run(["baseline", "--config", str(cfg), "--set", f"strategy={json.dumps(strategy)}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert ("strategies with one: meta_adapter, agnostic_adapter, full_ft, tag_ft, "
+            "full_model_meta, stack_adapter") in err
+
+
+def test_cli_baseline_default_strategy_writes_what_meta_train_writes(smoke_run, tmp_path):
+    args = _copy_of(smoke_run, tmp_path)
+    ckpt = tmp_path / "run" / "meta_adapter.ckpt"
+    ckpt.unlink()
+    assert run(["baseline", *args]) == 0  # config.strategy defaults to meta_adapter
+    assert ckpt.read_bytes() == (smoke_run / "run" / "meta_adapter.ckpt").read_bytes()
+
+
 @pytest.mark.parametrize("override, message", [
     ("adapt.epoch=5", "unknown config key 'adapt.epoch'"),
     ("pretrain.lrr=3", "unknown config key 'pretrain.lrr'"),
@@ -469,7 +522,8 @@ WORLD_WRONG_TYPES = [("seed", 1.5), ("templates_per_domain", 2.5), ("min_domain_
                      ("train_size", 60.5), ("neutral_len", [3.5, 6]),
                      # out of range
                      ("train_size", -5), ("valid_size", -1), ("pretrain_train_size", -3),
-                     ("templates_per_domain", 0)]
+                     ("templates_per_domain", 0), ("content_vocab_size", -3),
+                     ("domain_vocab_size", -1)]
 
 
 def test_cli_world_field_of_the_wrong_type(tmp_path, capsys):
@@ -567,8 +621,8 @@ def test_adapt_and_evaluate_identical_budgets_all_strategies(smoke_stack):
                      inner=OptimizerSettings(lr=2e-3))
     strategies = ["backbone", "meta_adapter", "random_adapter", "full_ft", "tag_ft",
                   "agnostic_adapter", "stack_adapter", "full_model_meta"]
-    trained = train_strategies(strategies, mc, ac, vocab, backbone, meta_ds, cfg,
-                               max_steps=2)
+    trained, _ = train_strategies(strategies, mc, ac, vocab, backbone, meta_ds, cfg,
+                                  max_steps=2)
     budget = AdaptBudget(epochs=1, batch_size=8, settings=OptimizerSettings(lr=2e-3),
                          max_steps=2)
     records = []
@@ -596,7 +650,7 @@ def test_adapt_and_evaluate_rejects_unknown_strategy_and_missing_snapshot(smoke_
                               ("meta_adapter", "meta_adapter snapshot missing")):
         with pytest.raises(InputError, match=message):
             adapt_and_evaluate(strategy, dlp, heldout[dlp], mc=mc, ac=ac, vocab=vocab,
-                               backbone=backbone, trained=TrainedStrategies(), budget=budget,
+                               backbone=backbone, trained={}, budget=budget,
                                run_seed=0, max_len=10)
 
 
@@ -625,7 +679,7 @@ def test_hyperparam_sweep_degenerate_and_deterministic(smoke_stack):
     assert len(rows1) == 1 and rows1[0]["best"] is True
 
     # a size-1 grid equals a direct meta-train + evaluate run
-    trained = train_strategies(["meta_adapter"], mc, ac, vocab, backbone, meta_ds, base)
+    trained, _ = train_strategies(["meta_adapter"], mc, ac, vocab, backbone, meta_ds, base)
     dlp = next(iter(pair))
     direct = adapt_and_evaluate("meta_adapter", dlp, pair[dlp], mc=mc, ac=ac, vocab=vocab,
                                 backbone=backbone, trained=trained, budget=budget,

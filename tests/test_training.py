@@ -14,8 +14,6 @@ from metadapt.model import (
 from metadapt.optim import AdamW, OptimizerSettings
 from metadapt.training import (
     STRATEGIES,
-    AdapterSnapshot,
-    BaselineStrategy,
     MetaConfig,
     build_episode,
     episode_stream,
@@ -28,7 +26,6 @@ from metadapt.training import (
     restore_params,
     snapshot_params,
     supervised_train,
-    train_baseline,
     train_stage_one,
 )
 
@@ -349,8 +346,8 @@ def test_full_ft_updates_backbone(world):
     _, vocab, datasets = world
     model = small_model(vocab, groups=())
     checksum = model.backbone_checksum()
-    train_baseline(BaselineStrategy.FULL_FT, model, vocab, datasets,
-                   small_cfg(epochs=1), max_steps=3)
+    train_stage_one("full_ft", model, vocab, datasets,
+                    small_cfg(epochs=1), max_steps=3)
     assert model.backbone_checksum() != checksum
 
 
@@ -358,8 +355,8 @@ def test_tag_ft_updates_backbone(world):
     _, vocab, datasets = world
     model = small_model(vocab, groups=())
     checksum = model.backbone_checksum()
-    train_baseline(BaselineStrategy.TAG_FT, model, vocab, datasets,
-                   small_cfg(epochs=1), max_steps=3)
+    train_stage_one("tag_ft", model, vocab, datasets,
+                    small_cfg(epochs=1), max_steps=3)
     assert model.backbone_checksum() != checksum
 
 
@@ -367,20 +364,19 @@ def test_agnostic_adapter_keeps_backbone_bitwise(world):
     _, vocab, datasets = world
     model = small_model(vocab)
     checksum = model.backbone_checksum()
-    art = train_baseline(BaselineStrategy.AGNOSTIC_ADAPTER, model, vocab, datasets,
-                         small_cfg(epochs=1), max_steps=3)
+    art, _ = train_stage_one("agnostic_adapter", model, vocab, datasets,
+                             small_cfg(epochs=1), max_steps=3)
     assert model.backbone_checksum() == checksum
-    assert set(art.params["adapter"]) == set(model.adapter_names())
+    assert set(art["adapter"]) == set(model.adapter_names())
 
 
 def test_full_model_meta_trains_everything(world):
     _, vocab, datasets = world
     model = small_model(vocab, groups=())
     checksum = model.backbone_checksum()
-    art = train_baseline(BaselineStrategy.FULL_MODEL_META, model, vocab, datasets,
-                         small_cfg(max_meta_batches=2))
+    train_stage_one("full_model_meta", model, vocab, datasets, small_cfg(max_meta_batches=2))
     assert model.backbone_checksum() != checksum
-    assert "first-order" in art.note
+    assert "first-order" in STRATEGIES["full_model_meta"].note
 
 
 def test_tag_collapse_equivalence(world):
@@ -393,7 +389,7 @@ def test_tag_collapse_equivalence(world):
     cfg = small_cfg(epochs=1, inner=OptimizerSettings(lr=2e-3))
 
     model_a = small_model(vocab, seed=6, groups=())
-    train_baseline(BaselineStrategy.TAG_FT, model_a, vocab, single, cfg, max_steps=4)
+    train_stage_one("tag_ft", model_a, vocab, single, cfg, max_steps=4)
 
     model_b = small_model(vocab, seed=6, groups=())
     from metadapt.training import pooled_rows
@@ -409,11 +405,11 @@ def test_stack_adapter_component_inventory_and_counts(world):
     ids = sorted(datasets)[:4]
     subset = {d: datasets[d] for d in ids}
     model = small_model(vocab, groups=())
-    art = train_baseline(BaselineStrategy.STACK_ADAPTER, model, vocab, subset,
-                         small_cfg(epochs=1), max_steps=1)
+    art, _ = train_stage_one("stack_adapter", model, vocab, subset,
+                             small_cfg(epochs=1), max_steps=1)
     lang_pairs = {(d.src_lang, d.tgt_lang) for d in subset}
     domains = {d.domain for d in subset}
-    assert len(art.params) == len(lang_pairs) + len(domains)
+    assert len(art) == len(lang_pairs) + len(domains)
     assert model.backbone_checksum() == small_model(vocab, groups=()).backbone_checksum()
 
     names = install_stack(model, art, ids[0])
@@ -425,7 +421,7 @@ def test_stack_adapter_component_inventory_and_counts(world):
 def test_train_baseline_unknown_strategy(world):
     _, vocab, datasets = world
     with pytest.raises(InputError):
-        train_baseline("not_a_strategy", small_model(vocab), vocab, datasets, small_cfg())
+        train_stage_one("not_a_strategy", small_model(vocab), vocab, datasets, small_cfg())
 
 
 # --- the strategy table ------------------------------------------------------------------
@@ -460,10 +456,3 @@ def test_stack_stage_one_keeps_the_backbone(world):
     assert list(model.params) == list(before)
     for param, value in before.items():
         assert np.array_equal(model.params[param].data, value), param
-
-
-def test_adapter_snapshot_copy_is_deep():
-    snap = AdapterSnapshot({"a": np.zeros(3)}, run_id="r", step=1)
-    dup = snap.copy()
-    dup.tensors["a"][0] = 5.0
-    assert snap.tensors["a"][0] == 0.0
