@@ -11,11 +11,12 @@ Entries are written in sorted name order so identical parameter maps produce
 identical files.
 
 `atomic_write` is the one way the package writes an artifact (checkpoints,
-manifests, metrics and report tables): a reader or a crash sees the old file
-or the new one, never a part of either. The text helpers below are the one
-encoding of every other artifact: UTF-8, JSON sorted with indent 2, CSV with
-"\n" line ends; bytes that are not UTF-8, or text that is not JSON, are a
-DataIntegrityError naming the file.
+manifests, training logs, metrics and report tables): a reader or a crash
+sees the old file or the new one, never a part of either. The text helpers
+below are the one encoding of every other artifact: UTF-8, JSON sorted with
+indent 2 (a log: one sorted JSON object per line), CSV with "\n" line ends;
+bytes that are not UTF-8, or text that is not JSON, are a DataIntegrityError
+naming the file.
 """
 
 from __future__ import annotations
@@ -60,6 +61,12 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
 def write_json(path: str | Path, payload) -> None:
     with atomic_write(path) as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def write_jsonl(path: str | Path, records) -> None:
+    """One sorted JSON object per line; the file holds exactly `records`."""
+    with atomic_write(path) as fh:
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:

@@ -36,7 +36,6 @@ from .pipeline import (
     train_strategies,
     write_manifest,
     write_sweep,
-    write_training_log,
 )
 from .training import (
     STRATEGIES,
@@ -158,6 +157,10 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
                 raise ConfigError(f"--set {key}: '{part}' is not a table")
         node[parts[-1]] = _parse_value(value)
     _check_shape(config)
+    for key, value in [("seed", config["seed"]),
+                       *((f"caps.{name}", cap) for name, cap in config["caps"].items())]:
+        if value is not None and value < 0:
+            raise ConfigError(f"config '{key}' must be non-negative, got {value!r}")
     return config
 
 
@@ -274,8 +277,8 @@ def cmd_pretrain(config: dict) -> int:
         "model": config["model"], "adapter": config["adapter"],
         "partition": {"backbone": sorted(part.backbone), "adapters": sorted(part.adapters)},
         "backbone_checksum": model.backbone_checksum()})
-    write_training_log([{"step": i, "loss": v} for i, v in enumerate(losses)],
-                       out / "pretrain_log.jsonl")
+    checkpoint.write_jsonl(out / "pretrain_log.jsonl",
+                           ({"step": i, "loss": v} for i, v in enumerate(losses)))
     dev = backbone_dev_bleu(model, vocab, registry, max_len=config["eval"]["max_len"])
     print(f"pretrained backbone: final loss {losses[-1]:.4f}, dev BLEU {dev:.2f}")
     return 0
@@ -313,7 +316,7 @@ def cmd_stage_one(config: dict, strategy: str) -> int:
     for component, params in components.items():
         checkpoint.save_params(file_of(component), params)
     if index is None:
-        write_training_log(logs[strategy], out / "training_log.jsonl")
+        checkpoint.write_jsonl(out / "training_log.jsonl", logs[strategy])
     else:
         checkpoint.write_json(index, {"strategy": strategy, "components": sorted(components),
                                       "note": setup.note})
@@ -427,7 +430,7 @@ def cmd_report(run_dirs: list[str], reference: str, out_dir: str) -> int:
             if log_path.exists():
                 lines = checkpoint.read_text(log_path).splitlines()
                 for number, line in enumerate(lines, start=1):
-                    try:  # a log is appended in place, so a killed run cuts its last line
+                    try:  # a log damaged on disk can end in a cut line
                         rec = json.loads(line)
                     except ValueError as exc:
                         raise DataIntegrityError(

@@ -91,7 +91,8 @@ class SyntheticWorldSpec:
                                   f"got {getattr(self, name)!r}")
         for name, low in (("content_vocab_size", 1), ("domain_vocab_size", 1),
                           ("templates_per_domain", 1), ("train_size", 0), ("adapt_size", 0),
-                          ("valid_size", 0), ("test_size", 0), ("pretrain_train_size", 0)):
+                          ("valid_size", 0), ("test_size", 0), ("pretrain_train_size", 0),
+                          ("seed", 0)):
             value = getattr(self, name)
             if value is not None and value < low:
                 raise ConfigError(f"world spec: {name} must be at least {low}, got {value!r}")

@@ -9,7 +9,6 @@ DLP's adapt split before being scored on its test split.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -250,7 +249,7 @@ def write_sweep(rows: list[dict], path: str | Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# run manifests and training logs
+# run manifests
 # ---------------------------------------------------------------------------
 
 def write_manifest(out_dir: str | Path, config: dict, seed: int) -> None:
@@ -258,11 +257,3 @@ def write_manifest(out_dir: str | Path, config: dict, seed: int) -> None:
 
     write_json(Path(out_dir) / "manifest.json",
                {"config": config, "seed": seed, "code_version": __version__})
-
-
-def write_training_log(records: list[dict], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")

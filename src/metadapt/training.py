@@ -3,12 +3,17 @@
 Inner loops always run from a copy of the current shared parameters with a
 fresh optimizer per task (the optimizer *settings* are shared, its moment
 state is not). All rng streams are derived from (seed, meta-batch, task), so
-runs are reproducible and the inner loops are order-independent.
+runs are reproducible and the inner loops are order-independent: meta_train
+runs each meta-batch's loops on up to min(m, available CPUs) processes, and
+the result is the same bit for bit on any count.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Literal
@@ -250,6 +255,104 @@ def meta_batches_per_epoch(datasets: dict[DlpId, DlpDataset], cfg: MetaConfig) -
     return max(1, math.ceil(pooled / (cfg.m * (cfg.n + cfg.q))))
 
 
+def _available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_jobs(run_task, shared, step, jobs) -> tuple[dict, dict]:
+    """Run `jobs`, (task index, task) pairs, in order until one raises:
+    returns each finished task's outcome and the failure, keyed by index."""
+    done = {}
+    for t_idx, task in jobs:
+        try:
+            done[t_idx] = run_task(shared, step, t_idx, task)
+        except Exception as exc:  # shipped to, or raised later by, _InnerLoops.run
+            return done, {t_idx: exc}
+    return done, {}
+
+
+def _serve(conn, run_task, inherited) -> None:
+    """A worker's loop: answer each (shared, step, jobs) with _run_jobs'
+    result until the caller closes its end of the pipe."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C and closes the pipe
+    for other in inherited:  # else a pipe would stay open after the caller died
+        other.close()
+    try:
+        while True:
+            conn.send(_run_jobs(run_task, *conn.recv()))
+    except (EOFError, OSError):
+        return
+
+
+class _InnerLoops:
+    """Runs the tasks of each meta-batch on this process and `workers` forked
+    processes, task t on process t mod (workers + 1), this one being 0.
+
+    Fork, not spawn: a worker must inherit the model, vocabulary, datasets
+    and any module global a caller has patched, and no parameter outside
+    the shared ones changes while meta_train runs. Each task starts from
+    the `shared` it is sent, with its own rng stream and optimizer, so where
+    it runs does not change a bit of its outcome."""
+
+    def __init__(self, run_task, workers: int):
+        self._run_task = run_task
+        self._workers = []  # (process, this end of its pipe)
+        ctx = multiprocessing.get_context("fork") if workers else None
+        try:
+            for _ in range(workers):
+                conn, child = ctx.Pipe()
+                inherited = [c for _, c in self._workers] + [conn]
+                proc = ctx.Process(target=_serve, args=(child, run_task, inherited),
+                                   daemon=True)
+                self._workers.append((proc, conn))
+                proc.start()
+                child.close()
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "_InnerLoops":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def run(self, shared, step: int, tasks) -> list[tuple[dict[str, np.ndarray], float | None]]:
+        """Each task's (adapted parameters, query loss or None), in task
+        order. When tasks fail, the first failure in task order is raised, as
+        in a serial loop."""
+        jobs = list(enumerate(tasks))
+        stride = len(self._workers) + 1
+        for w, (_, conn) in enumerate(self._workers, start=1):
+            try:
+                conn.send((shared, step, jobs[w::stride]))
+            except OSError:  # the worker is gone; reading its reply below says so
+                pass
+        done, failed = _run_jobs(self._run_task, shared, step, jobs[::stride])
+        for proc, conn in self._workers:
+            try:
+                their_done, their_failed = conn.recv()
+            except (EOFError, OSError):
+                raise StateError(f"meta_train: inner-loop worker {proc.pid} exited "
+                                 f"mid meta-batch") from None
+            done.update(their_done)
+            failed.update(their_failed)
+        if failed:
+            raise failed[min(failed)]
+        return [done[t_idx] for t_idx, _ in jobs]
+
+    def close(self) -> None:
+        """Close every pipe and end every worker."""
+        for _, conn in self._workers:
+            conn.close()
+        for proc, _ in self._workers:
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+        self._workers = []
+
+
 def meta_train(model: TranslationModel, vocab: Vocab, datasets: dict[DlpId, DlpDataset],
                cfg: MetaConfig, trainable: list[str] | None = None,
                ) -> tuple[AdapterSnapshot, list[dict]]:
@@ -276,45 +379,52 @@ def meta_train(model: TranslationModel, vocab: Vocab, datasets: dict[DlpId, DlpD
     best_epoch_loss = math.inf
     stale_epochs = 0
     shared = snapshot_params(model, trainable)
-    for epoch in range(cfg.epochs):
-        epoch_losses: list[float] = []
-        for _ in range(per_epoch):
+
+    def run_task(start, meta_step, t_idx, task):
+        adapted = inner_adapt(model, vocab, start, task.dlp, list(task.support), cfg.k,
+                              cfg.inner, inner_stream(cfg.seed, meta_step, t_idx),
+                              trainable=trainable)
+        if not task.query:
+            return adapted, None
+        with T.no_grad():
+            return adapted, float(forward_loss(
+                model, make_batch(list(task.query), vocab, task.dlp)).data)
+
+    with _InnerLoops(run_task, min(cfg.m, _available_cpus()) - 1) as inner_loops:
+        for epoch in range(cfg.epochs):
+            epoch_losses: list[float] = []
+            for _ in range(per_epoch):
+                if cfg.max_meta_batches is not None and step >= cfg.max_meta_batches:
+                    break
+                t0 = time.perf_counter()
+                dlps = sample_dlps(plan, cfg.m, sample_stream(cfg.seed, step),
+                                   replace=replace_mode)
+                episode = build_episode(dlps, datasets, cfg.n, cfg.q,
+                                        episode_stream(cfg.seed, step))
+                outcomes = inner_loops.run(shared, step, episode.tasks)
+                task_losses = {task.dlp.key(): qloss
+                               for task, (_, qloss) in zip(episode.tasks, outcomes)
+                               if qloss is not None}
+                shared = reptile_step(shared, [adapted for adapted, _ in outcomes], cfg.beta)
+                restore_params(model, shared)
+                batch_loss = (sum(task_losses.values()) / len(task_losses) if task_losses
+                              else math.nan)
+                epoch_losses.append(batch_loss)
+                log.append({"step": step, "epoch": epoch, "meta_batch_loss": batch_loss,
+                            "task_losses": task_losses, "wall": time.perf_counter() - t0})
+                step += 1
+            if epoch_losses and not math.isnan(epoch_losses[0]):
+                epoch_loss = sum(epoch_losses) / len(epoch_losses)
+                if epoch_loss < best_epoch_loss - 1e-12:
+                    best_epoch_loss = epoch_loss
+                    stale_epochs = 0
+                else:
+                    stale_epochs += 1
+                    if stale_epochs >= EARLY_STOP_PATIENCE:
+                        log.append({"step": step, "epoch": epoch, "early_stop": True})
+                        break
             if cfg.max_meta_batches is not None and step >= cfg.max_meta_batches:
                 break
-            t0 = time.perf_counter()
-            dlps = sample_dlps(plan, cfg.m, sample_stream(cfg.seed, step), replace=replace_mode)
-            episode = build_episode(dlps, datasets, cfg.n, cfg.q, episode_stream(cfg.seed, step))
-            results = []
-            task_losses = {}
-            for t_idx, task in enumerate(episode.tasks):
-                adapted = inner_adapt(model, vocab, shared, task.dlp, list(task.support),
-                                      cfg.k, cfg.inner, inner_stream(cfg.seed, step, t_idx),
-                                      trainable=trainable)
-                if task.query:
-                    with T.no_grad():
-                        qloss = float(forward_loss(
-                            model, make_batch(list(task.query), vocab, task.dlp)).data)
-                    task_losses[task.dlp.key()] = qloss
-                results.append(adapted)
-            shared = reptile_step(shared, results, cfg.beta)
-            restore_params(model, shared)
-            batch_loss = sum(task_losses.values()) / len(task_losses) if task_losses else math.nan
-            epoch_losses.append(batch_loss)
-            log.append({"step": step, "epoch": epoch, "meta_batch_loss": batch_loss,
-                        "task_losses": task_losses, "wall": time.perf_counter() - t0})
-            step += 1
-        if epoch_losses and not math.isnan(epoch_losses[0]):
-            epoch_loss = sum(epoch_losses) / len(epoch_losses)
-            if epoch_loss < best_epoch_loss - 1e-12:
-                best_epoch_loss = epoch_loss
-                stale_epochs = 0
-            else:
-                stale_epochs += 1
-                if stale_epochs >= EARLY_STOP_PATIENCE:
-                    log.append({"step": step, "epoch": epoch, "early_stop": True})
-                    break
-        if cfg.max_meta_batches is not None and step >= cfg.max_meta_batches:
-            break
     return AdapterSnapshot(shared), log
 
 

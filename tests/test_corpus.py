@@ -92,7 +92,7 @@ def test_too_similar_domains_rejected(tmp_path):
     ("neutral_len", (3.5, 6)), ("specialist_len", (5,)), ("neutral_len", 4),
     ("train_size", -5), ("valid_size", -1), ("pretrain_train_size", -3),
     ("templates_per_domain", 0), ("content_vocab_size", -3), ("domain_vocab_size", -1),
-    ("domain_vocab_size", 0),
+    ("domain_vocab_size", 0), ("seed", -1),
 ])
 def test_world_spec_field_of_the_wrong_type_raises(field, value):
     with pytest.raises(ConfigError, match=f"world spec: {field} must be"):

@@ -13,6 +13,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +177,24 @@ def test_greedy_hypotheses_are_pinned(world):
 def test_smoke_chain_artifacts_are_pinned(tmp_path):
     expected = pinned("smoke_chain")
     assert smoke_chain(tmp_path) == expected
+
+
+PIN_TESTS = ["test_meta_train_snapshot_is_pinned", "test_greedy_hypotheses_are_pinned",
+             "test_smoke_chain_artifacts_are_pinned"]
+
+
+def test_pins_hold_on_one_blas_thread():
+    """The three pin tests pass again in a fresh interpreter on one OpenBLAS
+    thread, so no pinned output depends on the BLAS thread count; forked
+    meta-train workers inherit that setting. Only those three run there."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    here = Path(__file__).resolve()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           *(f"{here}::{name}" for name in PIN_TESTS)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=900)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
 
 
 if __name__ == "__main__":

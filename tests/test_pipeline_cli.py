@@ -314,7 +314,7 @@ def _report_run(tmp_path) -> Path:
 
 
 @pytest.mark.parametrize("damaged, old, new, message", [
-    # a run killed mid-append leaves a partial last log line
+    # a log damaged on disk can end in a cut line
     ("training_log.jsonl", b"1.0}\n", b"1", "training_log.jsonl: invalid JSON on line 2"),
     ("metrics.csv", b",10.0000,", b",ten,", "metrics.csv: bad value on line 2"),
     ("metrics.csv", b",bleu,", b",BLEU,", "metrics.csv: unexpected metrics columns"),
@@ -415,6 +415,17 @@ def test_cli_non_utf8_artifact_exit_3(smoke_run, tmp_path, capsys, name, command
     assert err.startswith("data error: ") and str(path) in err and err.count("\n") == 1
 
 
+def test_cli_rerun_replaces_training_logs(smoke_run, tmp_path):
+    """A stage run again in the same out_dir leaves only its own log
+    records, not the earlier run's ahead of them."""
+    args = _copy_of(smoke_run, tmp_path)
+    assert run(["pretrain", *args, "--set", "pretrain.max_steps=4"]) == 0
+    assert run(["meta-train", *args, "--set", "meta.max_meta_batches=2"]) == 0
+    for name, steps in (("pretrain_log.jsonl", 4), ("training_log.jsonl", 2)):
+        lines = (tmp_path / "run" / name).read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["step"] for line in lines] == list(range(steps)), name
+
+
 def _index_listing(components):
     def damage(path: Path) -> None:
         path.write_text(json.dumps({"strategy": "agnostic_adapter", "components": components,
@@ -497,6 +508,9 @@ def test_cli_config_shape_exit_2(smoke_run, capsys, override, message):
     ("meta.max_meta_batches=2.0", "config 'meta.max_meta_batches' must be null or a whole"),
     ("sweep.points=[3]", "config 'sweep.points' must be a list of tables, got [3]"),
     ('sweep.points=[{"tau": "inf"}, {"k": 1.5}]', "config 'sweep.points[1].k' must be a whole"),
+    ("seed=-1", "config 'seed' must be non-negative, got -1"),
+    ("caps.train=-1", "config 'caps.train' must be non-negative, got -1"),
+    ("caps.test=-2", "config 'caps.test' must be non-negative, got -2"),
 ])
 def test_cli_config_types_exit_2(tmp_path, capsys, override, message):
     """A key whose default is a whole number takes only a whole number, one
@@ -523,7 +537,7 @@ WORLD_WRONG_TYPES = [("seed", 1.5), ("templates_per_domain", 2.5), ("min_domain_
                      # out of range
                      ("train_size", -5), ("valid_size", -1), ("pretrain_train_size", -3),
                      ("templates_per_domain", 0), ("content_vocab_size", -3),
-                     ("domain_vocab_size", -1)]
+                     ("domain_vocab_size", -1), ("seed", -1)]
 
 
 def test_cli_world_field_of_the_wrong_type(tmp_path, capsys):

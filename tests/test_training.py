@@ -1,9 +1,14 @@
+import multiprocessing
+import os
+from multiprocessing.context import ForkProcess
+
 import numpy as np
 import pytest
 
 from metadapt import tensor as T
+from metadapt import training
 from metadapt.corpus import Vocab, load_datasets
-from metadapt.errors import InputError, StateError
+from metadapt.errors import InputError, NumericError, StateError
 from metadapt.model import (
     AdapterConfig,
     ModelConfig,
@@ -232,6 +237,107 @@ def test_meta_train_early_stops_after_three_stale_epochs(world, monkeypatch):
     per_epoch = training.meta_batches_per_epoch(datasets, cfg)
     assert sum(1 for rec in log if "meta_batch_loss" in rec) == 4 * per_epoch
     assert log[-1] == {"step": 4 * per_epoch, "epoch": 3, "early_stop": True}
+
+
+# --- inner loops across processes ------------------------------------------------------
+
+def _on_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _forbid_workers(monkeypatch):
+    def start(self):
+        raise AssertionError("meta_train started a process on one CPU")
+
+    monkeypatch.setattr(ForkProcess, "start", start)
+
+
+def _without_wall(log):
+    return [{k: v for k, v in rec.items() if k != "wall"} for rec in log]
+
+
+@pytest.mark.parametrize("strategy", ["meta_adapter", "full_model_meta"])
+def test_meta_train_same_bits_on_any_cpu_count(world, monkeypatch, strategy):
+    """m=4 inner loops with dropout, run serially on one CPU and across this
+    process and two workers on three, give bitwise the same parameters and
+    log; full_model_meta ships every parameter to the workers. No process
+    outlives either run, and one CPU starts none."""
+    _, vocab, datasets = world
+    setup = STRATEGIES[strategy]
+    runs = []
+    for cpus in (1, 3):
+        with monkeypatch.context() as patch:
+            _on_cpus(patch, cpus)
+            if cpus == 1:
+                _forbid_workers(patch)
+            model = small_model(vocab, seed=4, dropout=0.1, groups=setup.adapter_groups)
+            params, log = train_stage_one(strategy, model, vocab, datasets,
+                                          small_cfg(m=4, max_meta_batches=3))
+        assert multiprocessing.active_children() == []
+        runs.append((params[setup.component], _without_wall(log),
+                     snapshot_params(model, list(model.params))))
+    (serial, serial_log, serial_model), (parallel, parallel_log, parallel_model) = runs
+    assert sum(1 for rec in serial_log if "meta_batch_loss" in rec) == 3
+    assert serial_log == parallel_log
+    for tensors, other in ((serial, parallel), (serial_model, parallel_model)):
+        assert list(tensors) == list(other)
+        for name in tensors:
+            assert np.array_equal(tensors[name], other[name]), name
+
+
+def _failing_inner_adapt(monkeypatch, raise_in):
+    """Patch inner_adapt to raise in the processes `raise_in(pid)` selects,
+    naming the task by the first draw of its rng stream; forked workers
+    inherit the patch."""
+    real = training.inner_adapt
+
+    def inner_adapt(*args, **kwargs):
+        if raise_in(os.getpid()):
+            raise NumericError(f"training diverged on task {args[7].integers(1 << 30)}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "inner_adapt", inner_adapt)
+
+
+def test_meta_train_worker_error_reaches_caller(world, monkeypatch):
+    _, vocab, datasets = world
+    caller = os.getpid()
+    _on_cpus(monkeypatch, 2)
+    _failing_inner_adapt(monkeypatch, lambda pid: pid != caller)
+    with pytest.raises(NumericError, match="^training diverged on task "):
+        meta_train(small_model(vocab), vocab, datasets, small_cfg(m=2))
+    assert multiprocessing.active_children() == []
+
+
+def test_meta_train_raises_the_first_failing_task_on_any_cpu_count(world, monkeypatch):
+    """When every task fails, the error is the first task's, as in a serial
+    loop, however the tasks were split."""
+    _, vocab, datasets = world
+    cfg = small_cfg(m=4)
+    first = f"training diverged on task {inner_stream(cfg.seed, 0, 0).integers(1 << 30)}"
+    _failing_inner_adapt(monkeypatch, lambda pid: True)
+    for cpus in (1, 3):
+        _on_cpus(monkeypatch, cpus)
+        with pytest.raises(NumericError) as caught:
+            meta_train(small_model(vocab), vocab, datasets, cfg)
+        assert str(caught.value) == first, cpus
+
+
+def test_meta_train_worker_death_is_a_state_error(world, monkeypatch):
+    _, vocab, datasets = world
+    caller = os.getpid()
+    real = training.inner_adapt
+
+    def inner_adapt(*args, **kwargs):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(*args, **kwargs)
+
+    _on_cpus(monkeypatch, 2)
+    monkeypatch.setattr(training, "inner_adapt", inner_adapt)
+    with pytest.raises(StateError, match="inner-loop worker .* exited"):
+        meta_train(small_model(vocab), vocab, datasets, small_cfg(m=2))
+    assert multiprocessing.active_children() == []
 
 
 # --- meta_adapt -----------------------------------------------------------------------
