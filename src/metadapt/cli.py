@@ -37,6 +37,7 @@ from .pipeline import (
     write_manifest,
     write_sweep,
 )
+from .rules import KINDS, Rule, check
 from .training import (
     STRATEGIES,
     Components,
@@ -77,10 +78,16 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 
 
 def _strict_json(text: str):
-    """json.loads without Python's NaN and Infinity, which JSON lacks."""
+    """json.loads without Python's NaN and Infinity, which JSON lacks, nor a
+    number too large for a float, which would read as Infinity."""
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
-    return json.loads(text, parse_constant=reject)
+
+    def finite(number: str) -> float:
+        if not math.isfinite(value := float(number)):
+            reject(number)
+        return value
+    return json.loads(text, parse_constant=reject, parse_float=finite)
 
 
 def _parse_value(text: str):
@@ -90,49 +97,47 @@ def _parse_value(text: str):
         return text
 
 
-def _check_shape(config: dict) -> None:
-    """Every key is one of DEFAULT_CONFIG's, every table stays a table
-    holding only its default keys (the world spec checks its own), and
-    sweep.points stays a list of tables of meta values."""
-    for key, value in config.items():
-        if key not in DEFAULT_CONFIG:
-            raise ConfigError(f"unknown config key '{key}'")
-        default = DEFAULT_CONFIG[key]
-        if not isinstance(default, dict):
-            _check_number(key, default, value)
-        elif not isinstance(value, dict):
-            raise ConfigError(f"config '{key}' must be a table, got {value!r}")
-        elif key != "world":
-            for name, item in value.items():
-                if name not in default:
-                    raise ConfigError(f"unknown config key '{key}.{name}'")
-                _check_number(f"{key}.{name}", default[name], item)
-    points = config["sweep"].get("points", [])
-    if not (isinstance(points, list) and all(isinstance(p, dict) for p in points)):
-        raise ConfigError(f"config 'sweep.points' must be a list of tables, got {points!r}")
-    meta = DEFAULT_CONFIG["meta"]
-    for i, point in enumerate(points):
-        for name, item in point.items():
-            if name in meta:
-                _check_number(f"sweep.points[{i}].{name}", meta[name], item)
+#: The rule of every config value: each table takes the rules of the
+#: dataclasses it feeds (pretrain, whose values are pretrain_backbone's
+#: arguments, those of the same values of an adapt budget), and the rest are
+#: values only the command line reads.
+RULES: dict = {
+    "corpus_dir": Rule("a string"),
+    "out_dir": Rule("a string"),
+    "seed": MetaConfig.RULES["seed"],
+    "world": SyntheticWorldSpec.RULES,
+    "model": {k: r for k, r in ModelConfig.RULES.items() if k != "vocab_size"},
+    "adapter": AdapterConfig.RULES,
+    "pretrain": {**AdaptBudget.RULES, **OptimizerSettings.RULES},
+    "meta": {k: OptimizerSettings.RULES["lr"] if k == "inner_lr" else MetaConfig.RULES[k]
+             for k in DEFAULT_CONFIG["meta"]},
+    "adapt": {**AdaptBudget.RULES, "lr": OptimizerSettings.RULES["lr"]},
+    "eval": {"max_len": Rule("a whole number", "at least 1"),
+             "strategies": Rule("a list of names", "known strategies", choices=tuple(STRATEGIES),
+                                noun="strategy")},
+    "caps": dict.fromkeys(DEFAULT_CONFIG["caps"],
+                          Rule("a whole number", "non-negative", null=True)),
+    "strategy": Rule("a string", "strategies with one", noun="stage-one strategy",
+                     choices=tuple(s for s, r in STRATEGIES.items() if r.stage_one)),
+    "sweep": {"points": Rule("a list of tables")},
+}
 
 
-def _check_number(key: str, default, value) -> None:
-    """A number stays a number, and a whole number stays whole; a key whose
-    default is null takes null or a whole number. JSON has no infinity, so
-    meta.tau may be "inf"."""
-    whole = type(value) is int  # not bool
-    if default is None:
-        ok, kind = value is None or whole, "null or a whole number"
-    elif type(default) is int:
-        ok, kind = whole, "a whole number"
-    elif type(default) is float:
-        ok = whole or type(value) is float or (key.endswith(".tau") and value == "inf")
-        kind = "a number"
-    else:
-        return
-    if not ok:
-        raise ConfigError(f"config '{key}' must be {kind}, got {value!r}")
+def _check_table(rules: dict, table: dict, prefix: str = "") -> None:
+    """Every key of `table` has a rule, a table stays a table and every value
+    keeps its rule; the world table is checked by building its spec."""
+    for name, value in table.items():
+        if name not in rules:
+            raise ConfigError(f"unknown config key '{prefix}{name}'")
+        if isinstance(rules[name], dict) and not isinstance(value, dict):
+            raise ConfigError(f"config '{prefix}{name}' must be a table, got {value!r}")
+        if name == "world":
+            if value:  # only gen-corpus needs one
+                SyntheticWorldSpec.from_dict(value, "in config")
+        elif isinstance(rules[name], dict):
+            _check_table(rules[name], value, f"{prefix}{name}.")
+    check({n: r for n, r in rules.items() if isinstance(r, Rule)}, _with_inf(table),
+          f"config '{prefix}{{}}'")
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -155,12 +160,17 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigError(f"--set {key}: '{part}' is not a table")
-        node[parts[-1]] = _parse_value(value)
-    _check_shape(config)
-    for key, value in [("seed", config["seed"]),
-                       *((f"caps.{name}", cap) for name, cap in config["caps"].items())]:
-        if value is not None and value < 0:
-            raise ConfigError(f"config '{key}' must be non-negative, got {value!r}")
+        value = _parse_value(value)
+        if isinstance(value, dict) and isinstance(node.get(parts[-1]), dict):
+            value = _deep_merge(node[parts[-1]], value)  # a table merges, as in a file
+        node[parts[-1]] = value
+    _check_table(RULES, config)
+    for i, point in enumerate(config["sweep"]["points"]):
+        _check_table(MetaConfig.RULES, point, f"sweep.points[{i}].")
+    max_len, max_seq_len = config["eval"]["max_len"], config["model"]["max_seq_len"]
+    if max_len > max_seq_len:  # decoding feeds positions 0 to max_len - 1
+        raise ConfigError(f"config 'eval.max_len' must be at most model.max_seq_len "
+                          f"({max_seq_len}), got {max_len}")
     return config
 
 
@@ -178,28 +188,22 @@ def _caps(config: dict) -> dict[str, int] | None:
 
 
 def _model_configs(config: dict, vocab: Vocab) -> tuple[ModelConfig, AdapterConfig]:
-    try:
-        mc = ModelConfig(vocab_size=len(vocab), **config["model"])
-        ac = AdapterConfig(**config["adapter"])
-    except TypeError as exc:
-        raise ConfigError(f"model/adapter config: {exc}") from exc
+    mc = ModelConfig(vocab_size=len(vocab), **config["model"])
+    ac = AdapterConfig(**config["adapter"])
     ac.validate(mc.model_dim)
     return mc, ac
 
 
 def _with_inf(table: dict) -> dict:
-    """`table` with each "inf" as math.inf: the config keeps the string, as
-    JSON has no infinity."""
-    return {k: math.inf if v == "inf" else v for k, v in table.items()}
+    """`table` with a tau of "inf" as math.inf: the config keeps the string,
+    as JSON has no infinity."""
+    return {k: math.inf if k == "tau" and v == "inf" else v for k, v in table.items()}
 
 
 def _meta_config(config: dict) -> MetaConfig:
     meta = _with_inf(config["meta"])
     inner = OptimizerSettings(lr=meta.pop("inner_lr"))
-    try:
-        return MetaConfig(seed=config["seed"], inner=inner, **meta)
-    except TypeError as exc:
-        raise ConfigError(f"meta config: {exc}") from exc
+    return MetaConfig(seed=config["seed"], inner=inner, **meta)
 
 
 def _budget(config: dict) -> AdaptBudget:
@@ -299,10 +303,7 @@ def _artifact_files(out: Path, strategy: str) -> tuple[Path | None, Callable[[st
 def cmd_stage_one(config: dict, strategy: str) -> int:
     """Train stage one of `strategy` on the meta-training DLPs and write its
     artifact."""
-    setup = STRATEGIES.get(strategy) if isinstance(strategy, str) else None
-    if setup is None or setup.stage_one is None:
-        raise ConfigError(f"baseline: no stage one for strategy {strategy!r}; strategies "
-                          f"with one: {', '.join(s for s, r in STRATEGIES.items() if r.stage_one)}")
+    setup = STRATEGIES[strategy]
     registry, vocab = _load_world(config)
     mc, ac = _model_configs(config, vocab)
     backbone = _load_backbone(config)
@@ -364,12 +365,6 @@ def _load_trained(config: dict, strategies: list[str], mc: ModelConfig,
 
 def cmd_adapt_evaluate(config: dict) -> int:
     strategies = config["eval"]["strategies"]
-    if not isinstance(strategies, list):
-        raise ConfigError(f"eval.strategies: expected a list of strategy names, got {strategies!r}")
-    unknown = [s for s in strategies if not isinstance(s, str) or s not in STRATEGIES]
-    if unknown:
-        raise ConfigError(f"eval.strategies: unknown strategy {', '.join(map(repr, unknown))}; "
-                          f"known strategies: {', '.join(STRATEGIES)}")
     registry, vocab = _load_world(config)
     mc, ac = _model_configs(config, vocab)
     backbone = _load_backbone(config)
@@ -435,10 +430,16 @@ def cmd_report(run_dirs: list[str], reference: str, out_dir: str) -> int:
                     except ValueError as exc:
                         raise DataIntegrityError(
                             f"report: {log_path}: invalid JSON on line {number} ({exc})") from exc
-                    if "meta_batch_loss" in rec or "loss" in rec:
-                        logs.append({"run": Path(run).name, "log": log_name,
-                                     "step": rec["step"],
-                                     "loss": rec.get("meta_batch_loss", rec.get("loss"))})
+                    if isinstance(rec, dict) and not {"meta_batch_loss", "loss"} & set(rec):
+                        continue  # no loss to plot, such as the early-stop record
+                    point = rec if isinstance(rec, dict) else {}
+                    step, loss = point.get("step"), point.get("meta_batch_loss", point.get("loss"))
+                    # a meta-batch without query pairs logs a NaN loss
+                    if not (KINDS["a whole number"](step) and isinstance(loss, (int, float))
+                            and not isinstance(loss, bool)):
+                        raise DataIntegrityError(f"report: {log_path}: line {number} is not a "
+                                                 f"record with a step and a loss: {line}")
+                    logs.append({"run": Path(run).name, "log": log_name, "step": step, "loss": loss})
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(aggregate(records, "domain", reference), out / "table_by_domain.csv")

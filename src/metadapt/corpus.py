@@ -31,17 +31,17 @@ deduplicated before realization, and the realization map is injective).
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_json, read_text
+from .checkpoint import atomic_write, read_json, read_text, write_json
 from .errors import ConfigError, DataIntegrityError, InputError
+from .rules import Rule, check
 from .tasks import DlpDataset, DlpId, SentencePair
 
 MAX_SENTENCE_TOKENS = 175
@@ -80,38 +80,23 @@ class SyntheticWorldSpec:
     min_domain_tv: float = 0.3
     seed: int = 0
 
+    RULES = {**dict.fromkeys(("languages", "domains"),
+                             Rule("a list of names", "two or more, distinct")),
+             **dict.fromkeys(("heldout_domains", "heldout_languages"), Rule("a list of names")),
+             "pretrain_domain": Rule("a string"),
+             **dict.fromkeys(("content_vocab_size", "domain_vocab_size", "templates_per_domain"),
+                             Rule("a whole number", "at least 1")),
+             **dict.fromkeys(("neutral_len", "specialist_len"),
+                             Rule("two whole numbers", "1 <= first <= second")),
+             **dict.fromkeys(("train_size", "adapt_size", "valid_size", "test_size", "seed"),
+                             Rule("a whole number", "non-negative")),
+             "pretrain_train_size": Rule("a whole number", "non-negative", null=True),
+             "min_domain_tv": Rule("a number", "in [0, 1]")}
+
     def __post_init__(self):
-        whole = ["content_vocab_size", "domain_vocab_size", "templates_per_domain", "train_size",
-                 "adapt_size", "valid_size", "test_size", "seed"]
-        if self.pretrain_train_size is not None:
-            whole.append("pretrain_train_size")
-        for name in whole:
-            if type(getattr(self, name)) is not int:  # not bool
-                raise ConfigError(f"world spec: {name} must be a whole number, "
-                                  f"got {getattr(self, name)!r}")
-        for name, low in (("content_vocab_size", 1), ("domain_vocab_size", 1),
-                          ("templates_per_domain", 1), ("train_size", 0), ("adapt_size", 0),
-                          ("valid_size", 0), ("test_size", 0), ("pretrain_train_size", 0),
-                          ("seed", 0)):
-            value = getattr(self, name)
-            if value is not None and value < low:
-                raise ConfigError(f"world spec: {name} must be at least {low}, got {value!r}")
-        for name in ("neutral_len", "specialist_len"):
-            span = getattr(self, name)
-            if not (isinstance(span, (tuple, list)) and len(span) == 2
-                    and all(type(n) is int for n in span)):
-                raise ConfigError(f"world spec: {name} must be two whole numbers, got {span!r}")
-        if type(self.min_domain_tv) not in (int, float):
-            raise ConfigError(f"world spec: min_domain_tv must be a number, "
-                              f"got {self.min_domain_tv!r}")
-        if len(self.languages) < 2:
-            raise ConfigError("world spec: need at least two languages")
-        if len(self.domains) < 2:
-            raise ConfigError("world spec: need at least two domains")
+        check(self.RULES, vars(self), "world spec: {}")
         if self.pretrain_domain not in self.domains:
             raise ConfigError("world spec: pretrain_domain must be listed in domains")
-        if len(set(self.languages)) != len(self.languages) or len(set(self.domains)) != len(self.domains):
-            raise ConfigError("world spec: duplicate language or domain codes")
         for d in self.heldout_domains:
             if d not in self.domains:
                 raise ConfigError(f"world spec: held-out domain '{d}' not in domains")
@@ -137,9 +122,6 @@ class SyntheticWorldSpec:
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticWorldSpec":
         return cls.from_dict(read_json(path), str(path))
-
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +279,6 @@ def _domain_models(spec: SyntheticWorldSpec) -> dict[str, _DomainModel]:
 def _pattern(rng: np.random.Generator, length_range: tuple[int, int],
              function_cdf: np.ndarray) -> tuple[str, ...]:
     lo, hi = length_range
-    if not 1 <= lo <= hi:
-        raise ConfigError(f"world spec: bad sentence length range {length_range}")
     length = int(rng.integers(lo, hi + 1))
     slots: list[str] = []
     while len(slots) < length:
@@ -410,7 +390,8 @@ class Vocab:
 
     def save(self, path: str | Path) -> None:
         payload = {"languages": self.languages, "domains": self.domains, "tokens": self.tokens}
-        Path(path).write_text(json.dumps(payload, indent=0, sort_keys=True) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(json.dumps(payload, indent=0, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
@@ -540,7 +521,7 @@ def generate_world(spec: SyntheticWorldSpec, out_dir: str | Path) -> Registry:
     _assert_domain_separation(spec, unigrams)
     vocab = Vocab.build(token_counts, list(spec.languages), list(spec.domains))
     vocab.save(root / "vocab.json")
-    (root / "world.json").write_text(spec.to_json(), encoding="utf-8")
+    write_json(root / "world.json", asdict(spec))
     registry = Registry(root=root, spec=spec, rows=rows)
     _write_manifest(registry)
     return registry
@@ -577,7 +558,8 @@ def _write_manifest(registry: Registry) -> None:
             str(row.sizes["train"]), str(row.sizes["adapt"]),
             str(row.sizes["valid"]), str(row.sizes["test"]),
         ]))
-    (registry.root / "registry.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(registry.root / "registry.tsv") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_registry(root: str | Path) -> Registry:

@@ -25,6 +25,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import Vocab, detokenize, tokenize
 from .errors import ConfigError, DimensionError, InputError, StateError
+from .rules import Rule, check
 from .tasks import DlpId, SentencePair
 from .tensor import Tensor
 
@@ -41,14 +42,14 @@ class ModelConfig:
     max_seq_len: int = 64
     dropout: float = 0.1
 
+    RULES = {**dict.fromkeys(("vocab_size", "model_dim", "num_layers", "num_heads", "ffn_dim",
+                              "max_seq_len"), Rule("a whole number", "at least 1")),
+             "dropout": Rule("a number", "in [0, 1)")}
+
     def __post_init__(self):
-        if min(self.vocab_size, self.model_dim, self.num_layers, self.num_heads,
-               self.ffn_dim, self.max_seq_len) < 1:
-            raise ConfigError("model config: all dimensions must be >= 1")
+        check(self.RULES, vars(self), "model config: {}")
         if self.model_dim % self.num_heads != 0:
             raise ConfigError("model config: model_dim must be divisible by num_heads")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("model config: dropout must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,16 @@ class AdapterConfig:
     bottleneck_dim: int = 16
     ln_epsilon: float = 1e-5
 
+    RULES = {"bottleneck_dim": Rule("a whole number", "at least 1"),
+             "ln_epsilon": Rule("a number", "positive")}
+
+    def __post_init__(self):
+        check(self.RULES, vars(self), "adapter config: {}")
+
     def validate(self, model_dim: int) -> None:
-        if not 1 <= self.bottleneck_dim < model_dim:
-            raise ConfigError("adapter config: need 1 <= bottleneck_dim < model_dim")
-        if self.ln_epsilon <= 0:
-            raise ConfigError("adapter config: ln_epsilon must be positive")
+        if self.bottleneck_dim >= model_dim:
+            raise ConfigError(f"adapter config: bottleneck_dim must be below model_dim "
+                              f"{model_dim}, got {self.bottleneck_dim}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StateError
+from .rules import Rule, check
 from .tensor import Tensor, active_tape
 
 # Adam's moment decay rates and denominator guard, at the common defaults.
@@ -20,6 +21,11 @@ class OptimizerSettings:
 
     lr: float = 1e-3
     weight_decay: float = 0.0
+
+    RULES = dict.fromkeys(("lr", "weight_decay"), Rule("a number", "non-negative"))
+
+    def __post_init__(self):
+        check(self.RULES, vars(self), "optimizer settings: {}")
 
 
 @dataclass

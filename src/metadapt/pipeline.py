@@ -31,6 +31,7 @@ from .model import (
     make_batch,
 )
 from .optim import OptimizerSettings
+from .rules import Rule, check
 from .tasks import DlpDataset, DlpId
 from .training import (
     STRATEGIES,
@@ -54,6 +55,12 @@ class AdaptBudget:
     batch_size: int = 16
     settings: OptimizerSettings = field(default_factory=lambda: OptimizerSettings(lr=1e-3))
     max_steps: int | None = None
+
+    RULES = {**dict.fromkeys(("epochs", "batch_size"), Rule("a whole number", "at least 1")),
+             "max_steps": Rule("a whole number", "at least 1", null=True)}
+
+    def __post_init__(self):
+        check(self.RULES, vars(self), "adapt budget: {}")
 
 
 def role_datasets(registry: Registry, role: str, caps: dict[str, int] | None = None,
@@ -216,10 +223,7 @@ def hyperparam_sweep(grid: list[dict], base_cfg: MetaConfig, *, mc: ModelConfig,
         raise InputError("hyperparam_sweep: empty grid")
     rows = []
     for point in grid:
-        try:
-            cfg = replace(base_cfg, **point)
-        except TypeError as exc:
-            raise InputError(f"hyperparam_sweep: invalid grid key in {point} ({exc})") from exc
+        cfg = replace(base_cfg, **point)
         rows.append(_sweep_run(point, cfg, mc, ac, vocab, backbone,
                                meta_datasets, heldout, budget, max_len))
     best = max(range(len(rows)), key=lambda i: rows[i]["mean_bleu"])

@@ -84,6 +84,10 @@ def sampling_probs(shares: list[float], tau: float) -> list[float]:
         return [v / k for v in support]
     powered = [s ** (1.0 / tau) for s in shares]
     z = sum(powered)
+    if z == 0.0:  # every power underflowed; relative to the largest share, that one stays 1
+        top = max(shares)
+        powered = [(s / top) ** (1.0 / tau) for s in shares]
+        z = sum(powered)
     return [p / z for p in powered]
 
 

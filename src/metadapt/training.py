@@ -37,6 +37,7 @@ from .model import (
     remove_adapter_group,
 )
 from .optim import AdamW, OptimizerSettings
+from .rules import Rule, check
 from .tasks import DlpDataset, DlpId, SamplingPlan, SentencePair, build_episode, sample_dlps
 
 #: Meta-training stops once the pooled per-epoch query loss has not improved
@@ -62,13 +63,14 @@ class MetaConfig:
     max_meta_batches: int | None = None
     sample_with_replacement: bool = False
 
+    RULES = {**dict.fromkeys(("m", "n", "k", "epochs"), Rule("a whole number", "at least 1")),
+             **dict.fromkeys(("q", "seed"), Rule("a whole number", "non-negative")),
+             "beta": Rule("a number", "in (0, 1]"), "tau": Rule('a number or "inf"', "positive"),
+             "max_meta_batches": Rule("a whole number", "at least 1", null=True),
+             "sample_with_replacement": Rule("true or false")}
+
     def __post_init__(self):
-        if self.m < 1 or self.k < 1 or self.n < 1 or self.q < 0:
-            raise InputError("meta config: need m, k, n >= 1 and q >= 0")
-        if not 0.0 < self.beta <= 1.0:
-            raise InputError("meta config: beta must lie in (0, 1]")
-        if self.epochs < 1:
-            raise InputError("meta config: epochs must be >= 1")
+        check(self.RULES, vars(self), "meta config: {}")
 
 
 @dataclass

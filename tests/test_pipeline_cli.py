@@ -318,6 +318,15 @@ def _report_run(tmp_path) -> Path:
     ("training_log.jsonl", b"1.0}\n", b"1", "training_log.jsonl: invalid JSON on line 2"),
     ("metrics.csv", b",10.0000,", b",ten,", "metrics.csv: bad value on line 2"),
     ("metrics.csv", b",bleu,", b",BLEU,", "metrics.csv: unexpected metrics columns"),
+    # well-formed JSON that is not a step and its loss
+    ("training_log.jsonl", b'{"step": 1, "meta_batch_loss": 1.0}', b"3",
+     "training_log.jsonl: line 2 is not a record with a step and a loss"),
+    ("training_log.jsonl", b'"step": 1, ', b"",
+     "training_log.jsonl: line 2 is not a record with a step and a loss"),
+    ("training_log.jsonl", b"1.0}\n", b'"x"}\n',
+     "training_log.jsonl: line 2 is not a record with a step and a loss"),
+    ("training_log.jsonl", b"1.0}\n", b"null}\n",
+     "training_log.jsonl: line 2 is not a record with a step and a loss"),
 ])
 def test_cli_report_damaged_input_exit_3(tmp_path, capsys, damaged, old, new, message):
     run_dir = _report_run(tmp_path)
@@ -488,7 +497,7 @@ def test_cli_baseline_default_strategy_writes_what_meta_train_writes(smoke_run, 
     ("caps=3", "config 'caps' must be a table"),
     ("pretrain.lr=inf", "config 'pretrain.lr' must be a number"),
     ("meta.tau=Infinity", "config 'meta.tau' must be a number"),
-    ("adapt.batch_size=0", "batch_size must be at least 1"),
+    ("adapt.batch_size=0", "config 'adapt.batch_size' must be at least 1"),
 ])
 def test_cli_config_shape_exit_2(smoke_run, capsys, override, message):
     """Checked once, in load_config; a batch size below 1 when training."""
@@ -511,6 +520,23 @@ def test_cli_config_shape_exit_2(smoke_run, capsys, override, message):
     ("seed=-1", "config 'seed' must be non-negative, got -1"),
     ("caps.train=-1", "config 'caps.train' must be non-negative, got -1"),
     ("caps.test=-2", "config 'caps.test' must be non-negative, got -2"),
+    ("meta.inner_lr=-1", "config 'meta.inner_lr' must be non-negative, got -1"),
+    ("adapt.lr=-1", "config 'adapt.lr' must be non-negative, got -1"),
+    ("pretrain.weight_decay=-5", "config 'pretrain.weight_decay' must be non-negative, got -5"),
+    ("meta.max_meta_batches=-1", "config 'meta.max_meta_batches' must be at least 1, got -1"),
+    ("adapt.max_steps=-1", "config 'adapt.max_steps' must be at least 1, got -1"),
+    ("adapt.epochs=0", "config 'adapt.epochs' must be at least 1, got 0"),
+    ("meta.tau=0", "config 'meta.tau' must be positive, got 0"),
+    ("model.dropout=1.5", "config 'model.dropout' must be in [0, 1), got 1.5"),
+    ("pretrain.max_steps=0", "config 'pretrain.max_steps' must be at least 1, got 0"),
+    ("out_dir=3", "config 'out_dir' must be a string, got 3"),
+    ("corpus_dir=null", "config 'corpus_dir' must be a string, got None"),
+    ("eval.max_len=40", "config 'eval.max_len' must be at most model.max_seq_len (24), got 40"),
+    ('sweep.points=[{"seed": -1}]', "config 'sweep.points[0].seed' must be non-negative"),
+    ('sweep.points=[{"seed": 1.5}]', "config 'sweep.points[0].seed' must be a whole number"),
+    ('sweep.points=[{"inner": 3}]', "unknown config key 'sweep.points[0].inner'"),
+    ('sweep.points=[{"sample_with_replacement": "no"}]',
+     "config 'sweep.points[0].sample_with_replacement' must be true or false, got 'no'"),
 ])
 def test_cli_config_types_exit_2(tmp_path, capsys, override, message):
     """A key whose default is a whole number takes only a whole number, one
@@ -568,8 +594,31 @@ def test_cli_sweep_without_points_exit_2(tmp_path, capsys):
     assert err == "config error: sweep: config must list sweep.points\n"
 
 
+def test_cli_inf_is_infinity_only_for_tau(tmp_path, capsys):
+    from metadapt.cli import load_config
+
+    config = load_config(str(_smoke_config(tmp_path)), ["corpus_dir=inf", "out_dir=inf"])
+    assert config["corpus_dir"] == config["out_dir"] == "inf"  # directory names
+    assert run(["adapt", "--config", str(_smoke_config(tmp_path)), "--set", "meta.beta=inf"]) == 2
+    assert "config 'meta.beta' must be a number, got 'inf'" in capsys.readouterr().err
+
+
+def test_cli_set_table_merges_into_the_table(tmp_path, capsys):
+    """`--set t={...}` merges into table t, as a config file does."""
+    from metadapt.cli import load_config
+
+    cfg = _smoke_config(tmp_path)
+    config = load_config(str(cfg), ['meta={"m": 3}', "eval={}", 'pretrain={"lr": 0.01}'])
+    assert config["meta"] == {**load_config(str(cfg), [])["meta"], "m": 3}
+    assert config["eval"]["max_len"] == 12 and config["pretrain"]["max_steps"] == 6
+    assert config["pretrain"]["lr"] == 0.01
+    assert run(["sweep", "--config", str(cfg), "--set", "sweep={}"]) == 2
+    assert capsys.readouterr().err == "config error: sweep: config must list sweep.points\n"
+
+
 @pytest.mark.parametrize("head, body", [(b"\xff", None), (b"", b"[]"),
-                                        (b"", b'{"seed": NaN}')])
+                                        (b"", b'{"seed": NaN}'),
+                                        (b"", b'{"meta": {"tau": 1e999}}')])
 def test_cli_config_file_not_a_json_table_exit_2(tmp_path, capsys, head, body):
     cfg = _smoke_config(tmp_path)
     cfg.write_bytes(head + (body or cfg.read_bytes()))
@@ -593,6 +642,145 @@ def test_cli_inf_tau_keeps_the_manifest_strict_json(smoke_run, tmp_path):
     assert json.loads(manifest, parse_constant=reject)["config"]["meta"]["tau"] == "inf"
     config = load_config(str(smoke_run / "config.json"), ["meta.tau=inf"])
     assert _meta_config(config).tau == math.inf
+
+
+def test_cli_report_plots_a_nan_meta_batch_loss(tmp_path):
+    """A meta-batch without query pairs (meta.q=0) logs a NaN loss, which
+    report plots like any other."""
+    run_dir = _report_run(tmp_path)
+    (run_dir / "training_log.jsonl").write_text('{"step": 0, "meta_batch_loss": NaN}\n',
+                                                encoding="utf-8")
+    assert run(["report", "--runs", str(run_dir), "--out", str(tmp_path / "report")]) == 0
+    curves = (tmp_path / "report" / "loss_curves.csv").read_text(encoding="utf-8")
+    assert curves.splitlines()[1].endswith(",0,nan")
+
+
+def _rule_rows() -> list[tuple[str, object]]:
+    """(key, rule) of every value load_config checks, the rows of
+    sweep.points listed as sweep.points[].<field>."""
+    from metadapt.cli import RULES
+
+    rows = []
+    for key, rules in RULES.items():
+        for name, rule in (rules.items() if isinstance(rules, dict) else [("", rules)]):
+            rows.append((f"{key}.{name}" if name else key, rule))
+    return rows + [(f"sweep.points[].{name}", rule) for name, rule in MetaConfig.RULES.items()]
+
+
+def test_readme_rule_table_is_the_rule_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config rules", 1)[1].split("\n#", 1)[0]
+    printed = [tuple(line[2:-2].split(" | ")) for line in section.splitlines()
+               if line.startswith("| `")]
+    assert printed == [
+        (f"`{key}`", f"{'null or ' * rule.null}{rule.kind}",
+         (rule.range + (f": {', '.join(rule.choices)}" if rule.choices else "")) or "any")
+        for key, rule in _rule_rows()]
+
+
+def _draws(rule) -> list[str]:
+    """`--set` texts for a key (rule_draws adds its config value): each bound
+    of its range and just past it, wrong kinds, non-finite numbers and a
+    table where a value belongs."""
+    numeric = rule.kind in ("a whole number", "a number", 'a number or "inf"')
+    step = 1 if rule.kind == "a whole number" else 1e-6
+    past = {"": [], "non-negative": [0, -step], "positive": [0, -step], "at least 1": [1, 0],
+            "in [0, 1)": [0, -step, 1], "in (0, 1]": [0, 1, 1 + step],
+            "in [0, 1]": [0, -step, 1, 1 + step], "1 <= first <= second": [[1, 1], [0, 1], [3, 2]],
+            "two or more, distinct": [["apa"], ["apa", "apa"]]}
+    wrong = {"a whole number": [1.5, True, "1"], "a number": ["x", True],
+             'a number or "inf"': ["x", False], "true or false": ["no", 0],
+             "a string": [3, None], "a list of names": ["apa", [1]],
+             "two whole numbers": [[3.5, 6], [4], 4], "a list of tables": [[3], 3]}
+    values = wrong[rule.kind] + [{"a": 1}] + ([None] if rule.null else [])
+    if rule.choices is not None:
+        values += ["backbone", "bogus", ["bogus"], []]
+    else:
+        values += past[rule.range]
+    return [json.dumps(v) for v in values] + (["NaN", "-Infinity", "1e999", "inf"] * numeric)
+
+
+#: The stage that reads each top-level key, run on a copy of the smoke run.
+STAGE_OF = {"corpus_dir": "gen-corpus", "world": "gen-corpus", "out_dir": "pretrain",
+            "seed": "pretrain", "model": "pretrain", "adapter": "pretrain",
+            "pretrain": "pretrain", "meta": "meta-train", "adapt": "adapt", "eval": "adapt",
+            "caps": "adapt", "strategy": "baseline", "sweep": "sweep"}
+
+
+@pytest.fixture(scope="module")
+def rule_draws(smoke_run):
+    """`--set` texts of every key's draws, first its value in the smoke run
+    (a path under the placeholder {tmp} for corpus_dir and out_dir; the meta
+    config's field for a sweep point), by top-level key, and the set of
+    top-level keys whose stage has run."""
+    from metadapt.cli import _meta_config, load_config
+
+    config = load_config(str(smoke_run / "config.json"), [])
+    draws = []
+    for key, rule in _rule_rows():
+        table, _, name = key.rpartition(".")
+        if key in ("corpus_dir", "out_dir"):
+            own = [f"{{tmp}}/{key}"]
+        elif table == "sweep.points[]":
+            own = [getattr(_meta_config(config), name)]
+        else:
+            own = [v for k, v in (config[table] if table else config).items() if k == name]
+        texts = [json.dumps(v) for v in own] + _draws(rule)
+        if table == "sweep.points[]":
+            draws += [f'sweep.points=[{{"{name}": {text}}}]' for text in texts]
+        else:
+            draws += [f"{key}={text}" for text in texts]
+    by_top = {}
+    for draw in draws:
+        by_top.setdefault(draw.split("=")[0].split(".")[0], []).append(draw)
+    return by_top, set()
+
+
+def _one_line_exit(argv: list[str]) -> None:
+    import contextlib
+    import io
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run(argv)
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert err.getvalue().count("\n") == (code != 0), (argv, err.getvalue())
+
+
+def test_cli_rule_table_draws(smoke_run, rule_draws):
+    """One key at a time, a value in range, at a bound, just past it, of a
+    wrong kind, non-finite, or a table: load_config returns or raises one
+    ConfigError line, and, for the first draw of each top-level key that it
+    accepts, the stage that reads it exits 0, 2 or 3 with at most one stderr
+    line."""
+    import tempfile
+
+    from hypothesis import given, settings, strategies as st
+
+    from metadapt.cli import load_config
+    from metadapt.errors import ConfigError
+
+    by_top, staged = rule_draws
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(by_top)).flatmap(lambda top: st.sampled_from(by_top[top])))
+    def check(draw):
+        with tempfile.TemporaryDirectory() as tmp:
+            override = draw.replace("{tmp}", tmp)
+            try:
+                load_config(str(smoke_run / "config.json"), [override])
+            except ConfigError as exc:
+                assert "\n" not in str(exc)
+                return
+            top = draw.split("=")[0].split(".")[0]
+            if top in staged:
+                return
+            staged.add(top)
+            args = _copy_of(smoke_run, Path(tmp))
+            _one_line_exit([STAGE_OF[top], *args, "--set", override])
+
+    check()
+    assert staged == set(STAGE_OF)
 
 
 # --- pipeline functions directly -------------------------------------------------

@@ -91,6 +91,13 @@ def test_probs_tau_two_high_precision():
     assert got == pytest.approx([0.4154, 0.3218, 0.2627], abs=1e-4)
 
 
+def test_probs_tiny_temperature_puts_all_mass_on_the_largest_shares():
+    """Every share_i^(1/tau) underflows to 0 here; the limit tau -> 0 splits
+    the mass evenly over the largest shares."""
+    assert sampling_probs([0.5, 0.3, 0.2], 1e-9) == [1.0, 0.0, 0.0]
+    assert sampling_probs([0.4, 0.4, 0.2], 1e-300) == [0.5, 0.5, 0.0]
+
+
 def test_probs_invalid_temperature():
     with pytest.raises(InputError):
         sampling_probs([1.0], 0.0)
