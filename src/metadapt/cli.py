@@ -532,6 +532,9 @@ def run(argv: list[str] | None = None) -> int:
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size in the config that cannot be allocated
+        print(f"config error: out of memory ({exc or 'MemoryError'})", file=sys.stderr)
+        return 2
     except (DataIntegrityError, FileNotFoundError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3

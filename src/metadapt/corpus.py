@@ -35,12 +35,14 @@ import json
 import string
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import atomic_write, read_json, read_text, write_json
 from .errors import ConfigError, DataIntegrityError, InputError
+from .forkpool import ForkPool, available_cpus
 from .rules import Rule, check
 from .tasks import DlpDataset, DlpId, SentencePair
 
@@ -51,7 +53,6 @@ PUNCTUATION_RATIO_LIMIT = 0.5
 PUNCTUATION_CHARS = frozenset(string.punctuation)
 
 N_FUNCTION_WORDS = 10
-_REORDER_BLOCK = 2
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +130,17 @@ class SyntheticWorldSpec:
 # ---------------------------------------------------------------------------
 
 def _rotation(spec: SyntheticWorldSpec, lang: str) -> int:
-    return spec.languages.index(lang) % _REORDER_BLOCK
+    return spec.languages.index(lang) % 2
 
 
 def _reorder(tokens: list[str], r: int) -> list[str]:
-    """Rotate each consecutive token block left by r (adjacent-pair swap for
-    odd-class languages); invertible for any block size."""
-    if r % _REORDER_BLOCK == 0:
-        return list(tokens)
-    out = []
-    for start in range(0, len(tokens), _REORDER_BLOCK):
-        block = tokens[start : start + _REORDER_BLOCK]
-        k = r % len(block)
-        out.extend(block[k:] + block[:k])
+    """Swap each adjacent token pair when r is odd (odd-class languages),
+    leaving a trailing odd token in place: each block of two rotated left by
+    r. Its own inverse."""
+    out = list(tokens)
+    if r % 2:
+        even = len(out) - len(out) % 2
+        out[0:even:2], out[1:even:2] = out[1:even:2], out[0:even:2]
     return out
 
 
@@ -295,12 +294,16 @@ def _make_templates(rng: np.random.Generator, count: int, length_range: tuple[in
 
 
 def _latent_sentence(model: _DomainModel, rng: np.random.Generator) -> list[str]:
+    """One sentence: its template (or fresh pattern), then one word per 'C'
+    slot, drawn left to right. `rng.random(k)` yields the k doubles that k
+    `_draw` calls would, so the words are theirs."""
     if model.templates is None:
         template = _pattern(rng, model.length_range, model.function_cdf)
     else:
         template = model.templates[int(rng.integers(0, len(model.templates)))]
-    words, cdf = model.words, model.word_cdf
-    return [words[_draw(cdf, rng)] if slot == "C" else slot for slot in template]
+    drawn = model.word_cdf.searchsorted(rng.random(template.count("C")), side="right")
+    words = iter(map(model.words.__getitem__, drawn.tolist()))
+    return [next(words) if slot == "C" else slot for slot in template]
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +315,10 @@ def _is_punct_token(token: str) -> bool:
 
 
 def _side_ok(text: str) -> bool:
-    tokens = text.split()
+    tokens = text.split()  # never an empty token, so issuperset is _is_punct_token
     if not tokens or len(tokens) > MAX_SENTENCE_TOKENS:
         return False
-    punct = sum(map(_is_punct_token, tokens))
+    punct = sum(map(PUNCTUATION_CHARS.issuperset, tokens))
     return punct / len(tokens) <= PUNCTUATION_RATIO_LIMIT
 
 
@@ -453,76 +456,81 @@ def _dlp_role(spec: SyntheticWorldSpec, dlp: DlpId) -> str:
     return "meta_train"
 
 
+def _write_dlp(spec: SyntheticWorldSpec, models: dict[str, _DomainModel], root: Path,
+               job: tuple[int, int, int]) -> tuple[RegistryRow, Counter, Counter]:
+    """Draw one DLP's distinct sentences from its own rng stream and write its
+    four split files; returns its registry row, the token counts of both
+    sides and the latent unigram counts."""
+    d_idx, s_idx, t_idx = job
+    dlp = DlpId(spec.domains[d_idx], spec.languages[s_idx], spec.languages[t_idx])
+    sizes = {"train": spec.train_size, "adapt": spec.adapt_size,
+             "valid": spec.valid_size, "test": spec.test_size}
+    if dlp.domain == spec.pretrain_domain and spec.pretrain_train_size is not None:
+        sizes["train"] = spec.pretrain_train_size
+    total = sum(sizes.values())
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7, d_idx, s_idx, t_idx]))
+    latents: list[list[str]] = []
+    seen: set[tuple[str, ...]] = set()
+    attempts = 0
+    while len(latents) < total:
+        attempts += 1
+        if attempts > 50 * total + 1000:
+            raise ConfigError(
+                f"generate_world: {dlp.key()} cannot supply {total} distinct sentences; "
+                "enlarge the vocabulary or length ranges")
+        latent = _latent_sentence(models[dlp.domain], rng)
+        key = tuple(latent)
+        if key in seen:
+            continue
+        seen.add(key)
+        latents.append(latent)
+    sides = [(realize(spec, latent, dlp.src_lang), realize(spec, latent, dlp.tgt_lang))
+             for latent in latents]
+    pairs = filter_corpus([(" ".join(s), " ".join(t)) for s, t in sides])
+    if len(pairs) != total:
+        raise DataIntegrityError(f"generate_world: filters dropped pairs in {dlp.key()}")
+    row = RegistryRow(dlp=dlp, role=_dlp_role(spec, dlp), sizes=sizes)
+    row.path(root, SPLITS[0]).parent.mkdir(parents=True, exist_ok=True)
+    offset = 0
+    for split in SPLITS:
+        chunk = pairs[offset : offset + sizes[split]]
+        offset += sizes[split]
+        row.path(root, split).write_text("".join(f"{s}\t{t}\n" for s, t in chunk),
+                                         encoding="utf-8")
+    tokens = Counter(chain.from_iterable(chain.from_iterable(sides)))
+    return row, tokens, Counter(chain.from_iterable(latents))
+
+
 def generate_world(spec: SyntheticWorldSpec, out_dir: str | Path) -> Registry:
     """Write the full corpus tree, registry manifest, vocab, and world spec.
 
-    Deterministic: the same spec produces a byte-identical tree. Raises
+    Deterministic: the same spec produces a byte-identical tree, on any
+    number of CPUs. Each DLP is one job with its own rng stream, run on up
+    to min(DLPs, available CPUs) processes; the results are merged in DLP
+    order, so the first failing DLP's error is the one raised. Raises
     ConfigError when the generated domain unigram distributions are closer
     than the configured minimum pairwise total-variation distance.
     """
     root = Path(out_dir)
     root.mkdir(parents=True, exist_ok=True)
     models = _domain_models(spec)
+    jobs = [(d_idx, s_idx, t_idx) for d_idx in range(len(spec.domains))
+            for s_idx in range(len(spec.languages))
+            for t_idx in range(len(spec.languages)) if s_idx != t_idx]
+    with ForkPool(_write_dlp, min(len(jobs), available_cpus()) - 1,
+                  "generate_world: DLP") as pool:
+        results = pool.map((spec, models, root), jobs)
     token_counts: Counter = Counter()
     unigrams: dict[str, Counter] = {d: Counter() for d in spec.domains}
-    rows: list[RegistryRow] = []
-
-    for d_idx, domain in enumerate(spec.domains):
-        model = models[domain]
-        train_size = spec.train_size
-        if domain == spec.pretrain_domain and spec.pretrain_train_size is not None:
-            train_size = spec.pretrain_train_size
-        sizes = {"train": train_size, "adapt": spec.adapt_size,
-                 "valid": spec.valid_size, "test": spec.test_size}
-        total = sum(sizes.values())
-        for s_idx, src in enumerate(spec.languages):
-            for t_idx, tgt in enumerate(spec.languages):
-                if src == tgt:
-                    continue
-                dlp = DlpId(domain, src, tgt)
-                rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7, d_idx, s_idx, t_idx]))
-                latents: list[list[str]] = []
-                seen: set[tuple[str, ...]] = set()
-                attempts = 0
-                while len(latents) < total:
-                    attempts += 1
-                    if attempts > 50 * total + 1000:
-                        raise ConfigError(
-                            f"generate_world: {dlp.key()} cannot supply {total} distinct sentences; "
-                            "enlarge the vocabulary or length ranges")
-                    latent = _latent_sentence(model, rng)
-                    key = tuple(latent)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    latents.append(latent)
-                pairs = []
-                for latent in latents:
-                    src_toks = realize(spec, latent, src)
-                    tgt_toks = realize(spec, latent, tgt)
-                    pairs.append((" ".join(src_toks), " ".join(tgt_toks)))
-                    unigrams[domain].update(latent)
-                pairs = filter_corpus(pairs)
-                if len(pairs) != total:
-                    raise DataIntegrityError(f"generate_world: filters dropped pairs in {dlp.key()}")
-                row = RegistryRow(dlp=dlp, role=_dlp_role(spec, dlp), sizes=dict(sizes))
-                offset = 0
-                for split in SPLITS:
-                    chunk = pairs[offset : offset + sizes[split]]
-                    offset += sizes[split]
-                    path = row.path(root, split)
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    path.write_text("".join(f"{s}\t{t}\n" for s, t in chunk), encoding="utf-8")
-                for s, t in pairs:
-                    token_counts.update(s.split())
-                    token_counts.update(t.split())
-                rows.append(row)
+    for row, tokens, latent_counts in results:
+        token_counts.update(tokens)
+        unigrams[row.dlp.domain].update(latent_counts)
 
     _assert_domain_separation(spec, unigrams)
     vocab = Vocab.build(token_counts, list(spec.languages), list(spec.domains))
     vocab.save(root / "vocab.json")
     write_json(root / "world.json", asdict(spec))
-    registry = Registry(root=root, spec=spec, rows=rows)
+    registry = Registry(root=root, spec=spec, rows=[row for row, _, _ in results])
     _write_manifest(registry)
     return registry
 

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,19 @@ def clear_tape():
     T.active_tape().clear()
     yield
     T.active_tape().clear()
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """A test fails when a process it started is still running after it."""
+    yield
+    left = multiprocessing.active_children()  # also reaps the ones that ended
+    for proc in left:
+        proc.terminate()
+        proc.join()
+    if left:
+        pytest.fail(f"left {len(left)} child process(es) running: "
+                    f"{', '.join(str(p.pid) for p in left)}")
 
 
 def tiny_world_spec(seed: int = 0, **overrides) -> SyntheticWorldSpec:

@@ -1,5 +1,9 @@
+import dataclasses
 import hashlib
+import multiprocessing
+import os
 from collections import Counter
+from multiprocessing.context import ForkProcess
 from pathlib import Path
 
 import numpy as np
@@ -8,13 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metadapt.corpus import (
+    MAX_SENTENCE_TOKENS,
     PUNCTUATION_CHARS,
+    PUNCTUATION_RATIO_LIMIT,
     SyntheticWorldSpec,
     Vocab,
     _cdf,
     _domain_models,
     _draw,
     _is_punct_token,
+    _latent_sentence,
+    _pattern,
+    _reorder,
     detokenize,
     filter_corpus,
     generate_world,
@@ -293,3 +302,121 @@ def test_split_line_count_differing_from_registry_raises(tmp_path):
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
     with pytest.raises(DataIntegrityError, match="registry.tsv lists"):
         load_dlp_dataset(reg, row.dlp)
+
+
+# --- the per-sentence helpers against the code they replaced --------------------------
+
+def _latent_sentence_per_slot(model, rng):
+    """One `_draw` per 'C' slot, left to right."""
+    if model.templates is None:
+        template = _pattern(rng, model.length_range, model.function_cdf)
+    else:
+        template = model.templates[int(rng.integers(0, len(model.templates)))]
+    return [model.words[_draw(model.word_cdf, rng)] if slot == "C" else slot
+            for slot in template]
+
+
+def test_latent_sentence_equals_per_slot_draws():
+    models = list(_domain_models(SyntheticWorldSpec.from_json(ACCEPTANCE_WORLD)).values())
+    # a template without content slots draws no word and consumes no double
+    models.append(dataclasses.replace(models[-1], templates=(("f0", "f3"), ("C", "f1", "C"))))
+    for model in models:
+        for seed in range(4):
+            ours = np.random.default_rng(seed)
+            theirs = np.random.default_rng(seed)
+            drawn = [_latent_sentence(model, ours) for _ in range(300)]
+            assert drawn == [_latent_sentence_per_slot(model, theirs) for _ in range(300)]
+            assert ours.random() == theirs.random(), (model.name, seed)
+
+
+def _rotate_blocks(tokens, r, block=2):
+    out = []
+    for start in range(0, len(tokens), block):
+        part = tokens[start : start + block]
+        k = r % len(part)
+        out.extend(part[k:] + part[:k])
+    return out
+
+
+@pytest.mark.parametrize("r", [-1, 0, 1])
+def test_reorder_equals_block_rotation(r):
+    for length in range(13):
+        tokens = [f"t{i}" for i in range(length)]
+        assert _reorder(tokens, r) == _rotate_blocks(tokens, r), length
+        assert tokens == [f"t{i}" for i in range(length)]  # the input is left as it was
+
+
+def _filter_per_token(pairs):
+    seen, out = set(), []
+    for pair in pairs:
+        sides = [side.split() for side in pair]
+        if all(tokens and len(tokens) <= MAX_SENTENCE_TOKENS
+               and sum(map(_is_punct_token, tokens)) / len(tokens) <= PUNCTUATION_RATIO_LIMIT
+               for tokens in sides) and pair not in seen:
+            seen.add(pair)
+            out.append(pair)
+    return out
+
+
+_TOKENS = st.sampled_from(["!", "...", "?!", "a.", "apa.f3", "w012", "-", "x", "(", "mk.gears"])
+_SIDES = st.one_of(st.lists(_TOKENS, max_size=8).map(" ".join),
+                   st.text("a.! \t", max_size=10))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_SIDES, _SIDES), max_size=10))
+def test_filter_equals_per_token_rule(pairs):
+    assert filter_corpus(pairs) == _filter_per_token(pairs)
+
+
+# --- world generation across processes ------------------------------------------------
+
+def _on_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _count_starts(monkeypatch, allowed: bool) -> list:
+    """Record each started process; on one CPU, forbid starting any."""
+    started = []
+    real = ForkProcess.start
+
+    def start(self):
+        if not allowed:
+            raise AssertionError("generate_world started a process on one CPU")
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(ForkProcess, "start", start)
+    return started
+
+
+def test_world_same_bytes_on_any_cpu_count(tmp_path, monkeypatch):
+    """18 DLPs written by this process alone on one CPU, and by this process
+    and two workers on three, give the same tree byte for byte."""
+    trees = []
+    for cpus in (1, 3):
+        with monkeypatch.context() as patch:
+            _on_cpus(patch, cpus)
+            started = _count_starts(patch, allowed=cpus > 1)
+            generate_world(tiny_world_spec(seed=3), tmp_path / str(cpus))
+        assert len(started) == cpus - 1
+        assert multiprocessing.active_children() == []
+        trees.append(_tree_bytes(tmp_path / str(cpus)))
+    assert trees[0] == trees[1]
+
+
+def test_world_raises_the_first_failing_dlp_on_any_cpu_count(tmp_path, monkeypatch):
+    """Every specialist DLP fails (one-slot templates over two words); the
+    error names the first in DLP order, however the DLPs were split."""
+    spec = tiny_world_spec(domain_vocab_size=1, templates_per_domain=1, specialist_len=(1, 1))
+    messages = []
+    for cpus in (1, 3):
+        with monkeypatch.context() as patch:
+            _on_cpus(patch, cpus)
+            _count_starts(patch, allowed=cpus > 1)
+            with pytest.raises(ConfigError) as caught:
+                generate_world(spec, tmp_path / str(cpus))
+        assert multiprocessing.active_children() == []
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("generate_world: gears/apa-bel cannot supply 72 distinct")

@@ -358,6 +358,18 @@ def test_cli_numeric_failure_exit_4_one_line(tmp_path, capfd):
     assert err.startswith("numeric error: non-finite values") and err.count("\n") == 1
 
 
+def test_cli_allocation_too_large_exit_2_one_line(tmp_path, capfd):
+    """A model size numpy refuses at once (2.27 PiB for one 32 x 10^13
+    feed-forward weight) exits 2 with one line, not a MemoryError traceback."""
+    cfg = str(Path(__file__).resolve().parent.parent / "configs" / "smoke.json")
+    paths = ["--set", f"corpus_dir={tmp_path / 'corpus'}", "--set", f"out_dir={tmp_path / 'run'}"]
+    assert run(["gen-corpus", "--config", cfg] + paths) == 0
+    capfd.readouterr()
+    assert run(["pretrain", "--config", cfg, "--set", "model.ffn_dim=10000000000000"] + paths) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("config error: out of memory (Unable to allocate") and err.count("\n") == 1
+
+
 def test_cli_gen_corpus_world_table(tmp_path, capsys):
     """gen-corpus reads the world table without changing it, and an unknown
     world key is a config error naming the world spec."""
@@ -500,7 +512,7 @@ def test_cli_baseline_default_strategy_writes_what_meta_train_writes(smoke_run, 
     ("adapt.batch_size=0", "config 'adapt.batch_size' must be at least 1"),
 ])
 def test_cli_config_shape_exit_2(smoke_run, capsys, override, message):
-    """Checked once, in load_config; a batch size below 1 when training."""
+    """Checked once, in load_config, before any stage reads a file."""
     capsys.readouterr()
     assert run(["adapt", "--config", str(smoke_run / "config.json"), "--set", override]) == 2
     err = capsys.readouterr().err
@@ -586,8 +598,8 @@ def test_cli_world_field_of_the_wrong_type(tmp_path, capsys):
 
 
 def test_cli_sweep_without_points_exit_2(tmp_path, capsys):
-    """`--set sweep={}` replaces the whole table; sweep reports the missing
-    points like an empty list, before reading any file."""
+    """`--set sweep={}` merges into the sweep table, which keeps its default
+    empty points; sweep reports them missing before reading any file."""
     cfg = _smoke_config(tmp_path)
     assert run(["sweep", "--config", str(cfg), "--set", "sweep={}"]) == 2
     err = capsys.readouterr().err
