@@ -585,14 +585,29 @@ def load_registry(root: str | Path) -> Registry:
     lines = text.strip().split("\n")
     if lines[0].split("\t") != MANIFEST_COLUMNS:
         raise DataIntegrityError("registry.tsv: unexpected column order")
+    # every DLP of the spec's grid once, in the role the spec gives it: a row
+    # that says otherwise would move data between training and scoring
+    unlisted = {(d, s, t): DlpId(d, s, t) for d in spec.domains for s in spec.languages
+                for t in spec.languages if s != t}
     rows = []
     for number, line in enumerate(lines[1:], start=2):
         cells = line.split("\t")
         if len(cells) != len(MANIFEST_COLUMNS) or not all(c.isdecimal() for c in cells[8:]):
             raise DataIntegrityError(f"{manifest}: malformed row on line {number}")
-        dlp = DlpId(cells[0], cells[1], cells[2])
+        dlp = unlisted.pop(tuple(cells[:3]), None)
+        if dlp is None:
+            raise DataIntegrityError(f"{manifest}: line {number} lists {cells[0]}/{cells[1]}-"
+                                     f"{cells[2]}, not a DLP of world.json or listed twice")
+        role = _dlp_role(spec, dlp)
+        if cells[3] != role:
+            raise DataIntegrityError(f"{manifest}: line {number} gives {dlp.key()} the role "
+                                     f"{cells[3]!r}; world.json gives it {role!r}")
         sizes = {s: int(cells[8 + i]) for i, s in enumerate(SPLITS)}
-        rows.append(RegistryRow(dlp=dlp, role=cells[3], sizes=sizes))
+        rows.append(RegistryRow(dlp=dlp, role=role, sizes=sizes))
+    if unlisted:
+        raise DataIntegrityError(f"{manifest}: lists {len(rows)} of the "
+                                 f"{len(rows) + len(unlisted)} DLPs of world.json; "
+                                 f"{min(unlisted.values()).key()} has no line")
     return Registry(root=root, spec=spec, rows=rows)
 
 

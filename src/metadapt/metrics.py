@@ -210,8 +210,6 @@ class ReportRow:
 
 @dataclass
 class ReportTable:
-    grouping: str        # domain | language_pair | strategy
-    reference: str
     rows: list[ReportRow]
 
 
@@ -251,7 +249,7 @@ def aggregate(records: list[MetricsRecord], grouping: str, reference: str) -> Re
         out.append(ReportRow(group=group, strategy=strategy, mean_bleu=bleu,
                              mean_chrf=chrf_score, mean_loss=loss, count=count,
                              delta_bleu=bleu - ref_bleu))
-    return ReportTable(grouping=grouping, reference=reference, rows=out)
+    return ReportTable(rows=out)
 
 
 REPORT_COLUMNS = ["group", "strategy", "mean_bleu", "mean_chrf", "mean_loss", "count", "delta_bleu"]

@@ -6,8 +6,9 @@ layer; a model may carry several adapter *groups* applied in sequence (used
 by the stacked-adapter baseline), or none at all (plain backbone).
 
 Parameter names containing "/adapter/" form the adapter set; every other
-parameter belongs to the backbone. The two name sets are disjoint and cover
-the whole model, asserted on every build.
+parameter belongs to the backbone, so the two sets split the model. Only this
+module builds adapter names, and it owns every copy of named parameter values
+into and out of a model; a restore writes into each parameter's own array.
 
 Teacher-forced batches (`make_batch` for one DLP, `make_mixed_batch` for rows
 of several) and greedy decoding lay out every source row the same way,
@@ -126,19 +127,12 @@ class TranslationModel:
         self.params = params
         self.adapter_groups = list(adapter_groups)
         self._pos = _sinusoid_table(mc.max_seq_len, mc.model_dim)
-        self._assert_partition()
 
     # -- partition ----------------------------------------------------------
 
     def partition(self) -> ParamPartition:
         return ParamPartition(backbone=tuple(self.backbone_names()),
                               adapters=tuple(self.adapter_names()))
-
-    def _assert_partition(self) -> None:
-        part = self.partition()
-        names = set(part.backbone) | set(part.adapters)
-        if len(part.backbone) + len(part.adapters) != len(self.params) or names != set(self.params):
-            raise StateError("parameter partition must cover the model exactly once")
 
     def backbone_names(self) -> list[str]:
         return [n for n in self.params if "/adapter/" not in n]
@@ -405,7 +399,6 @@ def add_adapter_group(model: TranslationModel, group: str, seed: int) -> None:
             model.params[f"{base}/up_w"] = Tensor(np.zeros((d, z)))
             model.params[f"{base}/up_b"] = Tensor(np.zeros(z))
     model.adapter_groups.append(group)
-    model._assert_partition()
 
 
 def remove_adapter_group(model: TranslationModel, group: str) -> None:
@@ -417,24 +410,58 @@ def remove_adapter_group(model: TranslationModel, group: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# adapter snapshots
+# parameter snapshots and restores
 # ---------------------------------------------------------------------------
+
+def snapshot_params(model: TranslationModel, names: list[str]) -> dict[str, np.ndarray]:
+    """Copy of the named parameters' values, in `names` order."""
+    return {n: model.params[n].data.copy() for n in names}
+
+
+def restore_params(model: TranslationModel, values: dict[str, np.ndarray]) -> None:
+    """Copy each value into its parameter's existing array. Every entry is
+    checked first, so a name the model lacks or a shape it does not have
+    raises StateError with nothing written."""
+    for name, value in values.items():
+        if name not in model.params or model.params[name].data.shape != value.shape:
+            raise StateError(f"restore_params: layout mismatch at '{name}'")
+    for name, value in values.items():
+        model.params[name].data[...] = value
+
 
 def get_adapter_params(model: TranslationModel) -> dict[str, np.ndarray]:
     """Copy of every adapter tensor, keyed by parameter path."""
-    return {n: model.params[n].data.copy() for n in model.adapter_names()}
+    return snapshot_params(model, model.adapter_names())
 
 
 def set_adapter_params(model: TranslationModel, snapshot: dict[str, np.ndarray]) -> None:
     """Write a snapshot back into the model; backbone untouched. Exact layout
     match required."""
-    expected = set(model.adapter_names())
-    if set(snapshot) != expected:
+    if set(snapshot) != set(model.adapter_names()):
         raise StateError("set_adapter_params: snapshot layout does not match the model")
     for name, value in snapshot.items():
         if value.shape != model.params[name].data.shape:
             raise StateError(f"set_adapter_params: shape mismatch for '{name}'")
-        model.params[name].data = np.array(value, dtype=np.float64)
+    restore_params(model, snapshot)
+
+
+def read_adapter_group(model: TranslationModel, group: str) -> dict[str, np.ndarray]:
+    """Copy of one adapter group's tensors, keyed group-agnostically as
+    "<side>/<layer>/<param>", so any group of the same model config can load
+    it with `load_adapter_group`."""
+    return {n.replace(f"/adapter/{group}/", "/"): v
+            for n, v in snapshot_params(model, model.adapter_names(group)).items()}
+
+
+def load_adapter_group(model: TranslationModel, group: str,
+                       values: dict[str, np.ndarray]) -> None:
+    """Write a group-agnostic map, as `read_adapter_group` returns, into one
+    adapter group, with `restore_params`' checks."""
+    named = {}
+    for key, value in values.items():
+        layer, _, param = key.rpartition("/")
+        named[f"{layer}/adapter/{group}/{param}"] = value
+    restore_params(model, named)
 
 
 # ---------------------------------------------------------------------------

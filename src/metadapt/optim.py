@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,15 +28,6 @@ class OptimizerSettings:
         check(self.RULES, vars(self), "optimizer settings: {}")
 
 
-@dataclass
-class OptimizerState:
-    """First/second moment buffers plus the step counter."""
-
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
-    step_count: int = 0
-
-
 class AdamW:
     """Decoupled-weight-decay adaptive optimizer over a named parameter dict.
 
@@ -47,18 +38,18 @@ class AdamW:
     def __init__(self, params: dict[str, Tensor], settings: OptimizerSettings):
         self.params = params
         self.settings = settings
-        self.state = OptimizerState()
-        for name, p in params.items():
-            self.state.m[name] = np.zeros_like(p.data)
-            self.state.v[name] = np.zeros_like(p.data)
+        # first and second moments, and the step count of bias correction
+        self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
+        self.step_count = 0
 
     def step(self) -> None:
         s = self.settings
         for name, p in self.params.items():
             if not p.requires_grad or p.grad is None:
                 raise StateError(f"optimizer_step: parameter '{name}' has no gradient")
-        self.state.step_count += 1
-        t = self.state.step_count
+        self.step_count += 1
+        t = self.step_count
         b1, b2 = BETAS
         bc1 = 1.0 - b1 ** t
         bc2 = 1.0 - b2 ** t
@@ -66,8 +57,8 @@ class AdamW:
             g = p.grad
             if s.weight_decay != 0.0:
                 p.data *= 1.0 - s.lr * s.weight_decay
-            m = self.state.m[name]
-            v = self.state.v[name]
+            m = self.m[name]
+            v = self.v[name]
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -75,7 +66,3 @@ class AdamW:
             p.data -= s.lr * (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
             p.grad.fill(0.0)
         active_tape().clear()
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()

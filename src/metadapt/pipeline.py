@@ -29,6 +29,8 @@ from .model import (
     greedy_decode,
     hash_seed,
     make_batch,
+    restore_params,
+    snapshot_params,
 )
 from .optim import OptimizerSettings
 from .rules import Rule, check
@@ -41,8 +43,6 @@ from .training import (
     install_stack,
     meta_adapt,
     pooled_rows,
-    restore_params,
-    snapshot_params,
     supervised_train,
     train_stage_one,
 )
@@ -188,7 +188,7 @@ def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
     if trainable:
         meta_adapt(model, vocab, snapshot_params(model, trainable), dlp, dataset.adapt,
                    budget.settings, epochs=budget.epochs, batch_size=budget.batch_size,
-                   seed=run_seed, trainable=trainable, with_domain_tag=setup.with_domain_tag,
+                   seed=run_seed, with_domain_tag=setup.with_domain_tag,
                    max_steps=budget.max_steps)
     model.set_trainable(trainable)
     counts = count_trainable(model, adapter_sets) if trainable else None

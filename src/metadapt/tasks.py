@@ -96,8 +96,6 @@ class SamplingPlan:
     """Immutable DLP sampling distribution for one meta-training run."""
 
     dlp_ids: tuple[DlpId, ...]
-    shares: tuple[float, ...]
-    temperature: float
     probs: tuple[float, ...]
 
     @classmethod
@@ -105,7 +103,7 @@ class SamplingPlan:
         ids = tuple(sorted(datasets))
         sizes = [datasets[i].size if isinstance(datasets[i], DlpDataset) else int(datasets[i]) for i in ids]
         shares = compute_shares(sizes)
-        return cls(dlp_ids=ids, shares=tuple(shares), temperature=tau, probs=tuple(sampling_probs(shares, tau)))
+        return cls(dlp_ids=ids, probs=tuple(sampling_probs(shares, tau)))
 
 
 def sample_dlps(plan: SamplingPlan, m: int, rng: np.random.Generator, replace: bool = False) -> list[DlpId]:

@@ -85,13 +85,12 @@ class Tensor:
     after backward(). Op outputs allocate grads lazily during backward.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_bwd")
+    __slots__ = ("data", "requires_grad", "grad", "_bwd")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = np.zeros_like(self.data) if requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
         self._bwd: Callable[[Array], None] | None = None
 
     @property
@@ -105,9 +104,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def item(self) -> float:
-        return float(self.data)
 
     def set_requires_grad(self, flag: bool) -> None:
         self.requires_grad = bool(flag)
@@ -178,7 +174,6 @@ def _make(data: Array, parents: Sequence[Tensor], bwd: Callable[[Array], None], 
     out = Tensor(data)
     if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
         out._bwd = bwd
         active_tape().record(out)
     return out

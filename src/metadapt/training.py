@@ -30,9 +30,13 @@ from .model import (
     build_model,
     forward_loss,
     hash_seed,
+    load_adapter_group,
     make_batch,
     make_mixed_batch,
+    read_adapter_group,
     remove_adapter_group,
+    restore_params,
+    snapshot_params,
 )
 from .optim import AdamW, OptimizerSettings
 from .rules import Rule, check
@@ -148,21 +152,6 @@ def inner_stream(seed: int, step: int, task_index: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# parameter snapshots over arbitrary name sets
-# ---------------------------------------------------------------------------
-
-def snapshot_params(model: TranslationModel, names: list[str]) -> dict[str, np.ndarray]:
-    return {n: model.params[n].data.copy() for n in names}
-
-
-def restore_params(model: TranslationModel, values: dict[str, np.ndarray]) -> None:
-    for name, value in values.items():
-        if name not in model.params or model.params[name].data.shape != value.shape:
-            raise StateError(f"restore_params: layout mismatch at '{name}'")
-        model.params[name].data = value.copy()
-
-
-# ---------------------------------------------------------------------------
 # inner loop and Reptile update
 # ---------------------------------------------------------------------------
 
@@ -208,16 +197,15 @@ def _train_epochs(model: TranslationModel, n_rows: int, make, settings: Optimize
 
 def inner_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarray],
                 dlp: DlpId, support: list[SentencePair], k: int,
-                settings: OptimizerSettings, rng: np.random.Generator,
-                trainable: list[str] | None = None) -> dict[str, np.ndarray]:
-    """k gradient updates from `start` on the support set; returns the updated
-    parameter map. One batch holds the whole support (batch size = n). The
-    optimizer state is fresh for every call."""
+                settings: OptimizerSettings, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """k gradient updates of the parameters `start` names, from its values, on
+    the support set; returns the updated parameter map. One batch holds the
+    whole support (batch size = n). The optimizer state is fresh for every call."""
     if k < 1:
         raise InputError("inner_adapt: k must be >= 1")
     if not support:
         raise InputError("inner_adapt: empty support set")
-    trainable = list(start) if trainable is None else trainable
+    trainable = list(start)
     restore_params(model, start)
     batch = make_batch(list(support), vocab, dlp)
     _train_steps(model, [batch] * k, settings, rng, trainable)
@@ -285,8 +273,7 @@ def meta_train(model: TranslationModel, vocab: Vocab, datasets: dict[DlpId, DlpD
     def run_task(start, meta_step, job):
         t_idx, task = job
         adapted = inner_adapt(model, vocab, start, task.dlp, list(task.support), cfg.k,
-                              cfg.inner, inner_stream(cfg.seed, meta_step, t_idx),
-                              trainable=trainable)
+                              cfg.inner, inner_stream(cfg.seed, meta_step, t_idx))
         if not task.query:
             return adapted, None
         with T.no_grad():
@@ -337,14 +324,13 @@ def meta_train(model: TranslationModel, vocab: Vocab, datasets: dict[DlpId, DlpD
 
 def meta_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarray],
                dlp: DlpId, adapt_pairs: list[SentencePair], settings: OptimizerSettings,
-               epochs: int = 1, batch_size: int = 16, seed: int = 0,
-               trainable: list[str] | None = None, with_domain_tag: bool = False,
+               epochs: int = 1, batch_size: int = 16, seed: int = 0, with_domain_tag: bool = False,
                max_steps: int | None = None) -> tuple[dict[str, np.ndarray], list[float]]:
-    """Supervised fine-tuning of `start` on one target DLP's adapt split
-    (default budget: one epoch). Returns the adapted map and per-step losses."""
+    """Supervised fine-tuning of `start`'s parameters on one target DLP's adapt
+    split (default budget: one epoch). Returns the adapted map and per-step losses."""
     if not adapt_pairs:
         raise InputError("meta_adapt: empty adapt split")
-    trainable = list(start) if trainable is None else trainable
+    trainable = list(start)
     restore_params(model, start)
 
     def make(indices) -> Batch:
@@ -422,11 +408,10 @@ def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
         for group in list(model.adapter_groups):
             remove_adapter_group(model, group)
         add_adapter_group(model, "stack", seed=comp_seed)
-        trainable = model.adapter_names("stack")
         supervised_train(model, vocab, pooled_rows(subset), cfg.inner, cfg.epochs,
-                         batch_size, cfg.seed, trainable, max_steps=max_steps)
-        components[name] = {_stack_key(k): v
-                            for k, v in snapshot_params(model, trainable).items()}
+                         batch_size, cfg.seed, model.adapter_names("stack"),
+                         max_steps=max_steps)
+        components[name] = read_adapter_group(model, "stack")
 
     for idx, (src, tgt) in enumerate(lang_pairs):
         subset = {d: ds for d, ds in datasets.items() if (d.src_lang, d.tgt_lang) == (src, tgt)}
@@ -439,12 +424,6 @@ def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
     return components
 
 
-def _stack_key(name: str) -> str:
-    """A stacked component stores its adapter group-agnostically, keyed
-    "<side>/<layer>/<param>"."""
-    return name.replace("/adapter/stack", "")
-
-
 def component_shapes(strategy: str, mc: ModelConfig, ac: AdapterConfig,
                      ) -> dict[str, tuple[int, ...]]:
     """Name and shape of every tensor that each stage-one component of
@@ -453,7 +432,7 @@ def component_shapes(strategy: str, mc: ModelConfig, ac: AdapterConfig,
     setup = STRATEGIES[strategy]
     if setup.stage_one == "stack":
         model = build_model(mc, ac, seed=0, adapter_groups=("stack",))
-        return {_stack_key(n): model.params[n].data.shape for n in model.adapter_names()}
+        return {k: v.shape for k, v in read_adapter_group(model, "stack").items()}
     model = build_model(mc, ac, seed=0, adapter_groups=setup.adapter_groups)
     return {n: model.params[n].data.shape for n in setup.trains(model)}
 
@@ -469,7 +448,5 @@ def install_stack(model: TranslationModel, components: Components, dlp: DlpId,
     for g_idx, (group, component) in enumerate(wanted):
         add_adapter_group(model, group, seed=hash_seed(seed, 43, g_idx))
         if component in components:
-            for key, value in components[component].items():
-                side, layer, param = key.split("/")
-                model.params[f"{side}/{layer}/adapter/{group}/{param}"].data = value.copy()
+            load_adapter_group(model, group, components[component])
     return model.adapter_names()

@@ -301,6 +301,36 @@ def test_cli_world_json_not_a_spec_exit_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("edit", ["heldout", "bogus", "same languages", "dropped", "twice"])
+def test_cli_registry_row_other_than_the_world_spec_exit_3(tmp_path, capsys, edit):
+    """registry.tsv must list each DLP of world.json once, in the role the spec
+    gives it: the gears/apa-bel row given another role (a meta-training DLP
+    marked held out would be scored after training on it, and an unknown role
+    would drop it from every stage), made a same-language pair, dropped, or
+    listed twice."""
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    path = tmp_path / "corpus" / "registry.tsv"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    i = next(i for i, line in enumerate(lines) if line.startswith("gears\tapa\tbel\tmeta_train\t"))
+    if edit == "dropped":
+        del lines[i]
+    elif edit == "twice":
+        lines.insert(i, lines[i])
+    else:
+        cells = lines[i].split("\t")
+        if edit == "same languages":
+            cells[1] = "bel"
+        else:
+            cells[3] = edit
+        lines[i] = "\t".join(cells)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["pretrain", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "registry.tsv: " in err and err.count("\n") == 1
+
+
 def _report_run(tmp_path) -> Path:
     """A run directory with one metrics record and a two-line training log."""
     run_dir = tmp_path / "run"

@@ -1,9 +1,12 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metadapt
 from metadapt import tensor as T
 from metadapt.errors import DimensionError, InputError, NumericError, StateError
 from metadapt.gradcheck import grad_check
@@ -282,3 +285,26 @@ def test_op_output_gradient_keeps_the_data_layout():
     y = T.swapaxes(x, 1, 2)
     T.backward(T.tensor_sum(T.matmul(y, w)))
     assert y.grad.strides == y.data.strides
+
+
+def test_only_the_tensor_constructor_rebinds_data():
+    """Values change inside a tensor's array (`p.data[...] = v`, `p.data -= d`),
+    so a parameter keeps one array for its lifetime; an `x.data = ...` outside
+    Tensor.__init__ would swap the array under anything that holds it."""
+    offenders = []
+    for path in sorted(Path(metadapt.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name == "Tensor":
+                init = next(f for f in cls.body
+                            if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+                allowed.update(id(node) for node in ast.walk(init))
+        for node in ast.walk(tree):
+            if id(node) in allowed or not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if any(isinstance(t, ast.Attribute) and t.attr == "data"
+                       and isinstance(t.ctx, ast.Store) for t in ast.walk(target)):
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

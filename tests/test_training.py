@@ -9,18 +9,21 @@ from metadapt import tensor as T
 from metadapt import training
 from metadapt.corpus import Vocab, load_datasets
 from metadapt.errors import InputError, NumericError, StateError
+from metadapt import model as model_module
 from metadapt.model import (
     AdapterConfig,
     ModelConfig,
     build_model,
     forward_loss,
     make_batch,
+    set_adapter_params,
 )
 from metadapt.optim import AdamW, OptimizerSettings
 from metadapt.training import (
     STRATEGIES,
     MetaConfig,
     build_episode,
+    component_shapes,
     episode_stream,
     inner_adapt,
     inner_stream,
@@ -562,3 +565,77 @@ def test_stack_stage_one_keeps_the_backbone(world):
     assert list(model.params) == list(before)
     for param, value in before.items():
         assert np.array_equal(model.params[param].data, value), param
+
+
+# --- parameter writes ----------------------------------------------------------------------
+
+def _bitwise(model):
+    return {name: p.data.tobytes() for name, p in model.params.items()}
+
+
+def test_parameter_snapshots_have_one_owner():
+    assert training.restore_params is model_module.restore_params
+    assert training.snapshot_params is model_module.snapshot_params
+
+
+@pytest.mark.parametrize("write", [restore_params, set_adapter_params])
+def test_parameter_writes_are_in_place_and_all_or_nothing(world, write):
+    """A write copies into each parameter's own array; a map whose unknown
+    name or wrong shape comes after a valid entry writes nothing."""
+    _, vocab, _ = world
+    model = small_model(vocab, seed=2)
+    arrays = {name: p.data for name, p in model.params.items()}
+    values = {name: model.params[name].data + 1.0 for name in model.adapter_names()}
+    write(model, values)
+    for name, p in model.params.items():
+        assert p.data is arrays[name], name
+    for name, value in values.items():
+        assert np.array_equal(model.params[name].data, value), name
+
+    before = _bitwise(model)
+    last = model.adapter_names()[-1]
+    shifted = {name: value + 1.0 for name, value in values.items()}
+    for bad in ({**shifted, last: np.zeros(model.params[last].shape + (1,))},
+                {**shifted, "enc/0/adapter/main/unknown": np.zeros(3)}):
+        with pytest.raises(StateError):
+            write(model, bad)
+        assert _bitwise(model) == before
+    for name, p in model.params.items():
+        assert p.data is arrays[name], name
+
+
+def test_install_stack_writes_in_place_and_all_or_nothing(world, monkeypatch):
+    """install_stack copies a trained component into the arrays of the group
+    it adds; a component whose unknown name or wrong shape comes after a
+    valid entry raises with that group as freshly initialized."""
+    _, vocab, datasets = world
+    dlp = sorted(datasets)[0]
+    lp = f"lp:{dlp.src_lang}-{dlp.tgt_lang}"
+    model = small_model(vocab, groups=())
+    shapes = component_shapes("stack_adapter", model.mc, model.ac)
+    component = {key: np.full(shape, 0.25) for key, shape in shapes.items()}
+    made = {name: p.data for name, p in model.params.items()}
+    real_add = training.add_adapter_group
+
+    def add_adapter_group(model, group, seed):
+        real_add(model, group, seed)
+        made.update({name: model.params[name].data for name in model.adapter_names(group)})
+
+    monkeypatch.setattr(training, "add_adapter_group", add_adapter_group)
+    install_stack(model, {lp: component}, dlp)
+    for name, p in model.params.items():
+        assert p.data is made[name], name
+    for key, value in component.items():
+        layer, _, param = key.rpartition("/")
+        assert np.array_equal(model.params[f"{layer}/adapter/lp/{param}"].data, value), key
+
+    last = list(component)[-1]
+    for bad in ({**component, last: np.zeros(shapes[last] + (1,))},
+                {**component, "enc/0/unknown": np.zeros(3)}):
+        failed = small_model(vocab, groups=())
+        with pytest.raises(StateError):
+            install_stack(failed, {lp: bad}, dlp)
+        fresh = small_model(vocab, groups=())
+        install_stack(fresh, {}, dlp)
+        assert _bitwise(failed) == {name: fresh.params[name].data.tobytes()
+                                    for name in failed.params}
