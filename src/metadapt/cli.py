@@ -37,7 +37,7 @@ from .pipeline import (
     write_manifest,
     write_sweep,
 )
-from .rules import KINDS, Rule, check
+from .rules import KINDS, NAMES, Rule, check
 from .training import (
     STRATEGIES,
     Components,
@@ -113,7 +113,7 @@ RULES: dict = {
              for k in DEFAULT_CONFIG["meta"]},
     "adapt": {**AdaptBudget.RULES, "lr": OptimizerSettings.RULES["lr"]},
     "eval": {"max_len": Rule("a whole number", "at least 1"),
-             "strategies": Rule("a list of names", "known strategies", choices=tuple(STRATEGIES),
+             "strategies": Rule(NAMES, "known strategies", choices=tuple(STRATEGIES),
                                 noun="strategy")},
     "caps": dict.fromkeys(DEFAULT_CONFIG["caps"],
                           Rule("a whole number", "non-negative", null=True)),

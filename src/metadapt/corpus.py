@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import string
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -43,7 +44,7 @@ import numpy as np
 from .checkpoint import atomic_write, read_json, read_text, write_json
 from .errors import ConfigError, DataIntegrityError, InputError
 from .forkpool import ForkPool, available_cpus
-from .rules import Rule, check
+from .rules import NAMES, Rule, check
 from .tasks import DlpDataset, DlpId, SentencePair
 
 MAX_SENTENCE_TOKENS = 175
@@ -82,13 +83,15 @@ class SyntheticWorldSpec:
     seed: int = 0
 
     RULES = {**dict.fromkeys(("languages", "domains"),
-                             Rule("a list of names", "two or more, distinct")),
-             **dict.fromkeys(("heldout_domains", "heldout_languages"), Rule("a list of names")),
+                             Rule(NAMES, "two or more, distinct")),
+             **dict.fromkeys(("heldout_domains", "heldout_languages"), Rule(NAMES)),
              "pretrain_domain": Rule("a string"),
              **dict.fromkeys(("content_vocab_size", "domain_vocab_size", "templates_per_domain"),
                              Rule("a whole number", "at least 1")),
              **dict.fromkeys(("neutral_len", "specialist_len"),
-                             Rule("two whole numbers", "1 <= first <= second")),
+                             # length L gives sentences of L tokens: past the cap, none pass
+                             Rule("two whole numbers",
+                                  f"1 <= first <= second <= {MAX_SENTENCE_TOKENS}")),
              **dict.fromkeys(("train_size", "adapt_size", "valid_size", "test_size", "seed"),
                              Rule("a whole number", "non-negative")),
              "pretrain_train_size": Rule("a whole number", "non-negative", null=True),
@@ -133,7 +136,7 @@ def _rotation(spec: SyntheticWorldSpec, lang: str) -> int:
     return spec.languages.index(lang) % 2
 
 
-def _reorder(tokens: list[str], r: int) -> list[str]:
+def _reorder(tokens: Iterable[str], r: int) -> list[str]:
     """Swap each adjacent token pair when r is odd (odd-class languages),
     leaving a trailing odd token in place: each block of two rotated left by
     r. Its own inverse."""
@@ -144,12 +147,17 @@ def _reorder(tokens: list[str], r: int) -> list[str]:
     return out
 
 
+def _surface_token(token: str, lang: str) -> str:
+    """The one rule of how `lang` writes a latent token: a function slot
+    ``fK`` becomes ``<lang>.fK``, every other token keeps its form."""
+    return f"{lang}.{token}" if token.startswith("f") else token
+
+
 def realize(spec: SyntheticWorldSpec, latent: list[str], lang: str) -> list[str]:
     """Latent sentence -> surface sentence in `lang` (deterministic, invertible)."""
     if lang not in spec.languages:
         raise InputError(f"realize: unknown language '{lang}'")
-    surface = [f"{lang}.{t}" if t.startswith("f") else t for t in latent]
-    return _reorder(surface, _rotation(spec, lang))
+    return _reorder([_surface_token(t, lang) for t in latent], _rotation(spec, lang))
 
 
 def to_latent(spec: SyntheticWorldSpec, surface: list[str], lang: str) -> list[str]:
@@ -275,6 +283,13 @@ def _domain_models(spec: SyntheticWorldSpec) -> dict[str, _DomainModel]:
     return models
 
 
+def _surface_table(model: _DomainModel, lang: str) -> dict[str, str]:
+    """`_surface_token` of every latent token `model` can draw: its words and
+    the function slots, so a sentence realizes by lookups alone."""
+    inventory = model.words + tuple(f"f{k}" for k in range(N_FUNCTION_WORDS))
+    return {t: _surface_token(t, lang) for t in inventory}
+
+
 def _pattern(rng: np.random.Generator, length_range: tuple[int, int],
              function_cdf: np.ndarray) -> tuple[str, ...]:
     lo, hi = length_range
@@ -314,29 +329,34 @@ def _is_punct_token(token: str) -> bool:
     return bool(token) and PUNCTUATION_CHARS.issuperset(token)
 
 
-def _side_ok(text: str) -> bool:
-    tokens = text.split()  # never an empty token, so issuperset is _is_punct_token
-    if not tokens or len(tokens) > MAX_SENTENCE_TOKENS:
-        return False
-    punct = sum(map(PUNCTUATION_CHARS.issuperset, tokens))
-    return punct / len(tokens) <= PUNCTUATION_RATIO_LIMIT
-
-
 def filter_corpus(pairs: list[SentencePair]) -> list[SentencePair]:
     """Length cap (175 tokens), punctuation-ratio cap (> 50% dropped), exact dedup.
 
-    Order of surviving pairs is preserved; the operation is idempotent.
+    Order of surviving pairs is preserved; the operation is idempotent. Each
+    distinct token is judged punctuation or not once, and only an input that
+    holds punctuation has its sides split a second time to count it.
     """
+    distinct: set[str] = set()
+    lengths = []  # not the split sides: for a whole DLP they would cost ~0.5 MiB
+    for src, tgt in pairs:
+        src_tokens, tgt_tokens = src.split(), tgt.split()
+        distinct.update(src_tokens)
+        distinct.update(tgt_tokens)
+        lengths.append((len(src_tokens), len(tgt_tokens)))
+    punct = set(filter(_is_punct_token, distinct))
+
+    def side_ok(text: str, n: int) -> bool:
+        if not 0 < n <= MAX_SENTENCE_TOKENS:
+            return False
+        return (not punct
+                or sum(map(punct.__contains__, text.split())) / n <= PUNCTUATION_RATIO_LIMIT)
+
     seen: set[SentencePair] = set()
     out = []
-    for pair in pairs:
-        src, tgt = pair
-        if not (_side_ok(src) and _side_ok(tgt)):
-            continue
-        if pair in seen:
-            continue
-        seen.add(pair)
-        out.append(pair)
+    for pair, (src_n, tgt_n) in zip(pairs, lengths):
+        if side_ok(pair[0], src_n) and side_ok(pair[1], tgt_n) and pair not in seen:
+            seen.add(pair)
+            out.append(pair)
     return out
 
 
@@ -484,9 +504,13 @@ def _write_dlp(spec: SyntheticWorldSpec, models: dict[str, _DomainModel], root: 
             continue
         seen.add(key)
         latents.append(latent)
-    sides = [(realize(spec, latent, dlp.src_lang), realize(spec, latent, dlp.tgt_lang))
-             for latent in latents]
-    pairs = filter_corpus([(" ".join(s), " ".join(t)) for s, t in sides])
+    # realize through one table per side, and count through them below: a
+    # realization renames and permutes tokens, so it keeps the latent counts
+    src, tgt = (_surface_table(models[dlp.domain], lang) for lang in (dlp.src_lang, dlp.tgt_lang))
+    src_r, tgt_r = _rotation(spec, dlp.src_lang), _rotation(spec, dlp.tgt_lang)
+    pairs = filter_corpus([(" ".join(_reorder(map(src.__getitem__, latent), src_r)),
+                            " ".join(_reorder(map(tgt.__getitem__, latent), tgt_r)))
+                           for latent in latents])
     if len(pairs) != total:
         raise DataIntegrityError(f"generate_world: filters dropped pairs in {dlp.key()}")
     row = RegistryRow(dlp=dlp, role=_dlp_role(spec, dlp), sizes=sizes)
@@ -497,8 +521,12 @@ def _write_dlp(spec: SyntheticWorldSpec, models: dict[str, _DomainModel], root: 
         offset += sizes[split]
         row.path(root, split).write_text("".join(f"{s}\t{t}\n" for s, t in chunk),
                                          encoding="utf-8")
-    tokens = Counter(chain.from_iterable(chain.from_iterable(sides)))
-    return row, tokens, Counter(chain.from_iterable(latents))
+    latent_counts = Counter(chain.from_iterable(latents))
+    tokens: Counter = Counter()
+    for t, c in latent_counts.items():
+        tokens[src[t]] += c
+        tokens[tgt[t]] += c
+    return row, tokens, latent_counts
 
 
 def generate_world(spec: SyntheticWorldSpec, out_dir: str | Path) -> Registry:

@@ -8,10 +8,16 @@ the values only the command line reads.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from numbers import Integral, Real
 
 from .errors import ConfigError
+
+#: The kind of a list of names, each one whitespace-free token and one
+#: component of a file path (world names become both).
+NAMES = "a list of names (ASCII letters, digits, _ or -)"
+_NAME = re.compile(r"[A-Za-z0-9_-]+")
 
 #: Each kind and each range as messages and the README name it, and its test.
 KINDS = {
@@ -21,8 +27,8 @@ KINDS = {
                                     or (isinstance(v, float) and v == math.inf)),
     "true or false": lambda v: isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
-    "a list of names": lambda v: (isinstance(v, (list, tuple))
-                                  and all(isinstance(s, str) for s in v)),
+    NAMES: lambda v: (
+        isinstance(v, (list, tuple)) and all(isinstance(s, str) and _NAME.fullmatch(s) for s in v)),
     "two whole numbers": lambda v: (isinstance(v, (list, tuple)) and len(v) == 2
                                     and all(map(KINDS["a whole number"], v))),
     "a list of tables": lambda v: isinstance(v, list) and all(isinstance(t, dict) for t in v),
@@ -35,7 +41,8 @@ RANGES = {
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in (0, 1]": lambda v: 0 < v <= 1,
     "in [0, 1]": lambda v: 0 <= v <= 1,
-    "1 <= first <= second": lambda v: 1 <= v[0] <= v[1],
+    # the world spec names this range from corpus.MAX_SENTENCE_TOKENS: a KeyError if they part
+    "1 <= first <= second <= 175": lambda v: 1 <= v[0] <= v[1] <= 175,
     "two or more, distinct": lambda v: len(set(v)) == len(v) >= 2,
 }
 
@@ -67,7 +74,7 @@ def check(rules: dict[str, Rule], values: dict, where: str) -> None:
             if not RANGES[rule.range](value):
                 raise ConfigError(f"{label} must be {rule.range}, got {value!r}")
             continue
-        many = rule.kind == "a list of names"
+        many = rule.kind == NAMES
         if many and not KINDS[rule.kind](value):
             raise ConfigError(f"{label}: expected a list of {rule.noun} names, got {value!r}")
         unknown = [n for n in (value if many else [value]) if n not in rule.choices]

@@ -24,6 +24,9 @@ from metadapt.corpus import (
     _latent_sentence,
     _pattern,
     _reorder,
+    _rotation,
+    _surface_table,
+    _write_dlp,
     detokenize,
     filter_corpus,
     generate_world,
@@ -102,6 +105,12 @@ def test_too_similar_domains_rejected(tmp_path):
     ("train_size", -5), ("valid_size", -1), ("pretrain_train_size", -3),
     ("templates_per_domain", 0), ("content_vocab_size", -3), ("domain_vocab_size", -1),
     ("domain_vocab_size", 0), ("seed", -1),
+    # a sentence as long as its template: past the filter's cap, none would pass
+    ("specialist_len", (200, 200)), ("neutral_len", (176, 180)),
+    # a name that is not one token and one path component
+    ("languages", ("apa", "b c", "cor")), ("domains", ("general", "ge/ars", "herbs")),
+    ("domains", ("general", "../esc", "herbs")), ("heldout_domains", ("",)),
+    ("heldout_languages", ("co\tr",)), ("languages", ("apa", "bél", "cor")),
 ])
 def test_world_spec_field_of_the_wrong_type_raises(field, value):
     with pytest.raises(ConfigError, match=f"world spec: {field} must be"):
@@ -367,6 +376,65 @@ _SIDES = st.one_of(st.lists(_TOKENS, max_size=8).map(" ".join),
 @given(st.lists(st.tuples(_SIDES, _SIDES), max_size=10))
 def test_filter_equals_per_token_rule(pairs):
     assert filter_corpus(pairs) == _filter_per_token(pairs)
+
+
+# --- realizing, counting and filtering through per-DLP tables --------------------------
+
+class _CountingChars(frozenset):
+    """The punctuation set, recording each token it is asked about."""
+
+    def issuperset(self, token):
+        self.calls.append(token)
+        return super().issuperset(token)
+
+
+def test_filter_judges_each_distinct_token_once(monkeypatch):
+    chars = _CountingChars(PUNCTUATION_CHARS)
+    chars.calls = []
+    monkeypatch.setattr("metadapt.corpus.PUNCTUATION_CHARS", chars)
+    pairs = [("a ! a", "b b"), ("a ! a", "b b"), ("! ! a", "? b")]
+    assert filter_corpus(pairs) == [("a ! a", "b b")]
+    assert sorted(chars.calls) == ["!", "?", "a", "b"]
+
+
+def test_surface_table_entry_is_realize_of_its_token():
+    spec = SyntheticWorldSpec.from_json(ACCEPTANCE_WORLD)
+    for model in _domain_models(spec).values():
+        for lang in spec.languages:
+            table = _surface_table(model, lang)
+            assert set(table) == set(model.words) | {f"f{k}" for k in range(10)}
+            for token, surface in table.items():
+                assert realize(spec, [token], lang) == [surface], (model.name, lang, token)
+
+
+def test_table_realization_equals_realize_and_inverts():
+    spec = SyntheticWorldSpec.from_json(ACCEPTANCE_WORLD)
+    for seed, model in enumerate(_domain_models(spec).values()):
+        rng = np.random.default_rng(seed)
+        latents = [_latent_sentence(model, rng) for _ in range(200)]
+        for lang in spec.languages:
+            surface_of = _surface_table(model, lang).__getitem__
+            for latent in latents:
+                surface = _reorder(list(map(surface_of, latent)), _rotation(spec, lang))
+                assert surface == realize(spec, latent, lang)
+                assert to_latent(spec, surface, lang) == latent
+
+
+def test_write_dlp_counts_equal_a_recount_of_its_files(tmp_path):
+    """The surface counts _write_dlp derives from its latent counts equal a
+    recount of every token of both sides it wrote, and its latent counts
+    equal a recount of the source sides mapped back to latent form."""
+    spec = tiny_world_spec(seed=4)
+    models = _domain_models(spec)
+    for job in [(0, 0, 1), (1, 1, 0), (2, 2, 1), (1, 0, 2)]:
+        row, tokens, latent_counts = _write_dlp(spec, models, tmp_path, job)
+        surface, latent = Counter(), Counter()
+        for split in ("train", "adapt", "valid", "test"):
+            for line in row.path(tmp_path, split).read_text(encoding="utf-8").splitlines():
+                src, tgt = line.split("\t")
+                surface.update(src.split() + tgt.split())
+                latent.update(to_latent(spec, src.split(), row.dlp.src_lang))
+        assert tokens == surface and latent_counts == latent, job
 
 
 # --- world generation across processes ------------------------------------------------

@@ -20,6 +20,7 @@ from metadapt.pipeline import (
     role_datasets,
     train_strategies,
 )
+from metadapt.rules import NAMES
 from metadapt.tasks import DlpId
 from metadapt.training import MetaConfig
 
@@ -574,6 +575,10 @@ def test_cli_config_shape_exit_2(smoke_run, capsys, override, message):
     ("out_dir=3", "config 'out_dir' must be a string, got 3"),
     ("corpus_dir=null", "config 'corpus_dir' must be a string, got None"),
     ("eval.max_len=40", "config 'eval.max_len' must be at most model.max_seq_len (24), got 40"),
+    ("world.specialist_len=[200,200]",
+     "world spec: specialist_len must be 1 <= first <= second <= 175, got (200, 200)"),
+    ("world.neutral_len=[176,180]",
+     "world spec: neutral_len must be 1 <= first <= second <= 175, got (176, 180)"),
     ('sweep.points=[{"seed": -1}]', "config 'sweep.points[0].seed' must be non-negative"),
     ('sweep.points=[{"seed": 1.5}]', "config 'sweep.points[0].seed' must be a whole number"),
     ('sweep.points=[{"inner": 3}]', "unknown config key 'sweep.points[0].inner'"),
@@ -605,7 +610,10 @@ WORLD_WRONG_TYPES = [("seed", 1.5), ("templates_per_domain", 2.5), ("min_domain_
                      # out of range
                      ("train_size", -5), ("valid_size", -1), ("pretrain_train_size", -3),
                      ("templates_per_domain", 0), ("content_vocab_size", -3),
-                     ("domain_vocab_size", -1), ("seed", -1)]
+                     ("domain_vocab_size", -1), ("seed", -1),
+                     # a name that is not one token and one path component
+                     ("languages", ["apa", "b c", "cor"]), ("domains", ["general", "ge/ars", "herbs"]),
+                     ("domains", ["general", "../esc", "herbs"]), ("heldout_languages", [""])]
 
 
 def test_cli_world_field_of_the_wrong_type(tmp_path, capsys):
@@ -616,6 +624,7 @@ def test_cli_world_field_of_the_wrong_type(tmp_path, capsys):
         assert run(["gen-corpus", "--config", str(cfg), "--set", f"world.{key}={json.dumps(value)}"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: world spec: ") and key in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name]  # nothing written
     assert run(["gen-corpus", "--config", str(cfg)]) == 0
     path = tmp_path / "corpus" / "world.json"
     world = json.loads(path.read_text(encoding="utf-8"))
@@ -728,11 +737,12 @@ def _draws(rule) -> list[str]:
     step = 1 if rule.kind == "a whole number" else 1e-6
     past = {"": [], "non-negative": [0, -step], "positive": [0, -step], "at least 1": [1, 0],
             "in [0, 1)": [0, -step, 1], "in (0, 1]": [0, 1, 1 + step],
-            "in [0, 1]": [0, -step, 1, 1 + step], "1 <= first <= second": [[1, 1], [0, 1], [3, 2]],
+            "in [0, 1]": [0, -step, 1, 1 + step],
+            "1 <= first <= second <= 175": [[1, 1], [0, 1], [3, 2], [175, 175], [175, 176]],
             "two or more, distinct": [["apa"], ["apa", "apa"]]}
     wrong = {"a whole number": [1.5, True, "1"], "a number": ["x", True],
              'a number or "inf"': ["x", False], "true or false": ["no", 0],
-             "a string": [3, None], "a list of names": ["apa", [1]],
+             "a string": [3, None], NAMES: ["apa", [1], ["b c"], [""]],
              "two whole numbers": [[3.5, 6], [4], 4], "a list of tables": [[3], 3]}
     values = wrong[rule.kind] + [{"a": 1}] + ([None] if rule.null else [])
     if rule.choices is not None:
