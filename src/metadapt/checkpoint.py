@@ -107,7 +107,8 @@ def save_params(path: str | Path, params: dict[str, np.ndarray]) -> None:
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:
     """Read a checkpoint; any framing that does not fit the file (a truncated
-    or corrupted entry, trailing bytes) is a DataIntegrityError."""
+    or corrupted entry, a repeated entry name, trailing bytes) is a
+    DataIntegrityError."""
     path = Path(path)
     raw = memoryview(path.read_bytes())
     if raw[: len(MAGIC)] != MAGIC:
@@ -133,6 +134,8 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
         (ndim,) = struct.unpack("<I", read(4))
         shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
         payload = read(8 * math.prod(shape))
+        if name in out:
+            raise DataIntegrityError(f"{path}: checkpoint entry {name!r} appears twice")
         out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
     if offset != len(raw):
         raise DataIntegrityError(f"{path}: trailing bytes after last checkpoint entry")

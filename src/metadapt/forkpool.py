@@ -3,9 +3,12 @@
 `ForkPool` runs a function over a list of items on the calling process and
 on forked worker processes, item i on process i mod (workers + 1), the
 caller being process 0. `meta_train` runs the inner loops of each
-meta-batch through it and `generate_world` each DLP of the world. Each item
-must give the same result wherever it runs, so the CPU count never changes
-an output; on one CPU no process is started.
+meta-batch through it, `generate_world` each DLP of the world, supervised
+training each batch's row shards and `grad_check` its coordinate chunks.
+Each item must give the same result wherever it runs, so the CPU count never
+changes an output; on one CPU no process is started. A worker counts as one
+CPU, so a pool opened inside a worker's item starts no process: its caller
+already keeps the other CPUs busy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,14 @@ import signal
 from .errors import StateError
 
 
+#: Set in a worker when it starts: available_cpus() is then 1 there.
+_IN_WORKER = False
+
+
 def available_cpus() -> int:
+    """CPUs this process may fill: one inside a ForkPool worker."""
+    if _IN_WORKER:
+        return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -36,6 +46,8 @@ def _run_items(fn, common, items) -> tuple[dict, dict]:
 def _serve(conn, fn, inherited) -> None:
     """A worker's loop: answer each (common, items) with _run_items' result
     until the caller closes its end of the pipe."""
+    global _IN_WORKER
+    _IN_WORKER = True
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the caller handles Ctrl-C and closes the pipe
     for other in inherited:  # else a pipe would stay open after the caller died
         other.close()

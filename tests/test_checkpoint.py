@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,13 @@ def test_corrupted_framing_is_data_integrity_error(tmp_path):
             checkpoint.load_params(bad)
     bad.write_bytes(bytes(raw) + b"\x00")
     with pytest.raises(DataIntegrityError):
+        checkpoint.load_params(bad)
+    # the same name twice, with another shape the second time
+    repeated = checkpoint.MAGIC + struct.pack("<Q", 2)
+    for size in (2, 3):
+        repeated += struct.pack("<IcIQ", 1, b"w", 1, size) + bytes(8 * size)
+    bad.write_bytes(repeated)
+    with pytest.raises(DataIntegrityError, match=f"^{re.escape(str(bad))}: .*'w' appears twice"):
         checkpoint.load_params(bad)
 
 

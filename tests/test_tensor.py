@@ -235,6 +235,29 @@ def test_grad_check_composite_ops_finite_difference():
     assert report.passed, report
 
 
+def test_grad_check_report_same_on_any_cpu_count(monkeypatch):
+    """Probed serially on one CPU or in chunks across three processes, the
+    coordinates give the same report: worst error and coordinate, checked
+    and skipped counts."""
+    rng = np.random.default_rng(3)
+    w1 = T.Tensor(rng.normal(scale=0.5, size=(6, 20)), requires_grad=True)
+    w1.data[0, :3] = 5e-6  # kinks of the relu below inside the probe interval
+    w2 = T.Tensor(rng.normal(scale=0.5, size=(20, 4)), requires_grad=True)
+    x = rng.normal(size=(3, 6))
+
+    def f():
+        h = T.relu(T.matmul(T.Tensor(x), w1))
+        return T.tensor_sum(T.relu(w1)) + T.cross_entropy(T.matmul(h, w2), np.array([0, 3, 1]),
+                                                          np.ones(3))
+
+    reports = []
+    for cpus in (1, 3):
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        reports.append(grad_check(f, {"w1": w1, "w2": w2}, tol=1e-4))
+    assert reports[0] == reports[1]
+    assert reports[0].skipped_kinks >= 3 and reports[0].checked + reports[0].skipped_kinks == 200
+
+
 # --- which gradients a backward computes ------------------------------------
 
 def _multi_input_cases():

@@ -5,17 +5,21 @@ from multiprocessing.context import ForkProcess
 import numpy as np
 import pytest
 
+from metadapt import pipeline
 from metadapt import tensor as T
 from metadapt import training
 from metadapt.corpus import Vocab, load_datasets
 from metadapt.errors import InputError, NumericError, StateError
+from metadapt.forkpool import ForkPool, available_cpus
 from metadapt import model as model_module
 from metadapt.model import (
     AdapterConfig,
     ModelConfig,
+    add_adapter_group,
     build_model,
     forward_loss,
     make_batch,
+    make_mixed_batch,
     set_adapter_params,
 )
 from metadapt.optim import AdamW, OptimizerSettings
@@ -250,7 +254,7 @@ def _on_cpus(monkeypatch, count):
 
 def _forbid_workers(monkeypatch):
     def start(self):
-        raise AssertionError("meta_train started a process on one CPU")
+        raise AssertionError("a process was started on one CPU")
 
     monkeypatch.setattr(ForkProcess, "start", start)
 
@@ -417,9 +421,9 @@ def _count_calls(monkeypatch, name):
 
 
 def test_step_budget_builds_only_the_batches_it_trains_on(world, monkeypatch):
-    """A max_steps cut builds exactly the batches it trains on and starts no
-    epoch past the budget; its losses (dropout on, so the per-epoch rng
-    streams matter) are a bitwise prefix of an uncut run's."""
+    """A max_steps cut builds exactly the batches it trains on, one per row
+    shard, and starts no epoch past the budget; its losses (dropout on, so
+    the per-epoch rng streams matter) are a bitwise prefix of an uncut run's."""
     _, vocab, datasets = world
     dlp = sorted(datasets)[0]
     rows = [(dlp, pair) for pair in datasets[dlp].train]
@@ -437,16 +441,114 @@ def test_step_budget_builds_only_the_batches_it_trains_on(world, monkeypatch):
         return meta_adapt(model, vocab, start, dlp, adapt, settings, epochs=epochs,
                           batch_size=4, seed=2, max_steps=max_steps)[1]
 
+    _on_cpus(monkeypatch, 1)  # every shard's batch is built in this process
     for run, builder, per_epoch in ((pretrain, "make_mixed_batch", len(rows) // 8),
                                     (adapt_run, "make_batch", len(adapt) // 4)):
         builds = _count_calls(monkeypatch, builder)
         full = run(2, None)
-        assert len(builds) == len(full) == 2 * per_epoch
+        assert len(builds) == training.SHARDS * len(full) == training.SHARDS * 2 * per_epoch
         builds.clear()
         budget = per_epoch + 2
         cut = run(3, budget)
-        assert len(builds) == budget
+        assert len(builds) == training.SHARDS * budget
         assert cut == full[:budget]
+
+
+# --- sharded supervised steps --------------------------------------------------------------
+
+def _pretrain_and_adapt(tiny_registry, vocab, datasets):
+    """pretrain_backbone with dropout on a batch of 7 (shards of 4 and 3
+    rows), then meta_adapt of its adapters: every loss and final value."""
+    mc = ModelConfig(vocab_size=len(vocab), model_dim=16, num_layers=1, num_heads=2,
+                     ffn_dim=24, max_seq_len=24, dropout=0.1)
+    model, pre_losses = pipeline.pretrain_backbone(
+        tiny_registry, vocab, mc, AdapterConfig(bottleneck_dim=4), OptimizerSettings(lr=3e-3),
+        epochs=2, batch_size=7, seed=5, max_steps=12)
+    add_adapter_group(model, "main", seed=6)
+    dlp = sorted(datasets)[0]
+    adapted, adapt_losses = meta_adapt(model, vocab, snapshot_params(model, model.adapter_names()),
+                                       dlp, datasets[dlp].adapt, OptimizerSettings(lr=1e-2),
+                                       epochs=2, batch_size=5, seed=3)
+    return pre_losses, adapt_losses, adapted, snapshot_params(model, list(model.params))
+
+
+def test_supervised_training_same_bits_on_any_cpu_count(tiny_registry, world, monkeypatch):
+    """Pretraining and meta_adapt give bitwise the same losses and values when
+    each batch's two shards run serially on one CPU and on two processes on
+    three; one CPU starts no process, and none outlives either run."""
+    _, vocab, datasets = world
+    runs = []
+    for cpus in (1, 3):
+        with monkeypatch.context() as patch:
+            _on_cpus(patch, cpus)
+            if cpus == 1:
+                _forbid_workers(patch)
+            runs.append(_pretrain_and_adapt(tiny_registry, vocab, datasets))
+        assert multiprocessing.active_children() == []
+    serial, parallel = runs
+    assert len(serial[0]) == 12
+    assert serial[:2] == parallel[:2]
+    for tensors, other in zip(serial[2:], parallel[2:]):
+        assert list(tensors) == list(other)
+        for name in tensors:
+            assert np.array_equal(tensors[name], other[name]), name
+
+
+def test_sharded_gradient_equals_full_batch_gradient(world, monkeypatch):
+    """At dropout 0, the gold-token-weighted sum of the two shards' gradients
+    (shards of different lengths and token counts) is the gradient of the
+    whole batch's mean loss, to 1e-12 of the largest gradient entry, and the
+    loss is the batch's to 1e-12 relative."""
+    _, vocab, datasets = world
+    rows = [(dlp, pair) for dlp in sorted(datasets)[:3] for pair in datasets[dlp].train[:3]]
+
+    def make(indices):
+        return make_mixed_batch([rows[i] for i in indices], vocab)
+
+    model = small_model(vocab, seed=8)
+    names = list(model.params)
+    model.set_trainable(names)
+    with T.use_tape(T.Tape()):
+        full = forward_loss(model, make(range(len(rows))))
+        T.backward(full)
+    expected = {name: model.params[name].grad.copy() for name in names}
+    for p in model.params.values():
+        p.zero_grad()
+    _on_cpus(monkeypatch, 3)
+    shards = training._Shards(model, names, make)
+    with ForkPool(shards.run, shards.workers, "test") as pool:
+        loss = shards.step(pool, (0, 31, 0, 0), np.arange(len(rows)))
+    assert abs(loss - float(full.data)) <= 1e-12 * abs(float(full.data))
+    scale = max(np.max(np.abs(g)) for g in expected.values())  # some entries are exactly 0
+    for name in names:
+        got = model.params[name].grad
+        assert np.max(np.abs(got - expected[name])) <= 1e-12 * scale, name
+
+
+def test_pools_inside_pools_start_no_process(world, monkeypatch):
+    """In a ForkPool worker available_cpus() is 1, so a meta_adapt there runs
+    both shards in that worker, starts no process of its own, and gives the
+    bits it gives in the caller (which starts a worker for them)."""
+    _, vocab, datasets = world
+    dlp = sorted(datasets)[0]
+    _on_cpus(monkeypatch, 3)
+
+    def adapt(item):
+        if item == 1:  # the pool's worker: starting a process fails the item
+            _forbid_workers(monkeypatch)
+        model = small_model(vocab, seed=2, dropout=0.1)
+        adapted, losses = meta_adapt(model, vocab, snapshot_params(model, model.adapter_names()),
+                                     dlp, datasets[dlp].adapt, OptimizerSettings(lr=1e-2),
+                                     batch_size=6, seed=1)
+        return available_cpus(), multiprocessing.active_children(), adapted, losses
+
+    with ForkPool(adapt, 1, "test") as pool:
+        (_, _, caller_values, caller_losses), (cpus, children, values, losses) = \
+            pool.map((), [0, 1])
+    assert (cpus, children) == (1, [])
+    assert losses == caller_losses
+    for name in values:
+        assert np.array_equal(values[name], caller_values[name]), name
 
 
 # --- baselines ---------------------------------------------------------------------------
