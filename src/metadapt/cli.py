@@ -269,7 +269,7 @@ def cmd_pretrain(config: dict) -> int:
     mc, ac = _model_configs(config, vocab)
     pre = config["pretrain"]
     out = _out_dir(config)
-    write_manifest(out, config, config["seed"])
+    write_manifest(out, config)
     model, losses = pretrain_backbone(
         registry, vocab, mc, ac,
         OptimizerSettings(lr=pre["lr"], weight_decay=pre["weight_decay"]),
@@ -309,7 +309,7 @@ def cmd_stage_one(config: dict, strategy: str) -> int:
     backbone = _load_backbone(config)
     datasets = role_datasets(registry, "meta_train", _caps(config))
     out = _out_dir(config)
-    write_manifest(out, config, config["seed"])
+    write_manifest(out, config)
     trained, logs = train_strategies([strategy], mc, ac, vocab, backbone, datasets,
                                      _meta_config(config))
     components = trained[strategy]
@@ -376,7 +376,7 @@ def cmd_adapt_evaluate(config: dict) -> int:
                                  backbone=backbone, trained=trained, budget=_budget(config),
                                  run_seed=config["seed"], max_len=config["eval"]["max_len"])
     out = _out_dir(config)
-    write_manifest(out, config, config["seed"])
+    write_manifest(out, config)
     write_records(records, out / "metrics.csv")
     for rec in records:
         print(f"{rec.dlp.key():30s} {rec.strategy:18s} BLEU {rec.bleu:6.2f} chrF {rec.chrf:6.2f}")
@@ -405,7 +405,7 @@ def cmd_sweep(config: dict) -> int:
                             backbone=backbone, meta_datasets=meta_datasets, heldout=heldout,
                             budget=_budget(config), max_len=config["eval"]["max_len"])
     out = _out_dir(config)
-    write_manifest(out, config, config["seed"])
+    write_manifest(out, config)
     write_sweep(rows, out / "sweep.csv")
     best = next(r for r in rows if r["best"])
     print(f"swept {len(rows)} grid points; best mean BLEU {best['mean_bleu']:.2f}")

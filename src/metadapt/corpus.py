@@ -43,7 +43,7 @@ import numpy as np
 
 from .checkpoint import atomic_write, read_json, read_text, write_json
 from .errors import ConfigError, DataIntegrityError, InputError
-from .forkpool import ForkPool, available_cpus
+from .forkpool import ForkPool
 from .rules import NAMES, Rule, check
 from .tasks import DlpDataset, DlpId, SentencePair
 
@@ -545,8 +545,7 @@ def generate_world(spec: SyntheticWorldSpec, out_dir: str | Path) -> Registry:
     jobs = [(d_idx, s_idx, t_idx) for d_idx in range(len(spec.domains))
             for s_idx in range(len(spec.languages))
             for t_idx in range(len(spec.languages)) if s_idx != t_idx]
-    with ForkPool(_write_dlp, min(len(jobs), available_cpus()) - 1,
-                  "generate_world: DLP") as pool:
+    with ForkPool(_write_dlp, len(jobs), "generate_world: DLP") as pool:
         results = pool.map((spec, models, root), jobs)
     token_counts: Counter = Counter()
     unigrams: dict[str, Counter] = {d: Counter() for d in spec.domains}

@@ -2,13 +2,15 @@
 
 `ForkPool` runs a function over a list of items on the calling process and
 on forked worker processes, item i on process i mod (workers + 1), the
-caller being process 0. `meta_train` runs the inner loops of each
-meta-batch through it, `generate_world` each DLP of the world, supervised
-training each batch's row shards and `grad_check` its coordinate chunks.
-Each item must give the same result wherever it runs, so the CPU count never
-changes an output; on one CPU no process is started. A worker counts as one
-CPU, so a pool opened inside a worker's item starts no process: its caller
-already keeps the other CPUs busy.
+caller being process 0. It is the one reader of the CPU count: a pool for
+at most `most` items per `map` call starts min(most, available CPUs) - 1
+workers. `meta_train` runs the inner loops of each meta-batch through it,
+`generate_world` each DLP of the world, supervised training each batch's row
+shards and `grad_check` its coordinate chunks. Each item must give the same
+result wherever it runs, so the CPU count never changes an output; on one
+CPU no process is started. A worker counts as one CPU, so a pool opened
+inside a worker's item starts no process: its caller already keeps the other
+CPUs busy.
 """
 
 from __future__ import annotations
@@ -59,28 +61,33 @@ def _serve(conn, fn, inherited) -> None:
 
 
 class ForkPool:
-    """Runs `fn(*common, item)` for the items of each `map` call on this
-    process and `workers` forked processes; `what` names the caller in the
-    error raised when a worker dies.
+    """Runs `fn(*common, item)` for the items of each `map` call, at most
+    `most` of them, on this process and min(most, available_cpus()) - 1
+    forked processes; `what` names the caller in the error raised when a
+    worker dies.
 
     Fork, not spawn: a worker must inherit `fn` (a closure, say), what it
     reads and any module global a caller has patched. Only `common`, the
     items and the results cross a pipe."""
 
-    def __init__(self, fn, workers: int, what: str):
+    def __init__(self, fn, most: int, what: str):
         self._fn = fn
         self._what = what
-        self._workers = []  # (process, this end of its pipe)
+        self._workers = []  # (started process, this end of its pipe)
+        ctx = multiprocessing.get_context("fork")
         try:
-            if workers > 0:
-                ctx = multiprocessing.get_context("fork")
-                for _ in range(workers):
-                    conn, child = ctx.Pipe()
-                    inherited = [c for _, c in self._workers] + [conn]
-                    proc = ctx.Process(target=_serve, args=(child, fn, inherited), daemon=True)
-                    self._workers.append((proc, conn))
+            for _ in range(min(most, available_cpus()) - 1):
+                conn, child = ctx.Pipe()
+                inherited = [c for _, c in self._workers] + [conn]
+                proc = ctx.Process(target=_serve, args=(child, fn, inherited), daemon=True)
+                try:
                     proc.start()
-                    child.close()
+                except BaseException:
+                    conn.close()
+                    raise
+                finally:
+                    child.close()  # the worker holds its own copy of this end
+                self._workers.append((proc, conn))
         except BaseException:
             self.close()
             raise
@@ -115,7 +122,7 @@ class ForkPool:
         return [done[i] for i, _ in jobs]
 
     def close(self) -> None:
-        """Close every pipe and end every worker."""
+        """Close every pipe, end every worker and release its resources."""
         for _, conn in self._workers:
             conn.close()
         for proc, _ in self._workers:
@@ -123,4 +130,5 @@ class ForkPool:
             if proc.is_alive():
                 proc.terminate()
                 proc.join()
+            proc.close()
         self._workers = []

@@ -8,7 +8,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericError
-from .forkpool import ForkPool, available_cpus
+from .forkpool import ForkPool
 from .tensor import Tape, Tensor, backward, no_grad, use_tape
 
 
@@ -92,7 +92,7 @@ def grad_check(
 
     coords = [(name, i) for name, p in params.items() for i in range(p.size)]
     chunks = [coords[lo : lo + PROBE_CHUNK] for lo in range(0, len(coords), PROBE_CHUNK)]
-    with ForkPool(probe, min(len(chunks), available_cpus()) - 1, "grad_check: probe") as pool:
+    with ForkPool(probe, len(chunks), "grad_check: probe") as pool:
         errors = [err for part in pool.map((), chunks) for err in part]
 
     worst = 0.0

@@ -474,22 +474,21 @@ def make_batch(pairs: list[SentencePair], vocab: Vocab, dlp: DlpId,
     rows are laid out by `_source_row`."""
     if not pairs:
         raise InputError("make_batch: empty pair list")
-    return _teacher_forced([(dlp, pair) for pair in pairs], vocab, with_domain_tag, ())
+    return _teacher_forced([(dlp, pair) for pair in pairs], vocab, with_domain_tag)
 
 
 def make_mixed_batch(rows: list[tuple[DlpId, SentencePair]], vocab: Vocab,
-                     with_domain_tag: bool = False,
-                     extra_prefix_ids: tuple[int, ...] = ()) -> Batch:
+                     with_domain_tag: bool = False) -> Batch:
     """Batch whose rows may come from different DLPs; tags are per row."""
     if not rows:
         raise InputError("make_mixed_batch: empty row list")
-    return _teacher_forced(rows, vocab, with_domain_tag, extra_prefix_ids)
+    return _teacher_forced(rows, vocab, with_domain_tag)
 
 
 def _teacher_forced(rows: list[tuple[DlpId, SentencePair]], vocab: Vocab,
-                    with_domain_tag: bool, extra_prefix_ids: tuple[int, ...]) -> Batch:
+                    with_domain_tag: bool) -> Batch:
     src_rows = [_source_row(vocab, src, d.src_lang, d.tgt_lang,
-                            d.domain if with_domain_tag else None, extra_prefix_ids)
+                            d.domain if with_domain_tag else None)
                 for d, (src, _) in rows]
     tgt_rows = [tokenize(tgt, vocab) for _, (_, tgt) in rows]
     src, src_mask = _pad_rows(src_rows, vocab.pad_id)
@@ -499,15 +498,12 @@ def _teacher_forced(rows: list[tuple[DlpId, SentencePair]], vocab: Vocab,
 
 
 def _source_row(vocab: Vocab, text: str, src_lang: str, tgt_lang: str,
-                domain: str | None = None, extra_prefix_ids: tuple[int, ...] = ()) -> list[int]:
-    """Token ids of one source sentence: [extra ids] [<dom:..>]? <lang:src>
-    <lang:tgt> tokens... <eos>. The explicit extra ids are a testing hook. The
-    source-language tag is required because content surface forms are shared
-    across languages, so the text alone does not identify its language. An
-    unknown tag is an InputError."""
-    prefix = list(extra_prefix_ids)
-    if domain is not None:
-        prefix.append(vocab.domain_tag(domain))
+                domain: str | None = None) -> list[int]:
+    """Token ids of one source sentence: [<dom:..>]? <lang:src> <lang:tgt>
+    tokens... <eos>. The source-language tag is required because content
+    surface forms are shared across languages, so the text alone does not
+    identify its language. An unknown tag is an InputError."""
+    prefix = [] if domain is None else [vocab.domain_tag(domain)]
     prefix += [vocab.lang_tag(src_lang), vocab.lang_tag(tgt_lang)]
     return prefix + tokenize(text, vocab) + [vocab.eos_id]
 

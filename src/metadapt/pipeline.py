@@ -256,8 +256,8 @@ def write_sweep(rows: list[dict], path: str | Path) -> None:
 # run manifests
 # ---------------------------------------------------------------------------
 
-def write_manifest(out_dir: str | Path, config: dict, seed: int) -> None:
+def write_manifest(out_dir: str | Path, config: dict) -> None:
     from . import __version__
 
     write_json(Path(out_dir) / "manifest.json",
-               {"config": config, "seed": seed, "code_version": __version__})
+               {"config": config, "seed": config["seed"], "code_version": __version__})

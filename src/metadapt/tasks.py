@@ -51,15 +51,6 @@ class DlpDataset:
         return len(self.train)
 
 
-def dlp_count(d: int, l: int) -> int:
-    """Number of tasks over d domains and l languages: d * l * (l - 1)."""
-    if d < 1:
-        raise InputError("dlp_count: need at least one domain")
-    if l < 2:
-        raise InputError("dlp_count: need at least two languages")
-    return d * l * (l - 1)
-
-
 def compute_shares(sizes: list[int]) -> list[float]:
     """Per-DLP dataset share: size_i / sum(sizes)."""
     if any(s < 0 for s in sizes):

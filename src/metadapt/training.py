@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import Vocab
 from .errors import InputError, NumericError, StateError
-from .forkpool import ForkPool, available_cpus
+from .forkpool import ForkPool
 from .model import (
     AdapterConfig,
     Batch,
@@ -50,6 +50,9 @@ from .tasks import DlpDataset, DlpId, SamplingPlan, SentencePair, build_episode,
 #: Meta-training stops once the pooled per-epoch query loss has not improved
 #: for this many epochs.
 EARLY_STOP_PATIENCE = 3
+
+#: Rows per batch of every supervised stage one (`train_stage_one`).
+STAGE_ONE_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -180,15 +183,14 @@ def _finite(value: float, step: int) -> float:
 
 class _Shards:
     """One supervised run's row shards: shard s of every batch runs on
-    process s mod P of the ForkPool that `run` is mapped through, P being
-    min(SHARDS, available CPUs). Every trainable value goes out to the
-    workers, and every shard's gradient comes back, through one anonymous
-    shared mmap made before the fork: row 0 holds the values, row 1 + s
-    shard s's gradient. Only row indices, and each shard's loss and
-    gold-token count, cross a pipe."""
+    process s mod P of the ForkPool for SHARDS items that `run` is mapped
+    through. Every trainable value goes out to the workers, and every
+    shard's gradient comes back, through one anonymous shared mmap made
+    before the fork: row 0 holds the values, row 1 + s shard s's gradient.
+    Only row indices, and each shard's loss and gold-token count, cross a
+    pipe."""
 
     def __init__(self, model: TranslationModel, trainable: list[str], make):
-        self.workers = min(SHARDS, available_cpus()) - 1
         self._model = model
         self._make = make
         self._params = {n: model.params[n] for n in trainable}
@@ -239,10 +241,10 @@ class _Shards:
         """The loss of the batch of `rows`, with its gradient left in each
         trainable parameter's grad: the shards' gradients weighted by their
         share of the gold tokens, summed in shard order. `key` is (seed,
-        stream, epoch, step)."""
-        if self.workers:
-            for name, value in self._rows[0].items():
-                value[...] = self._params[name].data
+        stream, epoch, step). The values row is written on any process count:
+        on one CPU nothing reads it, but the copy costs under 1 % of a step."""
+        for name, value in self._rows[0].items():
+            value[...] = self._params[name].data
         jobs = [(s, part) for s, part in enumerate(np.array_split(rows, SHARDS)) if part.size]
         results = pool.map((key,), jobs)
         gold = sum(count for _, count in results)
@@ -266,7 +268,7 @@ def _train_epochs(model: TranslationModel, n_rows: int, make, settings: Optimize
     model.set_trainable(trainable)
     shards = _Shards(model, trainable, make)
     losses: list[float] = []
-    with ForkPool(shards.run, shards.workers, "supervised training: shard") as pool:
+    with ForkPool(shards.run, SHARDS, "supervised training: shard") as pool:
         for epoch in range(epochs):
             remaining = None if max_steps is None else max_steps - len(losses)
             if remaining is not None and remaining <= 0:
@@ -382,8 +384,7 @@ def meta_train(model: TranslationModel, vocab: Vocab, datasets: dict[DlpId, DlpD
     # workers inherit the model, vocabulary and datasets; each task starts
     # from the `shared` it is sent, with its own rng stream and optimizer,
     # and nothing outside `shared` changes while the pool is open
-    with ForkPool(run_task, min(cfg.m, available_cpus()) - 1,
-                  "meta_train: inner-loop") as inner_loops:
+    with ForkPool(run_task, cfg.m, "meta_train: inner-loop") as inner_loops:
         for epoch in range(cfg.epochs):
             epoch_losses: list[float] = []
             for _ in range(per_epoch):
@@ -456,8 +457,7 @@ def pooled_rows(datasets: dict[DlpId, DlpDataset]) -> list[tuple[DlpId, Sentence
 def supervised_train(model: TranslationModel, vocab: Vocab,
                      rows: list[tuple[DlpId, SentencePair]], settings: OptimizerSettings,
                      epochs: int, batch_size: int, seed: int, trainable: list[str],
-                     with_domain_tag: bool = False, max_steps: int | None = None,
-                     extra_prefix_ids: tuple[int, ...] = ()) -> list[float]:
+                     with_domain_tag: bool = False, max_steps: int | None = None) -> list[float]:
     """Plain mixed-batch training over pooled rows (used by the FT and
     agnostic-adapter baselines)."""
     if not rows:
@@ -465,15 +465,14 @@ def supervised_train(model: TranslationModel, vocab: Vocab,
 
     def make(indices) -> Batch:
         return make_mixed_batch([rows[i] for i in indices], vocab,
-                                with_domain_tag=with_domain_tag,
-                                extra_prefix_ids=extra_prefix_ids)
+                                with_domain_tag=with_domain_tag)
 
     return _train_epochs(model, len(rows), make, settings, epochs, batch_size, max_steps,
                          seed, 31, trainable)
 
 
 def train_stage_one(strategy: str, model: TranslationModel, vocab: Vocab,
-                    datasets: dict[DlpId, DlpDataset], cfg: MetaConfig, batch_size: int = 16,
+                    datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
                     max_steps: int | None = None) -> tuple[Components, list[dict]]:
     """Stage one of a `STRATEGIES` entry on `model`, built with the entry's
     adapter groups over the backbone: returns the artifact's components and
@@ -483,22 +482,22 @@ def train_stage_one(strategy: str, model: TranslationModel, vocab: Vocab,
     if setup is None or setup.stage_one is None:
         raise InputError(f"train_stage_one: no stage one for strategy {strategy!r}")
     if setup.stage_one == "stack":
-        return _train_stack_adapter(model, vocab, datasets, cfg, batch_size, max_steps), []
+        return _train_stack_adapter(model, vocab, datasets, cfg, max_steps), []
     trainable = setup.trains(model)
     if not trainable:
         raise StateError(f"{strategy} needs an adapter-equipped model")
     if setup.stage_one == "meta":
         snapshot, log = meta_train(model, vocab, datasets, cfg, trainable=trainable)
         return {setup.component: snapshot.tensors}, log
-    supervised_train(model, vocab, pooled_rows(datasets), cfg.inner, cfg.epochs, batch_size,
-                     cfg.seed, trainable, with_domain_tag=setup.with_domain_tag,
+    supervised_train(model, vocab, pooled_rows(datasets), cfg.inner, cfg.epochs,
+                     STAGE_ONE_BATCH, cfg.seed, trainable, with_domain_tag=setup.with_domain_tag,
                      max_steps=max_steps)
     return {setup.component: snapshot_params(model, trainable)}, []
 
 
 def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
                          datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
-                         batch_size: int, max_steps: int | None) -> Components:
+                         max_steps: int | None) -> Components:
     lang_pairs = sorted({(d.src_lang, d.tgt_lang) for d in datasets})
     domains = sorted({d.domain for d in datasets})
     components: Components = {}
@@ -508,7 +507,7 @@ def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
             remove_adapter_group(model, group)
         add_adapter_group(model, "stack", seed=comp_seed)
         supervised_train(model, vocab, pooled_rows(subset), cfg.inner, cfg.epochs,
-                         batch_size, cfg.seed, model.adapter_names("stack"),
+                         STAGE_ONE_BATCH, cfg.seed, model.adapter_names("stack"),
                          max_steps=max_steps)
         components[name] = read_adapter_group(model, "stack")
 

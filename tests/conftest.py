@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +26,11 @@ def no_child_process_left():
     if left:
         pytest.fail(f"left {len(left)} child process(es) running: "
                     f"{', '.join(str(p.pid) for p in left)}")
+
+
+def on_cpus(monkeypatch, count):
+    """Make `count` CPUs available to this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def tiny_world_spec(seed: int = 0, **overrides) -> SyntheticWorldSpec:

@@ -1,7 +1,6 @@
 import dataclasses
 import hashlib
 import multiprocessing
-import os
 from collections import Counter
 from multiprocessing.context import ForkProcess
 from pathlib import Path
@@ -40,7 +39,7 @@ from metadapt.corpus import (
 from metadapt.errors import ConfigError, DataIntegrityError
 from metadapt.tasks import DlpId
 
-from conftest import tiny_world_spec
+from conftest import on_cpus, tiny_world_spec
 
 
 def _tree_bytes(root: Path) -> dict[str, bytes]:
@@ -439,10 +438,6 @@ def test_write_dlp_counts_equal_a_recount_of_its_files(tmp_path):
 
 # --- world generation across processes ------------------------------------------------
 
-def _on_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def _count_starts(monkeypatch, allowed: bool) -> list:
     """Record each started process; on one CPU, forbid starting any."""
     started = []
@@ -464,7 +459,7 @@ def test_world_same_bytes_on_any_cpu_count(tmp_path, monkeypatch):
     trees = []
     for cpus in (1, 3):
         with monkeypatch.context() as patch:
-            _on_cpus(patch, cpus)
+            on_cpus(patch, cpus)
             started = _count_starts(patch, allowed=cpus > 1)
             generate_world(tiny_world_spec(seed=3), tmp_path / str(cpus))
         assert len(started) == cpus - 1
@@ -480,7 +475,7 @@ def test_world_raises_the_first_failing_dlp_on_any_cpu_count(tmp_path, monkeypat
     messages = []
     for cpus in (1, 3):
         with monkeypatch.context() as patch:
-            _on_cpus(patch, cpus)
+            on_cpus(patch, cpus)
             _count_starts(patch, allowed=cpus > 1)
             with pytest.raises(ConfigError) as caught:
                 generate_world(spec, tmp_path / str(cpus))

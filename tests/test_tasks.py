@@ -13,7 +13,6 @@ from metadapt.tasks import (
     SamplingPlan,
     build_episode,
     compute_shares,
-    dlp_count,
     sample_dlps,
     sampling_probs,
 )
@@ -26,25 +25,6 @@ def _ids(k):
 def _plan(sizes, tau):
     data = {i: s for i, s in zip(_ids(len(sizes)), sizes)}
     return SamplingPlan.build(data, tau)
-
-
-# --- dlp_count ---------------------------------------------------------------
-
-def test_dlp_count_paper_scale():
-    assert dlp_count(6, 6) == 180
-
-
-def test_dlp_count_two_directions():
-    assert dlp_count(1, 2) == 2
-
-
-def test_dlp_count_arithmetic():
-    assert dlp_count(10, 16) == 10 * 16 * 15
-
-
-def test_dlp_count_rejects_single_language():
-    with pytest.raises(InputError):
-        dlp_count(3, 1)
 
 
 # --- shares ------------------------------------------------------------------

@@ -41,6 +41,8 @@ from metadapt.training import (
     train_stage_one,
 )
 
+from conftest import on_cpus
+
 
 @pytest.fixture(scope="module")
 def world(tiny_registry):
@@ -248,10 +250,6 @@ def test_meta_train_early_stops_after_three_stale_epochs(world, monkeypatch):
 
 # --- inner loops across processes ------------------------------------------------------
 
-def _on_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def _forbid_workers(monkeypatch):
     def start(self):
         raise AssertionError("a process was started on one CPU")
@@ -274,7 +272,7 @@ def test_meta_train_same_bits_on_any_cpu_count(world, monkeypatch, strategy):
     runs = []
     for cpus in (1, 3):
         with monkeypatch.context() as patch:
-            _on_cpus(patch, cpus)
+            on_cpus(patch, cpus)
             if cpus == 1:
                 _forbid_workers(patch)
             model = small_model(vocab, seed=4, dropout=0.1, groups=setup.adapter_groups)
@@ -309,7 +307,7 @@ def _failing_inner_adapt(monkeypatch, raise_in):
 def test_meta_train_worker_error_reaches_caller(world, monkeypatch):
     _, vocab, datasets = world
     caller = os.getpid()
-    _on_cpus(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     _failing_inner_adapt(monkeypatch, lambda pid: pid != caller)
     with pytest.raises(NumericError, match="^training diverged on task "):
         meta_train(small_model(vocab), vocab, datasets, small_cfg(m=2))
@@ -324,7 +322,7 @@ def test_meta_train_raises_the_first_failing_task_on_any_cpu_count(world, monkey
     first = f"training diverged on task {inner_stream(cfg.seed, 0, 0).integers(1 << 30)}"
     _failing_inner_adapt(monkeypatch, lambda pid: True)
     for cpus in (1, 3):
-        _on_cpus(monkeypatch, cpus)
+        on_cpus(monkeypatch, cpus)
         with pytest.raises(NumericError) as caught:
             meta_train(small_model(vocab), vocab, datasets, cfg)
         assert str(caught.value) == first, cpus
@@ -340,7 +338,7 @@ def test_meta_train_worker_death_is_a_state_error(world, monkeypatch):
             os._exit(3)
         return real(*args, **kwargs)
 
-    _on_cpus(monkeypatch, 2)
+    on_cpus(monkeypatch, 2)
     monkeypatch.setattr(training, "inner_adapt", inner_adapt)
     with pytest.raises(StateError, match="inner-loop worker .* exited"):
         meta_train(small_model(vocab), vocab, datasets, small_cfg(m=2))
@@ -441,7 +439,7 @@ def test_step_budget_builds_only_the_batches_it_trains_on(world, monkeypatch):
         return meta_adapt(model, vocab, start, dlp, adapt, settings, epochs=epochs,
                           batch_size=4, seed=2, max_steps=max_steps)[1]
 
-    _on_cpus(monkeypatch, 1)  # every shard's batch is built in this process
+    on_cpus(monkeypatch, 1)  # every shard's batch is built in this process
     for run, builder, per_epoch in ((pretrain, "make_mixed_batch", len(rows) // 8),
                                     (adapt_run, "make_batch", len(adapt) // 4)):
         builds = _count_calls(monkeypatch, builder)
@@ -480,7 +478,7 @@ def test_supervised_training_same_bits_on_any_cpu_count(tiny_registry, world, mo
     runs = []
     for cpus in (1, 3):
         with monkeypatch.context() as patch:
-            _on_cpus(patch, cpus)
+            on_cpus(patch, cpus)
             if cpus == 1:
                 _forbid_workers(patch)
             runs.append(_pretrain_and_adapt(tiny_registry, vocab, datasets))
@@ -514,9 +512,9 @@ def test_sharded_gradient_equals_full_batch_gradient(world, monkeypatch):
     expected = {name: model.params[name].grad.copy() for name in names}
     for p in model.params.values():
         p.zero_grad()
-    _on_cpus(monkeypatch, 3)
+    on_cpus(monkeypatch, 3)
     shards = training._Shards(model, names, make)
-    with ForkPool(shards.run, shards.workers, "test") as pool:
+    with ForkPool(shards.run, training.SHARDS, "test") as pool:
         loss = shards.step(pool, (0, 31, 0, 0), np.arange(len(rows)))
     assert abs(loss - float(full.data)) <= 1e-12 * abs(float(full.data))
     scale = max(np.max(np.abs(g)) for g in expected.values())  # some entries are exactly 0
@@ -531,7 +529,7 @@ def test_pools_inside_pools_start_no_process(world, monkeypatch):
     bits it gives in the caller (which starts a worker for them)."""
     _, vocab, datasets = world
     dlp = sorted(datasets)[0]
-    _on_cpus(monkeypatch, 3)
+    on_cpus(monkeypatch, 3)
 
     def adapt(item):
         if item == 1:  # the pool's worker: starting a process fails the item
@@ -542,7 +540,7 @@ def test_pools_inside_pools_start_no_process(world, monkeypatch):
                                      batch_size=6, seed=1)
         return available_cpus(), multiprocessing.active_children(), adapted, losses
 
-    with ForkPool(adapt, 1, "test") as pool:
+    with ForkPool(adapt, 2, "test") as pool:
         (_, _, caller_values, caller_losses), (cpus, children, values, losses) = \
             pool.map((), [0, 1])
     assert (cpus, children) == (1, [])
@@ -591,9 +589,10 @@ def test_full_model_meta_trains_everything(world):
 
 
 def test_tag_collapse_equivalence(world):
-    """On a single-domain registry every domain tag is one constant token, so
-    tag fine-tuning must coincide with plain fine-tuning fed that same
-    constant prefix."""
+    """tag_ft's stage one is plain fine-tuning of every parameter over the
+    pooled rows with the domain tag prepended: on a single-domain registry,
+    where that tag is one constant token, it gives the bits of
+    supervised_train with with_domain_tag=True."""
     registry, vocab, datasets = world
     domain = next(iter(datasets)).domain
     single = {d: ds for d, ds in datasets.items() if d.domain == domain}
@@ -606,7 +605,7 @@ def test_tag_collapse_equivalence(world):
     from metadapt.training import pooled_rows
     supervised_train(model_b, vocab, pooled_rows(single), cfg.inner, cfg.epochs,
                      batch_size=16, seed=cfg.seed, trainable=list(model_b.params),
-                     extra_prefix_ids=(vocab.domain_tag(domain),), max_steps=4)
+                     with_domain_tag=True, max_steps=4)
     for name in model_a.params:
         assert np.array_equal(model_a.params[name].data, model_b.params[name].data)
 
