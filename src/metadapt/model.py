@@ -434,17 +434,6 @@ def get_adapter_params(model: TranslationModel) -> dict[str, np.ndarray]:
     return snapshot_params(model, model.adapter_names())
 
 
-def set_adapter_params(model: TranslationModel, snapshot: dict[str, np.ndarray]) -> None:
-    """Write a snapshot back into the model; backbone untouched. Exact layout
-    match required."""
-    if set(snapshot) != set(model.adapter_names()):
-        raise StateError("set_adapter_params: snapshot layout does not match the model")
-    for name, value in snapshot.items():
-        if value.shape != model.params[name].data.shape:
-            raise StateError(f"set_adapter_params: shape mismatch for '{name}'")
-    restore_params(model, snapshot)
-
-
 def read_adapter_group(model: TranslationModel, group: str) -> dict[str, np.ndarray]:
     """Copy of one adapter group's tensors, keyed group-agnostically as
     "<side>/<layer>/<param>", so any group of the same model config can load

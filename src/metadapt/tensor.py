@@ -82,7 +82,9 @@ class Tensor:
 
     Tensors constructed with requires_grad=True (parameters) get a zero grad
     buffer immediately, so an unreachable parameter reads as zero gradient
-    after backward(). Op outputs allocate grads lazily during backward.
+    after backward(). Op outputs allocate grads lazily during backward, and
+    backward() drops each one again once the op's own backward has read it,
+    so after backward() only leaves hold a gradient.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_bwd")
@@ -419,10 +421,12 @@ def mean(a) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor reachable from `loss`.
+    """Populate grads of every requires_grad leaf reachable from `loss`.
 
-    Walks the active tape once in reverse. May be called once per tape; a
-    second call without a tape reset is a StateError.
+    Walks the active tape once in reverse. Each op output's grad is set to
+    None as soon as its op's backward has run: every consumer of a node is
+    recorded after it, so nothing adds to that gradient later. May be called
+    once per tape; a second call without a tape reset is a StateError.
     """
     if loss.data.size != 1:
         raise InputError("backward: loss must be a scalar")
@@ -435,4 +439,5 @@ def backward(loss: Tensor) -> None:
         if node.grad is None or node._bwd is None:
             continue
         node._bwd(node.grad)
+        node.grad = None
     tape.consumed = True

@@ -8,14 +8,14 @@ runs each meta-batch's loops on up to min(m, available CPUs) processes, and
 the result is the same bit for bit on any count. Supervised training
 (`supervised_train`, `meta_adapt`) cuts each batch into SHARDS fixed row
 shards with their own rng streams and runs them on up to
-min(SHARDS, available CPUs) processes, again with the same bits on any count.
+min(SHARDS, available CPUs) processes, which also split the optimizer step
+between them, again with the same bits on any count.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Literal
@@ -182,24 +182,37 @@ def _finite(value: float, step: int) -> float:
 
 
 class _Shards:
-    """One supervised run's row shards: shard s of every batch runs on
-    process s mod P of the ForkPool for SHARDS items that `run` is mapped
-    through. Every trainable value goes out to the workers, and every
-    shard's gradient comes back, through one anonymous shared mmap made
-    before the fork: row 0 holds the values, row 1 + s shard s's gradient.
-    Only row indices, and each shard's loss and gold-token count, cross a
-    pipe."""
+    """One supervised run's row shards and its partitioned update, on the
+    ForkPool that `run` is mapped through: shard s of every batch runs on
+    process s mod P, and so does update part h, for SHARDS items each. Every
+    trainable value, and every shard's gradient, lives in one anonymous
+    shared mmap made before the fork: row 0 holds the values, row 1 + s
+    shard s's gradient. Part h, a span of about 1/SHARDS of the values that
+    splits no parameter, is stepped by its own AdamW on its process alone,
+    in place in row 0 (ZeRO stage 1, Rajbhandari et al., arXiv:1910.02054).
+    Only row indices, each shard's loss and gold-token count, and the shard
+    weights cross a pipe."""
 
-    def __init__(self, model: TranslationModel, trainable: list[str], make):
+    def __init__(self, model: TranslationModel, trainable: list[str], make,
+                 settings: OptimizerSettings):
         self._model = model
         self._make = make
+        self._settings = settings
         self._params = {n: model.params[n] for n in trainable}
         total = sum(p.size for p in self._params.values())
         self._buf = np.frombuffer(mmap.mmap(-1, max(8, 8 * (SHARDS + 1) * total)),
                                   dtype=np.float64, count=(SHARDS + 1) * total
                                   ).reshape(SHARDS + 1, total)
         self._rows = [self._split(row) for row in self._buf]
-        self._caller = os.getpid()
+        for name, value in self._rows[0].items():
+            value[...] = self._params[name].data
+        # part h spans the parameters whose first value lies in
+        # [h, h + 1) * total / SHARDS
+        starts = np.cumsum([0] + [p.size for p in self._params.values()])[:-1]
+        cuts = [next((int(at) for at in starts if SHARDS * at >= h * total), total)
+                for h in range(SHARDS)] + [total]
+        self._parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        self._opts: dict[int, AdamW] = {}  # this process's parts' optimizers
         # Each process holds its last shard's graph until its next forward
         # has run: freeing it earlier lets glibc trim the heap after every
         # shard and fault the pages back in on the next (README).
@@ -213,12 +226,17 @@ class _Shards:
             lo += p.size
         return views
 
-    def run(self, key: tuple[int, ...], job) -> tuple[float, float]:
-        """Loss and gold-token count of one shard, job = (shard, rows); its
-        gradient goes to the shard's row of the buffer."""
-        shard, rows = job
-        if os.getpid() != self._caller:  # the caller's parameters are the values
-            restore_params(self._model, self._rows[0])
+    def run(self, key: tuple[int, ...], weights, item):
+        """One item of the step `key`, (seed, stream, epoch, step). With no
+        `weights`, item = (shard, rows): that shard's loss and gold-token
+        count, with its gradient in the shard's row. Else item = part h:
+        its update, with `weights` the (shard, weight) pairs."""
+        if weights is None:
+            return self._shard(key, *item)
+        self._update(key[3], weights, item)
+
+    def _shard(self, key: tuple[int, ...], shard: int, rows: np.ndarray) -> tuple[float, float]:
+        self.restore()
         batch = self._make(rows)
         # backward accumulates into each grad in place, so pointing every
         # grad at the shard's row of the buffer writes the gradient there
@@ -237,22 +255,38 @@ class _Shards:
         self._held = loss
         return float(loss.data), float(batch.gold_mask.sum())
 
-    def step(self, pool: ForkPool, key: tuple[int, ...], rows: np.ndarray) -> float:
-        """The loss of the batch of `rows`, with its gradient left in each
-        trainable parameter's grad: the shards' gradients weighted by their
-        share of the gold tokens, summed in shard order. `key` is (seed,
-        stream, epoch, step). The values row is written on any process count:
-        on one CPU nothing reads it, but the copy costs under 1 % of a step."""
-        for name, value in self._rows[0].items():
-            value[...] = self._params[name].data
+    def _update(self, step: int, weights: list[tuple[int, float]], part: int) -> None:
+        """Part `part` of the weighted gradient, the shards' gradients
+        weighted by their share of the gold tokens and summed in shard
+        order, and one step of the part's AdamW, fresh each epoch, over its
+        span of row 0 as one flat tensor."""
+        span = self._parts[part]
+        if step == 0:
+            self._opts[part] = AdamW({"values": T.Tensor(self._buf[0, span], requires_grad=True)},
+                                     self._settings)
+        opt = self._opts[part]
+        opt.params["values"].grad = sum(w * self._buf[1 + s, span] for s, w in weights)
+        opt.step()
+
+    def gradients(self, pool: ForkPool, key: tuple[int, ...],
+                  rows: np.ndarray) -> tuple[float, list[tuple[int, float]]]:
+        """The loss of the batch of `rows`, the shards' losses weighted by
+        their share of the gold tokens, and those (shard, weight) pairs, in
+        shard order; each shard's gradient is left in its row."""
         jobs = [(s, part) for s, part in enumerate(np.array_split(rows, SHARDS)) if part.size]
-        results = pool.map((key,), jobs)
+        results = pool.map((key, None), jobs)
         gold = sum(count for _, count in results)
-        weights = [count / gold for _, count in results]
-        grad = sum(w * self._buf[1 + s] for w, (s, _) in zip(weights, jobs))
-        for name, value in self._split(grad).items():
-            self._params[name].grad[...] = value
-        return sum(w * loss for w, (loss, _) in zip(weights, results))
+        weights = [(s, count / gold) for (s, _), (_, count) in zip(jobs, results)]
+        return sum(w * loss for (_, w), (loss, _) in zip(weights, results)), weights
+
+    def update(self, pool: ForkPool, key: tuple[int, ...],
+               weights: list[tuple[int, float]]) -> None:
+        """One AdamW step of every part, each on its own process."""
+        pool.map((key, weights), range(SHARDS))
+
+    def restore(self) -> None:
+        """Copy the values row into the model's parameters."""
+        restore_params(self._model, self._rows[0])
 
 
 def _train_epochs(model: TranslationModel, n_rows: int, make, settings: OptimizerSettings,
@@ -261,12 +295,13 @@ def _train_epochs(model: TranslationModel, n_rows: int, make, settings: Optimize
     """Epochs of one optimizer step per batch over a seeded permutation of
     n_rows rows; `make(indices)` builds the batch of those rows. Epoch e's
     permutation is the first draw of SeedSequence([seed, stream, e]); each
-    batch's gradient comes from its _Shards, and each epoch starts a fresh
-    AdamW. No epoch starts once the max_steps budget is spent."""
+    batch's gradient and update run on its _Shards, whose update parts start
+    a fresh AdamW every epoch. No epoch starts once the max_steps budget is
+    spent; the model holds the trained values when this returns."""
     if batch_size < 1:
         raise InputError(f"batch_size must be at least 1, got {batch_size}")
     model.set_trainable(trainable)
-    shards = _Shards(model, trainable, make)
+    shards = _Shards(model, trainable, make, settings)
     losses: list[float] = []
     with ForkPool(shards.run, SHARDS, "supervised training: shard") as pool:
         for epoch in range(epochs):
@@ -275,11 +310,12 @@ def _train_epochs(model: TranslationModel, n_rows: int, make, settings: Optimize
                 break
             order = np.random.default_rng(np.random.SeedSequence([seed, stream, epoch])
                                           ).permutation(n_rows)
-            opt = AdamW({n: model.params[n] for n in trainable}, settings)
             for step, lo in enumerate(range(0, n_rows, batch_size)[:remaining]):
                 key = (seed, stream, epoch, step)
-                losses.append(_finite(shards.step(pool, key, order[lo : lo + batch_size]), step))
-                opt.step()
+                loss, weights = shards.gradients(pool, key, order[lo : lo + batch_size])
+                losses.append(_finite(loss, step))
+                shards.update(pool, key, weights)
+    shards.restore()
     return losses
 
 

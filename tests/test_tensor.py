@@ -306,8 +306,28 @@ def test_op_output_gradient_keeps_the_data_layout():
     x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     y = T.swapaxes(x, 1, 2)
+    handed = []
+    bwd = y._bwd
+    y._bwd = lambda g: (handed.append(g.strides), bwd(g))
     T.backward(T.tensor_sum(T.matmul(y, w)))
-    assert y.grad.strides == y.data.strides
+    assert handed == [y.data.strides]
+
+
+def test_backward_releases_op_output_gradients_and_keeps_leaf_gradients():
+    """Once backward has run, no op output holds a gradient (the loss's
+    included), and every leaf that requires one keeps it."""
+    rng = np.random.default_rng(3)
+    x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(2,)), requires_grad=True)
+    h = T.relu(T.matmul(x, w) + b)
+    loss = T.mean(T.mul(h, h))
+    nodes = list(T.active_tape().nodes)
+    assert loss in nodes and len(nodes) == 6
+    T.backward(loss)
+    assert [node.grad for node in nodes] == [None] * len(nodes)
+    for leaf in (x, w, b):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape and leaf.grad.any()
 
 
 def test_only_the_tensor_constructor_rebinds_data():

@@ -20,7 +20,6 @@ from metadapt.model import (
     forward_loss,
     make_batch,
     make_mixed_batch,
-    set_adapter_params,
 )
 from metadapt.optim import AdamW, OptimizerSettings
 from metadapt.training import (
@@ -513,14 +512,88 @@ def test_sharded_gradient_equals_full_batch_gradient(world, monkeypatch):
     for p in model.params.values():
         p.zero_grad()
     on_cpus(monkeypatch, 3)
-    shards = training._Shards(model, names, make)
+    shards = training._Shards(model, names, make, OptimizerSettings())
     with ForkPool(shards.run, training.SHARDS, "test") as pool:
-        loss = shards.step(pool, (0, 31, 0, 0), np.arange(len(rows)))
+        loss, weights = shards.gradients(pool, (0, 31, 0, 0), np.arange(len(rows)))
+    assert [s for s, _ in weights] == list(range(training.SHARDS))
     assert abs(loss - float(full.data)) <= 1e-12 * abs(float(full.data))
+    got = shards._split(sum(w * shards._buf[1 + s] for s, w in weights))
     scale = max(np.max(np.abs(g)) for g in expected.values())  # some entries are exactly 0
     for name in names:
-        got = model.params[name].grad
-        assert np.max(np.abs(got - expected[name])) <= 1e-12 * scale, name
+        assert np.max(np.abs(got[name] - expected[name])) <= 1e-12 * scale, name
+
+
+def _reference_training(model, make, settings, n_rows, batch_size, steps, seed, stream,
+                        trainable):
+    """The step before the update was partitioned, in one process: every
+    shard's gradient, their gold-token-weighted sum in shard order in each
+    parameter's grad, then one AdamW over the whole trainable set, fresh
+    each epoch. Returns the losses."""
+    model.set_trainable(trainable)
+    params = {n: model.params[n] for n in trainable}
+    losses = []
+    epoch = 0
+    while len(losses) < steps:
+        order = np.random.default_rng(np.random.SeedSequence([seed, stream, epoch])
+                                      ).permutation(n_rows)
+        opt = AdamW(params, settings)
+        for step, lo in enumerate(range(0, n_rows, batch_size)[: steps - len(losses)]):
+            shard_grads, results = [], []
+            for s, rows in enumerate(np.array_split(order[lo : lo + batch_size], training.SHARDS)):
+                if not rows.size:
+                    continue
+                batch = make(rows)
+                for p in params.values():
+                    p.zero_grad()
+                with T.use_tape(T.Tape()):
+                    loss = forward_loss(model, batch, train=True,
+                                        rng=training.shard_stream(seed, stream, epoch, step, s))
+                    T.backward(loss)
+                shard_grads.append({n: p.grad.copy() for n, p in params.items()})
+                results.append((float(loss.data), float(batch.gold_mask.sum())))
+            gold = sum(count for _, count in results)
+            weights = [count / gold for _, count in results]
+            for name, p in params.items():
+                p.grad[...] = sum(w * g[name] for w, g in zip(weights, shard_grads))
+            losses.append(sum(w * loss for w, (loss, _) in zip(weights, results)))
+            opt.step()
+        epoch += 1
+    return losses
+
+
+@pytest.mark.parametrize("which", ["all", "adapters", "one"])
+def test_partitioned_update_equals_whole_set_adamw(world, monkeypatch, which):
+    """Seven steps, into a third epoch of three batches (4, 4 and 1 rows, so
+    the last batch's second shard is empty), with dropout and weight decay, give
+    byte for byte the losses and values of one whole-set AdamW per epoch over
+    the weighted gradient, on 1 and 3 CPUs; a one-tensor trainable set
+    leaves the second update part empty."""
+    _, vocab, datasets = world
+    rows = [(dlp, pair) for dlp in sorted(datasets) for pair in datasets[dlp].train[:5]][:9]
+    settings = OptimizerSettings(lr=1e-2, weight_decay=0.1)
+
+    def trainable(model):
+        return {"all": list(model.params), "adapters": model.adapter_names(),
+                "one": ["dec/ln_f/g"]}[which]
+
+    def make(indices):
+        return make_mixed_batch([rows[i] for i in indices], vocab)
+
+    reference = small_model(vocab, seed=7, dropout=0.1)
+    ref_losses = _reference_training(reference, make, settings, len(rows), 4, 7, 9, 31,
+                                     trainable(reference))
+    assert len(rows) % 4 == 1 and len(ref_losses) == 7
+    parts = training._Shards(reference, trainable(reference), make, settings)._parts
+    assert [part.start for part in parts[1:]] == [part.stop for part in parts[:-1]]
+    assert (parts[-1].start == parts[-1].stop) == (which == "one")
+    for cpus in (1, 3):
+        with monkeypatch.context() as patch:
+            on_cpus(patch, cpus)
+            model = small_model(vocab, seed=7, dropout=0.1)
+            losses = supervised_train(model, vocab, rows, settings, epochs=3, batch_size=4,
+                                      seed=9, trainable=trainable(model), max_steps=7)
+        assert np.array(losses).tobytes() == np.array(ref_losses).tobytes(), cpus
+        assert _bitwise(model) == _bitwise(reference), cpus
 
 
 def test_pools_inside_pools_start_no_process(world, monkeypatch):
@@ -679,15 +752,14 @@ def test_parameter_snapshots_have_one_owner():
     assert training.snapshot_params is model_module.snapshot_params
 
 
-@pytest.mark.parametrize("write", [restore_params, set_adapter_params])
-def test_parameter_writes_are_in_place_and_all_or_nothing(world, write):
+def test_parameter_writes_are_in_place_and_all_or_nothing(world):
     """A write copies into each parameter's own array; a map whose unknown
     name or wrong shape comes after a valid entry writes nothing."""
     _, vocab, _ = world
     model = small_model(vocab, seed=2)
     arrays = {name: p.data for name, p in model.params.items()}
     values = {name: model.params[name].data + 1.0 for name in model.adapter_names()}
-    write(model, values)
+    restore_params(model, values)
     for name, p in model.params.items():
         assert p.data is arrays[name], name
     for name, value in values.items():
@@ -699,7 +771,7 @@ def test_parameter_writes_are_in_place_and_all_or_nothing(world, write):
     for bad in ({**shifted, last: np.zeros(model.params[last].shape + (1,))},
                 {**shifted, "enc/0/adapter/main/unknown": np.zeros(3)}):
         with pytest.raises(StateError):
-            write(model, bad)
+            restore_params(model, bad)
         assert _bitwise(model) == before
     for name, p in model.params.items():
         assert p.data is arrays[name], name
