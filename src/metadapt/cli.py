@@ -386,6 +386,9 @@ def cmd_adapt_evaluate(config: dict) -> int:
 def cmd_evaluate_files(hyp_path: str, ref_path: str) -> int:
     hyps = checkpoint.read_text(hyp_path).splitlines()
     refs = checkpoint.read_text(ref_path).splitlines()
+    if len(hyps) != len(refs) or not hyps:  # line i is scored against line i
+        raise DataIntegrityError(f"{hyp_path} has {len(hyps)} lines and {ref_path} has "
+                                 f"{len(refs)}; scoring needs the same count, at least 1")
     print(f"BLEU {corpus_bleu(hyps, refs):.2f}")
     print(f"chrF {chrf(hyps, refs):.2f}")
     return 0

@@ -452,9 +452,18 @@ class RegistryRow:
 
 @dataclass
 class Registry:
+    """Every DLP of `spec`'s grid (each domain with each ordered pair of
+    distinct languages), one row each in sorted DLP order, in the role and
+    with the split sizes the spec gives it; `root` holds the split files."""
+
     root: Path
     spec: SyntheticWorldSpec
-    rows: list[RegistryRow]
+    rows: list[RegistryRow] = field(init=False)
+
+    def __post_init__(self):
+        grid = (DlpId(d, s, t) for d in self.spec.domains for s in self.spec.languages
+                for t in self.spec.languages if s != t)
+        self.rows = [_registry_row(self.spec, dlp) for dlp in sorted(grid)]
 
     def by_role(self, role: str) -> list[RegistryRow]:
         return [r for r in self.rows if r.role == role]
@@ -476,17 +485,23 @@ def _dlp_role(spec: SyntheticWorldSpec, dlp: DlpId) -> str:
     return "meta_train"
 
 
-def _write_dlp(spec: SyntheticWorldSpec, models: dict[str, _DomainModel], root: Path,
-               job: tuple[int, int, int]) -> tuple[RegistryRow, Counter, Counter]:
-    """Draw one DLP's distinct sentences from its own rng stream and write its
-    four split files; returns its registry row, the token counts of both
-    sides and the latent unigram counts."""
-    d_idx, s_idx, t_idx = job
-    dlp = DlpId(spec.domains[d_idx], spec.languages[s_idx], spec.languages[t_idx])
+def _registry_row(spec: SyntheticWorldSpec, dlp: DlpId) -> RegistryRow:
     sizes = {"train": spec.train_size, "adapt": spec.adapt_size,
              "valid": spec.valid_size, "test": spec.test_size}
     if dlp.domain == spec.pretrain_domain and spec.pretrain_train_size is not None:
         sizes["train"] = spec.pretrain_train_size
+    return RegistryRow(dlp=dlp, role=_dlp_role(spec, dlp), sizes=sizes)
+
+
+def _write_dlp(spec: SyntheticWorldSpec, models: dict[str, _DomainModel], root: Path,
+               job: tuple[int, int, int]) -> tuple[Counter, Counter]:
+    """Draw one DLP's distinct sentences from its own rng stream and write its
+    four split files; returns the token counts of both sides and the latent
+    unigram counts."""
+    d_idx, s_idx, t_idx = job
+    row = _registry_row(spec, DlpId(spec.domains[d_idx], spec.languages[s_idx],
+                                    spec.languages[t_idx]))
+    dlp, sizes = row.dlp, row.sizes
     total = sum(sizes.values())
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 7, d_idx, s_idx, t_idx]))
     latents: list[list[str]] = []
@@ -513,7 +528,6 @@ def _write_dlp(spec: SyntheticWorldSpec, models: dict[str, _DomainModel], root: 
                            for latent in latents])
     if len(pairs) != total:
         raise DataIntegrityError(f"generate_world: filters dropped pairs in {dlp.key()}")
-    row = RegistryRow(dlp=dlp, role=_dlp_role(spec, dlp), sizes=sizes)
     row.path(root, SPLITS[0]).parent.mkdir(parents=True, exist_ok=True)
     offset = 0
     for split in SPLITS:
@@ -526,15 +540,16 @@ def _write_dlp(spec: SyntheticWorldSpec, models: dict[str, _DomainModel], root: 
     for t, c in latent_counts.items():
         tokens[src[t]] += c
         tokens[tgt[t]] += c
-    return row, tokens, latent_counts
+    return tokens, latent_counts
 
 
 def generate_world(spec: SyntheticWorldSpec, out_dir: str | Path) -> Registry:
-    """Write the full corpus tree, registry manifest, vocab, and world spec.
+    """Write the full corpus tree, registry manifest, vocab, and world spec;
+    returns the spec's registry.
 
     Deterministic: the same spec produces a byte-identical tree, on any
     number of CPUs. Each DLP is one job with its own rng stream, run on up
-    to min(DLPs, available CPUs) processes; the results are merged in DLP
+    to min(DLPs, available CPUs) processes; the counts are merged in job
     order, so the first failing DLP's error is the one raised. Raises
     ConfigError when the generated domain unigram distributions are closer
     than the configured minimum pairwise total-variation distance.
@@ -549,15 +564,15 @@ def generate_world(spec: SyntheticWorldSpec, out_dir: str | Path) -> Registry:
         results = pool.map((spec, models, root), jobs)
     token_counts: Counter = Counter()
     unigrams: dict[str, Counter] = {d: Counter() for d in spec.domains}
-    for row, tokens, latent_counts in results:
+    for (d_idx, _, _), (tokens, latent_counts) in zip(jobs, results):
         token_counts.update(tokens)
-        unigrams[row.dlp.domain].update(latent_counts)
+        unigrams[spec.domains[d_idx]].update(latent_counts)
 
     _assert_domain_separation(spec, unigrams)
     vocab = Vocab.build(token_counts, list(spec.languages), list(spec.domains))
     vocab.save(root / "vocab.json")
     write_json(root / "world.json", asdict(spec))
-    registry = Registry(root=root, spec=spec, rows=[row for row, _, _ in results])
+    registry = Registry(root=root, spec=spec)
     _write_manifest(registry)
     return registry
 
@@ -584,8 +599,10 @@ MANIFEST_COLUMNS = ["domain", "src_lang", "tgt_lang", "role",
 
 
 def _write_manifest(registry: Registry) -> None:
+    """registry.tsv, an index of the rows for readers; the program reads
+    world.json instead."""
     lines = ["\t".join(MANIFEST_COLUMNS)]
-    for row in sorted(registry.rows, key=lambda r: r.dlp):
+    for row in registry.rows:
         rel = {s: row.path(Path("."), s).as_posix() for s in SPLITS}
         lines.append("\t".join([
             row.dlp.domain, row.dlp.src_lang, row.dlp.tgt_lang, row.role,
@@ -598,50 +615,19 @@ def _write_manifest(registry: Registry) -> None:
 
 
 def load_registry(root: str | Path) -> Registry:
+    """The registry of the corpus under `root`, from its world.json alone."""
     root = Path(root)
-    manifest = root / "registry.tsv"
-    if not manifest.exists():
-        raise FileNotFoundError(f"registry manifest not found: {manifest}")
     try:
         spec = SyntheticWorldSpec.from_json(root / "world.json")
     except ConfigError as exc:  # JSON, but not the spec generate_world wrote
         raise DataIntegrityError(f"{root / 'world.json'}: not a world spec ({exc})") from exc
-    text = read_text(manifest)
-    if not text.endswith("\n"):  # _write_manifest ends every file with one
-        raise DataIntegrityError(f"{manifest}: truncated (no newline at the end)")
-    lines = text.strip().split("\n")
-    if lines[0].split("\t") != MANIFEST_COLUMNS:
-        raise DataIntegrityError("registry.tsv: unexpected column order")
-    # every DLP of the spec's grid once, in the role the spec gives it: a row
-    # that says otherwise would move data between training and scoring
-    unlisted = {(d, s, t): DlpId(d, s, t) for d in spec.domains for s in spec.languages
-                for t in spec.languages if s != t}
-    rows = []
-    for number, line in enumerate(lines[1:], start=2):
-        cells = line.split("\t")
-        if len(cells) != len(MANIFEST_COLUMNS) or not all(c.isdecimal() for c in cells[8:]):
-            raise DataIntegrityError(f"{manifest}: malformed row on line {number}")
-        dlp = unlisted.pop(tuple(cells[:3]), None)
-        if dlp is None:
-            raise DataIntegrityError(f"{manifest}: line {number} lists {cells[0]}/{cells[1]}-"
-                                     f"{cells[2]}, not a DLP of world.json or listed twice")
-        role = _dlp_role(spec, dlp)
-        if cells[3] != role:
-            raise DataIntegrityError(f"{manifest}: line {number} gives {dlp.key()} the role "
-                                     f"{cells[3]!r}; world.json gives it {role!r}")
-        sizes = {s: int(cells[8 + i]) for i, s in enumerate(SPLITS)}
-        rows.append(RegistryRow(dlp=dlp, role=role, sizes=sizes))
-    if unlisted:
-        raise DataIntegrityError(f"{manifest}: lists {len(rows)} of the "
-                                 f"{len(rows) + len(unlisted)} DLPs of world.json; "
-                                 f"{min(unlisted.values()).key()} has no line")
-    return Registry(root=root, spec=spec, rows=rows)
+    return Registry(root=root, spec=spec)
 
 
 def load_dlp_dataset(registry: Registry, dlp: DlpId, caps: dict[str, int] | None = None) -> DlpDataset:
     """Load one DLP's splits, check each split's line count against the
-    registry, enforce caps (head-of-file truncation), and assert pairwise
-    cross-split disjointness."""
+    size world.json gives it, enforce caps (head-of-file truncation), and
+    assert pairwise cross-split disjointness."""
     row = registry.row(dlp)
     splits: dict[str, list[SentencePair]] = {}
     for split in SPLITS:
@@ -651,7 +637,7 @@ def load_dlp_dataset(registry: Registry, dlp: DlpId, caps: dict[str, int] | None
         lines = read_text(path).splitlines()
         if len(lines) != row.sizes[split]:
             raise DataIntegrityError(
-                f"{path}: {len(lines)} lines, registry.tsv lists {row.sizes[split]}")
+                f"{path}: {len(lines)} lines, world.json gives {row.sizes[split]}")
         pairs: list[SentencePair] = []
         for line in lines:
             src, _, tgt = line.partition("\t")

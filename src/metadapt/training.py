@@ -213,6 +213,7 @@ class _Shards:
                 for h in range(SHARDS)] + [total]
         self._parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         self._opts: dict[int, AdamW] = {}  # this process's parts' optimizers
+        self._restored = None  # the step whose row 0 this process last copied
         # Each process holds its last shard's graph until its next forward
         # has run: freeing it earlier lets glibc trim the heap after every
         # shard and fault the pages back in on the next (README).
@@ -236,7 +237,9 @@ class _Shards:
         self._update(key[3], weights, item)
 
     def _shard(self, key: tuple[int, ...], shard: int, rows: np.ndarray) -> tuple[float, float]:
-        self.restore()
+        if key != self._restored:  # row 0 changes only in the updates between steps
+            self.restore()
+            self._restored = key
         batch = self._make(rows)
         # backward accumulates into each grad in place, so pointing every
         # grad at the shard's row of the buffer writes the gradient there
@@ -279,11 +282,6 @@ class _Shards:
         weights = [(s, count / gold) for (s, _), (_, count) in zip(jobs, results)]
         return sum(w * loss for (_, w), (loss, _) in zip(weights, results)), weights
 
-    def update(self, pool: ForkPool, key: tuple[int, ...],
-               weights: list[tuple[int, float]]) -> None:
-        """One AdamW step of every part, each on its own process."""
-        pool.map((key, weights), range(SHARDS))
-
     def restore(self) -> None:
         """Copy the values row into the model's parameters."""
         restore_params(self._model, self._rows[0])
@@ -314,7 +312,7 @@ def _train_epochs(model: TranslationModel, n_rows: int, make, settings: Optimize
                 key = (seed, stream, epoch, step)
                 loss, weights = shards.gradients(pool, key, order[lo : lo + batch_size])
                 losses.append(_finite(loss, step))
-                shards.update(pool, key, weights)
+                pool.map((key, weights), range(SHARDS))  # every update part
     shards.restore()
     return losses
 

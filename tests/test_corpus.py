@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import multiprocessing
+import shutil
 from collections import Counter
 from multiprocessing.context import ForkProcess
 from pathlib import Path
@@ -22,6 +23,7 @@ from metadapt.corpus import (
     _is_punct_token,
     _latent_sentence,
     _pattern,
+    _registry_row,
     _reorder,
     _rotation,
     _surface_table,
@@ -203,9 +205,35 @@ def test_caps_truncate_head_of_file(tiny_registry):
 
 
 def test_registry_round_trip(tiny_registry):
-    reloaded = load_registry(tiny_registry.root)
-    assert [(r.dlp, r.role) for r in sorted(reloaded.rows, key=lambda r: r.dlp)] == \
-           [(r.dlp, r.role) for r in sorted(tiny_registry.rows, key=lambda r: r.dlp)]
+    """load_registry gives the rows generate_world returned, and registry.tsv,
+    written for readers, lists exactly those rows: each DLP in its role, with
+    its split paths and sizes, in the same (sorted) order."""
+    root = tiny_registry.root
+    reloaded = load_registry(root)
+    assert reloaded.rows == tiny_registry.rows
+    assert [r.dlp for r in reloaded.rows] == sorted(r.dlp for r in reloaded.rows)
+    header, *lines = (root / "registry.tsv").read_text(encoding="utf-8").splitlines()
+    assert header.split("\t") == ["domain", "src_lang", "tgt_lang", "role",
+                                  "train_path", "adapt_path", "valid_path", "test_path",
+                                  "train_size", "adapt_size", "valid_size", "test_size"]
+    assert len(lines) == len(reloaded.rows)
+    for line, row in zip(lines, reloaded.rows):
+        cells = line.split("\t")
+        assert DlpId(*cells[:3]) == row.dlp and cells[3] == row.role
+        for i, split in enumerate(("train", "adapt", "valid", "test")):
+            assert root / cells[4 + i] == row.path(root, split)
+            assert int(cells[8 + i]) == row.sizes[split]
+
+
+def test_corpus_without_registry_tsv_loads_the_same_registry(tiny_registry, tmp_path):
+    """The program reads world.json, never registry.tsv."""
+    root = tmp_path / "copy"
+    shutil.copytree(tiny_registry.root, root)
+    (root / "registry.tsv").unlink()
+    reloaded = load_registry(root)
+    assert reloaded.spec == tiny_registry.spec and reloaded.rows == tiny_registry.rows
+    row = reloaded.row(DlpId("gears", "apa", "bel"))
+    assert load_dlp_dataset(reloaded, row.dlp) == load_dlp_dataset(tiny_registry, row.dlp)
 
 
 def test_registry_roles(tiny_registry):
@@ -308,7 +336,7 @@ def test_split_line_count_differing_from_registry_raises(tmp_path):
     row = reg.rows[0]
     path = row.path(reg.root, "valid")
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-    with pytest.raises(DataIntegrityError, match="registry.tsv lists"):
+    with pytest.raises(DataIntegrityError, match="world.json gives"):
         load_dlp_dataset(reg, row.dlp)
 
 
@@ -426,7 +454,10 @@ def test_write_dlp_counts_equal_a_recount_of_its_files(tmp_path):
     spec = tiny_world_spec(seed=4)
     models = _domain_models(spec)
     for job in [(0, 0, 1), (1, 1, 0), (2, 2, 1), (1, 0, 2)]:
-        row, tokens, latent_counts = _write_dlp(spec, models, tmp_path, job)
+        tokens, latent_counts = _write_dlp(spec, models, tmp_path, job)
+        d_idx, s_idx, t_idx = job
+        row = _registry_row(spec, DlpId(spec.domains[d_idx], spec.languages[s_idx],
+                                        spec.languages[t_idx]))
         surface, latent = Counter(), Counter()
         for split in ("train", "adapt", "valid", "test"):
             for line in row.path(tmp_path, split).read_text(encoding="utf-8").splitlines():

@@ -115,6 +115,21 @@ def test_cli_evaluate_identity_scores_100(tmp_path, capsys):
     assert "BLEU 100.00" in out and "chrF 100.00" in out
 
 
+@pytest.mark.parametrize("hyps, refs", [("a b c\nd e\n", "a b c\n"), ("", "a b c\n"), ("", "")],
+                         ids=["2-vs-1-lines", "0-vs-1-lines", "both-empty"])
+def test_cli_evaluate_files_of_other_line_counts_exit_3(tmp_path, capsys, hyps, refs):
+    """Scoring pairs line i of --hyp-file with line i of --ref-file, so the
+    two must hold the same number of lines, at least one: a data error
+    naming both files, not a config error."""
+    hyp, ref = tmp_path / "hyp.txt", tmp_path / "ref.txt"
+    hyp.write_text(hyps, encoding="utf-8")
+    ref.write_text(refs, encoding="utf-8")
+    assert run(["evaluate", "--hyp-file", str(hyp), "--ref-file", str(ref)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(hyp) in err and str(ref) in err
+    assert err.count("\n") == 1
+
+
 def test_cli_smoke_config_end_to_end_within_budget(tmp_path, monkeypatch):
     """The checked-in smoke config (3 domains x 3 languages, 200/50/50/50
     splits) must complete gen-corpus through report inside a 10-minute
@@ -261,12 +276,11 @@ def test_cli_unknown_eval_strategy_exit_2(tmp_path, capsys):
     assert "expected a list of strategy names" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, cut", [("registry.tsv", 20), ("world.json", None),
-                                       ("vocab.json", None)])
+@pytest.mark.parametrize("name, cut", [("world.json", None), ("vocab.json", None)])
 def test_cli_damaged_corpus_file_exit_3(tmp_path, capsys, name, cut):
     """The corpus tree is written in place, so an interrupted gen-corpus
-    leaves a cut file: registry.tsv short by its last bytes, or world.json or
-    vocab.json that is no longer JSON (cut in half)."""
+    leaves a cut file: world.json or vocab.json that is no longer JSON (cut
+    in half)."""
     cfg = _smoke_config(tmp_path)
     assert run(["gen-corpus", "--config", str(cfg)]) == 0
     path = tmp_path / "corpus" / name
@@ -278,17 +292,12 @@ def test_cli_damaged_corpus_file_exit_3(tmp_path, capsys, name, cut):
     assert err.startswith("data error: ") and name in err and err.count("\n") == 1
 
 
-def test_cli_registry_cut_inside_last_number_exit_3(tmp_path, capsys):
-    """Cut by 2 bytes, registry.tsv still parses: its last size, the test
-    split's 12, loses a digit and the file its final newline."""
+def test_cli_pretrain_on_a_missing_corpus_exit_3(tmp_path, capsys):
+    """No gen-corpus run: the first file pretrain reads is world.json."""
     cfg = _smoke_config(tmp_path)
-    assert run(["gen-corpus", "--config", str(cfg), "--set", "world.test_size=12"]) == 0
-    path = tmp_path / "corpus" / "registry.tsv"
-    path.write_bytes(path.read_bytes()[:-2])
-    capsys.readouterr()
     assert run(["pretrain", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "registry.tsv" in err and err.count("\n") == 1
+    assert err.startswith("data error: ") and "world.json" in err and err.count("\n") == 1
 
 
 def test_cli_world_json_not_a_spec_exit_3(tmp_path, capsys):
@@ -300,36 +309,6 @@ def test_cli_world_json_not_a_spec_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "world.json: not a world spec" in err
     assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("edit", ["heldout", "bogus", "same languages", "dropped", "twice"])
-def test_cli_registry_row_other_than_the_world_spec_exit_3(tmp_path, capsys, edit):
-    """registry.tsv must list each DLP of world.json once, in the role the spec
-    gives it: the gears/apa-bel row given another role (a meta-training DLP
-    marked held out would be scored after training on it, and an unknown role
-    would drop it from every stage), made a same-language pair, dropped, or
-    listed twice."""
-    cfg = _smoke_config(tmp_path)
-    assert run(["gen-corpus", "--config", str(cfg)]) == 0
-    path = tmp_path / "corpus" / "registry.tsv"
-    lines = path.read_text(encoding="utf-8").split("\n")
-    i = next(i for i, line in enumerate(lines) if line.startswith("gears\tapa\tbel\tmeta_train\t"))
-    if edit == "dropped":
-        del lines[i]
-    elif edit == "twice":
-        lines.insert(i, lines[i])
-    else:
-        cells = lines[i].split("\t")
-        if edit == "same languages":
-            cells[1] = "bel"
-        else:
-            cells[3] = edit
-        lines[i] = "\t".join(cells)
-    path.write_text("\n".join(lines), encoding="utf-8")
-    capsys.readouterr()
-    assert run(["pretrain", "--config", str(cfg)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "registry.tsv: " in err and err.count("\n") == 1
 
 
 def _report_run(tmp_path) -> Path:
@@ -441,7 +420,7 @@ def _copy_of(smoke_run: Path, tmp_path: Path) -> list[str]:
 
 
 @pytest.mark.parametrize("name, command", [
-    ("corpus/registry.tsv", ["pretrain"]),
+    ("ref.txt", ["evaluate"]),
     ("corpus/general/apa-bel/train.tsv", ["pretrain"]),
     ("corpus/world.json", ["pretrain"]),
     ("corpus/vocab.json", ["pretrain"]),
@@ -454,13 +433,14 @@ def _copy_of(smoke_run: Path, tmp_path: Path) -> list[str]:
 ])
 def test_cli_non_utf8_artifact_exit_3(smoke_run, tmp_path, capsys, name, command):
     args = _copy_of(smoke_run, tmp_path)
-    (tmp_path / "hyp.txt").write_text("a b c\n", encoding="utf-8")
+    for text in ("hyp.txt", "ref.txt"):
+        (tmp_path / text).write_text("a b c\n", encoding="utf-8")
     path = tmp_path / name
     path.write_bytes(b"\xff" + path.read_bytes())
     if command == ["report"]:
         args = ["--runs", str(tmp_path / "run"), "--out", str(tmp_path / "report")]
     elif command == ["evaluate"]:
-        args = ["--hyp-file", str(path), "--ref-file", str(path)]
+        args = ["--hyp-file", str(tmp_path / "hyp.txt"), "--ref-file", str(tmp_path / "ref.txt")]
     capsys.readouterr()
     assert run(command[:1] + args + command[1:]) == 3
     err = capsys.readouterr().err

@@ -451,6 +451,23 @@ def test_step_budget_builds_only_the_batches_it_trains_on(world, monkeypatch):
         assert cut == full[:budget]
 
 
+def test_one_cpu_copies_the_values_row_once_per_step(world, monkeypatch):
+    """On one CPU both shards of a step run in the caller, which copies row 0
+    into its parameters before the step's first shard only, and once more
+    when the run ends: N steps, across an epoch boundary, make N + 1 copies."""
+    _, vocab, datasets = world
+    dlp = sorted(datasets)[0]
+    rows = [(dlp, pair) for pair in datasets[dlp].train]
+    on_cpus(monkeypatch, 1)
+    restores = _count_calls(monkeypatch, "restore_params")
+    model = small_model(vocab, seed=3)
+    losses = supervised_train(model, vocab, rows, OptimizerSettings(lr=1e-3), epochs=2,
+                              batch_size=8, seed=2, trainable=model.adapter_names(),
+                              max_steps=len(rows) // 8 + 2)
+    assert len(losses) == len(rows) // 8 + 2
+    assert len(restores) == len(losses) + 1
+
+
 # --- sharded supervised steps --------------------------------------------------------------
 
 def _pretrain_and_adapt(tiny_registry, vocab, datasets):
