@@ -276,10 +276,10 @@ def cmd_pretrain(config: dict) -> int:
         epochs=pre["epochs"], batch_size=pre["batch_size"], seed=config["seed"],
         caps=_caps(config), max_steps=pre["max_steps"])
     checkpoint.save_params(out / "backbone.ckpt", {n: model.params[n].data for n in model.params})
-    part = model.partition()
     checkpoint.write_json(out / "backbone.json", {
         "model": config["model"], "adapter": config["adapter"],
-        "partition": {"backbone": sorted(part.backbone), "adapters": sorted(part.adapters)},
+        "partition": {"backbone": sorted(model.backbone_names()),
+                      "adapters": sorted(model.adapter_names())},
         "backbone_checksum": model.backbone_checksum()})
     checkpoint.write_jsonl(out / "pretrain_log.jsonl",
                            ({"step": i, "loss": v} for i, v in enumerate(losses)))
@@ -443,6 +443,8 @@ def cmd_report(run_dirs: list[str], reference: str, out_dir: str) -> int:
                         raise DataIntegrityError(f"report: {log_path}: line {number} is not a "
                                                  f"record with a step and a loss: {line}")
                     logs.append({"run": Path(run).name, "log": log_name, "step": step, "loss": loss})
+    if not records:
+        raise DataIntegrityError("report: the metrics files hold no records")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(aggregate(records, "domain", reference), out / "table_by_domain.csv")

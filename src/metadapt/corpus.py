@@ -420,7 +420,10 @@ class Vocab:
     def load(cls, path: str | Path) -> "Vocab":
         raw = read_json(path)
         try:
-            return cls(raw["tokens"], raw["languages"], raw["domains"])
+            lists = [raw[key] for key in ("tokens", "languages", "domains")]
+            if not all(isinstance(v, list) and all(isinstance(x, str) for x in v) for v in lists):
+                raise TypeError("tokens, languages and domains must be lists of strings")
+            return cls(*lists)
         except (KeyError, TypeError) as exc:
             raise DataIntegrityError(f"{path}: not a vocabulary file ({exc!r})") from exc
 

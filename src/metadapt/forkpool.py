@@ -8,9 +8,9 @@ workers. `meta_train` runs the inner loops of each meta-batch through it,
 `generate_world` each DLP of the world, supervised training each batch's row
 shards and `grad_check` its coordinate chunks. Each item must give the same
 result wherever it runs, so the CPU count never changes an output; on one
-CPU no process is started. A worker counts as one CPU, so a pool opened
-inside a worker's item starts no process: its caller already keeps the other
-CPUs busy.
+CPU no process is started. Every item counts as one CPU, on a worker and on
+the caller alike, so a pool opened inside an item starts no process: the
+pool that runs the item already keeps the other CPUs busy.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import signal
 from .errors import StateError
 
 
-#: Set in a worker when it starts: available_cpus() is then 1 there.
+#: Set in a worker when it starts, and in the caller while it runs its own
+#: items: available_cpus() is then 1 there.
 _IN_WORKER = False
 
 
 def available_cpus() -> int:
-    """CPUs this process may fill: one inside a ForkPool worker."""
+    """CPUs this process may fill: one inside an item a ForkPool runs."""
     if _IN_WORKER:
         return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -101,6 +102,7 @@ class ForkPool:
     def map(self, common: tuple, items) -> list:
         """Each item's result, in item order. When items fail, the first
         failure in item order is raised, as in a serial loop."""
+        global _IN_WORKER
         jobs = list(enumerate(items))
         stride = len(self._workers) + 1
         for w, (_, conn) in enumerate(self._workers, start=1):
@@ -108,7 +110,11 @@ class ForkPool:
                 conn.send((common, jobs[w::stride]))
             except OSError:  # the worker is gone; reading its reply below says so
                 pass
-        done, failed = _run_items(self._fn, common, jobs[::stride])
+        was, _IN_WORKER = _IN_WORKER, True
+        try:
+            done, failed = _run_items(self._fn, common, jobs[::stride])
+        finally:
+            _IN_WORKER = was
         for proc, conn in self._workers:
             try:
                 their_done, their_failed = conn.recv()

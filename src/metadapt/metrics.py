@@ -173,7 +173,7 @@ def write_records(records: list[MetricsRecord], path: str | Path) -> None:
 
 def read_records(path: str | Path) -> list[MetricsRecord]:
     """Records of a metrics file; wrong columns or a value that does not
-    parse are a DataIntegrityError naming the file."""
+    parse, such as an invalid DLP, are a DataIntegrityError naming the file."""
     out = []
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     if reader.fieldnames != RECORD_COLUMNS:
@@ -191,7 +191,7 @@ def read_records(path: str | Path) -> list[MetricsRecord]:
                 wall_time=float(row["wall_time"]),
                 note=row["note"],
             ))
-        except (TypeError, ValueError) as exc:  # a short row reads None
+        except (TypeError, ValueError, InputError) as exc:  # a short row reads None
             raise DataIntegrityError(
                 f"{path}: bad value on line {reader.line_num} ({exc})") from exc
     return out
@@ -265,8 +265,9 @@ def write_report(table: ReportTable, path: str | Path) -> None:
 # efficiency accounting
 # ---------------------------------------------------------------------------
 
-def count_trainable(model, adapter_sets: int | None = None) -> tuple[int, float]:
-    """Trainable-parameter count and its share of the total parameter count.
+def count_trainable(model, names: list[str], adapter_sets: int | None = None) -> tuple[int, float]:
+    """Size of the trained parameters `names` and its share of the total
+    parameter count.
 
     With `adapter_sets`, the count is that many adapter sets the size of one
     of the model's adapter groups (the stacked-adapter strategy trains one
@@ -277,5 +278,5 @@ def count_trainable(model, adapter_sets: int | None = None) -> tuple[int, float]
         per_set = model.param_count(model.adapter_names()) // max(len(model.adapter_groups), 1)
         count = adapter_sets * per_set
         return count, count / (model.param_count(model.backbone_names()) + count)
-    count = model.param_count(model.trainable_names())
+    count = model.param_count(names)
     return count, count / model.param_count()

@@ -73,12 +73,6 @@ class AdapterConfig:
                               f"{model_dim}, got {self.bottleneck_dim}")
 
 
-@dataclass(frozen=True)
-class ParamPartition:
-    backbone: tuple[str, ...]
-    adapters: tuple[str, ...]
-
-
 @dataclass
 class Batch:
     """Teacher-forced batch. Sources start with their control tag tokens and
@@ -130,10 +124,6 @@ class TranslationModel:
 
     # -- partition ----------------------------------------------------------
 
-    def partition(self) -> ParamPartition:
-        return ParamPartition(backbone=tuple(self.backbone_names()),
-                              adapters=tuple(self.adapter_names()))
-
     def backbone_names(self) -> list[str]:
         return [n for n in self.params if "/adapter/" not in n]
 
@@ -146,9 +136,6 @@ class TranslationModel:
         wanted = set(names)
         for name, p in self.params.items():
             p.set_requires_grad(name in wanted)
-
-    def trainable_names(self) -> list[str]:
-        return [n for n, p in self.params.items() if p.requires_grad]
 
     def backbone_checksum(self) -> str:
         return backbone_checksum({n: self.params[n].data for n in self.backbone_names()})

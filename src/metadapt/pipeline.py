@@ -185,13 +185,13 @@ def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
     elif setup.stage_one is not None:
         restore_params(model, trained[strategy][setup.component])
     trainable = setup.trains(model)
+    counts = None
     if trainable:
         meta_adapt(model, vocab, snapshot_params(model, trainable), dlp, dataset.adapt,
                    budget.settings, epochs=budget.epochs, batch_size=budget.batch_size,
                    seed=run_seed, with_domain_tag=setup.with_domain_tag,
                    max_steps=budget.max_steps)
-    model.set_trainable(trainable)
-    counts = count_trainable(model, adapter_sets) if trainable else None
+        counts = count_trainable(model, trainable, adapter_sets)
     return evaluate_dlp(model, vocab, dlp, dataset.test, strategy, max_len,
                         with_domain_tag=setup.with_domain_tag, counts=counts,
                         wall_time=time.perf_counter() - t0, note=setup.note)

@@ -6,8 +6,8 @@ state is not). All rng streams are derived from (seed, meta-batch, task), so
 runs are reproducible and the inner loops are order-independent: meta_train
 runs each meta-batch's loops on up to min(m, available CPUs) processes, and
 the result is the same bit for bit on any count. Supervised training
-(`supervised_train`, `meta_adapt`) cuts each batch into SHARDS fixed row
-shards with their own rng streams and runs them on up to
+(`supervised_train`, which `meta_adapt` calls too) cuts each batch into
+SHARDS fixed row shards with their own rng streams and runs them on up to
 min(SHARDS, available CPUs) processes, which also split the optimizer step
 between them, again with the same bits on any count.
 """
@@ -18,7 +18,7 @@ import math
 import mmap
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -101,45 +101,46 @@ STRATEGY_RANDOM_ADAPTER = "random_adapter"
 
 @dataclass(frozen=True)
 class StrategySetup:
-    """What both stages know of one strategy. Each stage builds its model
-    with `adapter_groups` over the pretrained backbone. `stage_one` says how
-    stage one trains `trains(model)` on the meta-training registry: not at
-    all (None), the Reptile loop ("meta"), pooled mixed-batch training
-    ("supervised"), or one adapter per language pair and one per domain
-    ("stack"). It stores the result as the artifact's `component` (a stacked
-    artifact has one component per adapter it trained), and every record
-    carries `note`. Stage two starts from that artifact and fine-tunes
-    `trains(model)` under the shared budget; with an empty set the model is
-    scored as is, and the pretrained backbone counts as fully trained once.
-    The domain tag is prepended in both stages when `with_domain_tag`."""
+    """What both stages know of one strategy. `component` says what it
+    trains, `trains(model)`: the adapters ("adapter"), every parameter
+    ("model") or nothing (""); it also names stage one's artifact. Each
+    stage builds its model with `adapter_groups` over the pretrained
+    backbone. `stage_one` says how stage one trains that set on the
+    meta-training registry: not at all (None), the Reptile loop ("meta"),
+    pooled mixed-batch training ("supervised"), or one adapter per language
+    pair and one per domain ("stack", an artifact of one component per
+    adapter it trained), and every record carries `note`. Stage two starts
+    from that artifact and fine-tunes `trains(model)` under the shared
+    budget; with an empty set the model is scored as is, and the pretrained
+    backbone counts as fully trained once. The domain tag is prepended in
+    both stages when `with_domain_tag`."""
 
-    adapter_groups: tuple[str, ...]
-    trains: Callable[[TranslationModel], list[str]]
+    component: Literal["adapter", "model", ""]
     stage_one: Literal["meta", "supervised", "stack"] | None = None
     with_domain_tag: bool = False
-    component: str = ""
     note: str = ""
 
+    @property
+    def adapter_groups(self) -> tuple[str, ...]:
+        return ("main",) if self.component == "adapter" and self.stage_one != "stack" else ()
 
-def _all_params(model: TranslationModel) -> list[str]:
-    return list(model.params)
+    def trains(self, model: TranslationModel) -> list[str]:
+        if self.component == "model":
+            return list(model.params)
+        return model.adapter_names() if self.component == "adapter" else []
 
 
 STRATEGIES: dict[str, StrategySetup] = {
-    STRATEGY_BACKBONE: StrategySetup((), lambda model: []),
-    STRATEGY_META_ADAPTER: StrategySetup(("main",), TranslationModel.adapter_names, "meta",
-                                         component="adapter"),
-    STRATEGY_RANDOM_ADAPTER: StrategySetup(("main",), TranslationModel.adapter_names),
-    "agnostic_adapter": StrategySetup(("main",), TranslationModel.adapter_names, "supervised",
-                                      component="adapter"),
-    "full_ft": StrategySetup((), _all_params, "supervised", component="model"),
-    "tag_ft": StrategySetup((), _all_params, "supervised", with_domain_tag=True,
-                            component="model"),
-    "full_model_meta": StrategySetup((), _all_params, "meta", component="model",
+    STRATEGY_BACKBONE: StrategySetup(""),
+    STRATEGY_META_ADAPTER: StrategySetup("adapter", "meta"),
+    STRATEGY_RANDOM_ADAPTER: StrategySetup("adapter"),
+    "agnostic_adapter": StrategySetup("adapter", "supervised"),
+    "full_ft": StrategySetup("model", "supervised"),
+    "tag_ft": StrategySetup("model", "supervised", with_domain_tag=True),
+    "full_model_meta": StrategySetup("model", "meta",
                                      note="first-order meta-learning over all parameters"),
     "stack_adapter": StrategySetup(
-        (), TranslationModel.adapter_names, "stack",
-        note="language-pair adapter then domain adapter, stacked in sequence"),
+        "adapter", "stack", note="language-pair adapter then domain adapter, stacked in sequence"),
 }
 
 
@@ -287,17 +288,28 @@ class _Shards:
         restore_params(self._model, self._rows[0])
 
 
-def _train_epochs(model: TranslationModel, n_rows: int, make, settings: OptimizerSettings,
-                  epochs: int, batch_size: int, max_steps: int | None, seed: int,
-                  stream: int, trainable: list[str]) -> list[float]:
-    """Epochs of one optimizer step per batch over a seeded permutation of
-    n_rows rows; `make(indices)` builds the batch of those rows. Epoch e's
-    permutation is the first draw of SeedSequence([seed, stream, e]); each
-    batch's gradient and update run on its _Shards, whose update parts start
-    a fresh AdamW every epoch. No epoch starts once the max_steps budget is
-    spent; the model holds the trained values when this returns."""
+def supervised_train(model: TranslationModel, vocab: Vocab,
+                     rows: list[tuple[DlpId, SentencePair]], settings: OptimizerSettings,
+                     epochs: int, batch_size: int, seed: int, trainable: list[str],
+                     with_domain_tag: bool = False, max_steps: int | None = None,
+                     stream: int = 31) -> list[float]:
+    """Epochs of one optimizer step per `make_mixed_batch` of (DLP, pair)
+    rows, the one supervised training loop: pretraining and the supervised
+    stage ones run it with stream 31, `meta_adapt` with stream 21. Epoch e's
+    order is the first permutation drawn from SeedSequence([seed, stream,
+    e]); each batch's gradient and update run on its _Shards, whose update
+    parts start a fresh AdamW every epoch. No epoch starts once the
+    max_steps budget is spent; the model holds the trained values when this
+    returns."""
+    if not rows:
+        raise InputError("supervised_train: no training rows")
     if batch_size < 1:
         raise InputError(f"batch_size must be at least 1, got {batch_size}")
+
+    def make(indices) -> Batch:
+        return make_mixed_batch([rows[i] for i in indices], vocab,
+                                with_domain_tag=with_domain_tag)
+
     model.set_trainable(trainable)
     shards = _Shards(model, trainable, make, settings)
     losses: list[float] = []
@@ -307,8 +319,8 @@ def _train_epochs(model: TranslationModel, n_rows: int, make, settings: Optimize
             if remaining is not None and remaining <= 0:
                 break
             order = np.random.default_rng(np.random.SeedSequence([seed, stream, epoch])
-                                          ).permutation(n_rows)
-            for step, lo in enumerate(range(0, n_rows, batch_size)[:remaining]):
+                                          ).permutation(len(rows))
+            for step, lo in enumerate(range(0, len(rows), batch_size)[:remaining]):
                 key = (seed, stream, epoch, step)
                 loss, weights = shards.gradients(pool, key, order[lo : lo + batch_size])
                 losses.append(_finite(loss, step))
@@ -466,13 +478,9 @@ def meta_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarra
         raise InputError("meta_adapt: empty adapt split")
     trainable = list(start)
     restore_params(model, start)
-
-    def make(indices) -> Batch:
-        return make_batch([adapt_pairs[i] for i in indices], vocab, dlp,
-                          with_domain_tag=with_domain_tag)
-
-    losses = _train_epochs(model, len(adapt_pairs), make, settings, epochs, batch_size,
-                           max_steps, seed, 21, trainable)
+    losses = supervised_train(model, vocab, [(dlp, pair) for pair in adapt_pairs], settings,
+                              epochs, batch_size, seed, trainable,
+                              with_domain_tag=with_domain_tag, max_steps=max_steps, stream=21)
     return snapshot_params(model, trainable), losses
 
 
@@ -486,23 +494,6 @@ def pooled_rows(datasets: dict[DlpId, DlpDataset]) -> list[tuple[DlpId, Sentence
         for pair in datasets[dlp].train:
             rows.append((dlp, pair))
     return rows
-
-
-def supervised_train(model: TranslationModel, vocab: Vocab,
-                     rows: list[tuple[DlpId, SentencePair]], settings: OptimizerSettings,
-                     epochs: int, batch_size: int, seed: int, trainable: list[str],
-                     with_domain_tag: bool = False, max_steps: int | None = None) -> list[float]:
-    """Plain mixed-batch training over pooled rows (used by the FT and
-    agnostic-adapter baselines)."""
-    if not rows:
-        raise InputError("supervised_train: no training rows")
-
-    def make(indices) -> Batch:
-        return make_mixed_batch([rows[i] for i in indices], vocab,
-                                with_domain_tag=with_domain_tag)
-
-    return _train_epochs(model, len(rows), make, settings, epochs, batch_size, max_steps,
-                         seed, 31, trainable)
 
 
 def train_stage_one(strategy: str, model: TranslationModel, vocab: Vocab,
@@ -570,10 +561,9 @@ def component_shapes(strategy: str, mc: ModelConfig, ac: AdapterConfig,
 
 
 def install_stack(model: TranslationModel, components: Components, dlp: DlpId,
-                  seed: int = 0) -> list[str]:
-    """Insert the language-pair and domain adapters for `dlp` (freshly
-    initialized when that component was never trained), returning the
-    trainable adapter names in stack order."""
+                  seed: int = 0) -> None:
+    """Insert the language-pair and domain adapters for `dlp`, in that
+    order, each freshly initialized when its component was never trained."""
     for group in list(model.adapter_groups):
         remove_adapter_group(model, group)
     wanted = [("lp", f"lp:{dlp.src_lang}-{dlp.tgt_lang}"), ("dom", f"dom:{dlp.domain}")]
@@ -581,4 +571,3 @@ def install_stack(model: TranslationModel, components: Components, dlp: DlpId,
         add_adapter_group(model, group, seed=hash_seed(seed, 43, g_idx))
         if component in components:
             load_adapter_group(model, group, components[component])
-    return model.adapter_names()

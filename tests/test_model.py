@@ -53,10 +53,10 @@ def test_invalid_dims_rejected():
 
 def test_partition_total_and_disjoint():
     model = build_model(tiny_mc(), tiny_ac(), seed=0)
-    part = model.partition()
-    assert set(part.backbone) | set(part.adapters) == set(model.params)
-    assert not set(part.backbone) & set(part.adapters)
-    assert all("/adapter/" in n for n in part.adapters)
+    backbone, adapters = model.backbone_names(), model.adapter_names()
+    assert set(backbone) | set(adapters) == set(model.params)
+    assert not set(backbone) & set(adapters)
+    assert all("/adapter/" in n for n in adapters)
 
 
 def test_adapter_param_count_closed_form_vs_enumeration():
@@ -160,7 +160,7 @@ def test_forward_loss_reproducible_bitwise():
 def _fit_single_pair(model, vocab, dlp, pair, steps=220, lr=3e-3):
     batch = make_batch([pair], vocab, dlp)
     model.set_trainable(list(model.params))
-    opt = AdamW({n: model.params[n] for n in model.trainable_names()}, OptimizerSettings(lr=lr))
+    opt = AdamW(dict(model.params), OptimizerSettings(lr=lr))
     for _ in range(steps):
         loss = forward_loss(model, batch)
         T.backward(loss)

@@ -292,6 +292,22 @@ def test_cli_damaged_corpus_file_exit_3(tmp_path, capsys, name, cut):
     assert err.startswith("data error: ") and name in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["tokens", "languages", "domains"])
+def test_cli_vocab_entry_not_a_string_exit_3(tmp_path, capsys, key):
+    """A vocab.json list that holds a number is not a vocabulary file."""
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    path = tmp_path / "corpus" / "vocab.json"
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    raw[key][-1] = 7
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["pretrain", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "vocab.json: not a vocabulary file" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_pretrain_on_a_missing_corpus_exit_3(tmp_path, capsys):
     """No gen-corpus run: the first file pretrain reads is world.json."""
     cfg = _smoke_config(tmp_path)
@@ -328,6 +344,11 @@ def _report_run(tmp_path) -> Path:
     ("training_log.jsonl", b"1.0}\n", b"1", "training_log.jsonl: invalid JSON on line 2"),
     ("metrics.csv", b",10.0000,", b",ten,", "metrics.csv: bad value on line 2"),
     ("metrics.csv", b",bleu,", b",BLEU,", "metrics.csv: unexpected metrics columns"),
+    ("metrics.csv", b"gears,apa,bel,", b"gears,apa,apa,",
+     "metrics.csv: bad value on line 2 (DlpId: source and target language must differ)"),
+    # a header and no rows
+    ("metrics.csv", b"gears,apa,bel,backbone,10.0000,20.0000,1.500000,100,1.000000,0.000,\n", b"",
+     "the metrics files hold no records"),
     # well-formed JSON that is not a step and its loss
     ("training_log.jsonl", b'{"step": 1, "meta_batch_loss": 1.0}', b"3",
      "training_log.jsonl: line 2 is not a record with a step and a loss"),

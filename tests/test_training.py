@@ -173,7 +173,7 @@ def test_meta_train_only_adapters_trainable(world):
     _, vocab, datasets = world
     model = small_model(vocab)
     meta_train(model, vocab, datasets, small_cfg())
-    trainable = set(model.trainable_names())
+    trainable = {n for n, p in model.params.items() if p.requires_grad}
     assert trainable == set(model.adapter_names())
 
 
@@ -439,9 +439,9 @@ def test_step_budget_builds_only_the_batches_it_trains_on(world, monkeypatch):
                           batch_size=4, seed=2, max_steps=max_steps)[1]
 
     on_cpus(monkeypatch, 1)  # every shard's batch is built in this process
-    for run, builder, per_epoch in ((pretrain, "make_mixed_batch", len(rows) // 8),
-                                    (adapt_run, "make_batch", len(adapt) // 4)):
-        builds = _count_calls(monkeypatch, builder)
+    builds = _count_calls(monkeypatch, "make_mixed_batch")
+    for run, per_epoch in ((pretrain, len(rows) // 8), (adapt_run, len(adapt) // 4)):
+        builds.clear()
         full = run(2, None)
         assert len(builds) == training.SHARDS * len(full) == training.SHARDS * 2 * per_epoch
         builds.clear()
@@ -614,29 +614,58 @@ def test_partitioned_update_equals_whole_set_adamw(world, monkeypatch, which):
 
 
 def test_pools_inside_pools_start_no_process(world, monkeypatch):
-    """In a ForkPool worker available_cpus() is 1, so a meta_adapt there runs
-    both shards in that worker, starts no process of its own, and gives the
-    bits it gives in the caller (which starts a worker for them)."""
+    """In every item a ForkPool runs, on its worker and on the caller alike,
+    available_cpus() is 1, so a meta_adapt there runs both shards in that
+    process, starts no process of its own, and gives the same bits in both."""
     _, vocab, datasets = world
     dlp = sorted(datasets)[0]
     on_cpus(monkeypatch, 3)
 
     def adapt(item):
-        if item == 1:  # the pool's worker: starting a process fails the item
-            _forbid_workers(monkeypatch)
+        _forbid_workers(monkeypatch)  # starting a process fails the item
         model = small_model(vocab, seed=2, dropout=0.1)
         adapted, losses = meta_adapt(model, vocab, snapshot_params(model, model.adapter_names()),
                                      dlp, datasets[dlp].adapt, OptimizerSettings(lr=1e-2),
                                      batch_size=6, seed=1)
-        return available_cpus(), multiprocessing.active_children(), adapted, losses
+        return available_cpus(), adapted, losses
 
     with ForkPool(adapt, 2, "test") as pool:
-        (_, _, caller_values, caller_losses), (cpus, children, values, losses) = \
-            pool.map((), [0, 1])
-    assert (cpus, children) == (1, [])
+        (caller_cpus, caller_values, caller_losses), (cpus, values, losses) = pool.map((), [0, 1])
+    assert caller_cpus == cpus == 1
+    assert available_cpus() == 3
     assert losses == caller_losses
     for name in values:
         assert np.array_equal(values[name], caller_values[name]), name
+
+
+def test_meta_adapt_equals_the_reference_step(world, monkeypatch):
+    """meta_adapt, one supervised_train call over its (DLP, pair) rows, gives
+    byte for byte the losses and values of the reference step over one-DLP
+    `make_batch` batches with stream 21: dropout on, two epochs of batches
+    of 4, 4 and 3 rows, on 1 and 3 CPUs."""
+    _, vocab, datasets = world
+    dlp = sorted(datasets)[0]
+    adapt = datasets[dlp].adapt[:11]
+    settings = OptimizerSettings(lr=1e-2)
+
+    def make(indices):
+        return make_batch([adapt[i] for i in indices], vocab, dlp)
+
+    reference = small_model(vocab, seed=4, dropout=0.1)
+    ref_losses = _reference_training(reference, make, settings, len(adapt), 4, 6, 3, 21,
+                                     reference.adapter_names())
+    assert len(adapt) == 11 and len(ref_losses) == 6
+    for cpus in (1, 3):
+        with monkeypatch.context() as patch:
+            on_cpus(patch, cpus)
+            model = small_model(vocab, seed=4, dropout=0.1)
+            adapted, losses = meta_adapt(model, vocab,
+                                         snapshot_params(model, model.adapter_names()), dlp,
+                                         adapt, settings, epochs=2, batch_size=4, seed=3)
+        assert np.array(losses).tobytes() == np.array(ref_losses).tobytes(), cpus
+        assert _bitwise(model) == _bitwise(reference), cpus
+        for name, value in adapted.items():
+            assert value.tobytes() == reference.params[name].data.tobytes(), name
 
 
 # --- baselines ---------------------------------------------------------------------------
@@ -712,7 +741,8 @@ def test_stack_adapter_component_inventory_and_counts(world):
     assert len(art) == len(lang_pairs) + len(domains)
     assert model.backbone_checksum() == small_model(vocab, groups=()).backbone_checksum()
 
-    names = install_stack(model, art, ids[0])
+    install_stack(model, art, ids[0])
+    names = model.adapter_names()
     assert model.adapter_groups == ["lp", "dom"]
     per_adapter = len({n for n in names if "/adapter/lp/" in n})
     assert per_adapter == len({n for n in names if "/adapter/dom/" in n})
