@@ -61,7 +61,6 @@ DEFAULT_CONFIG: dict = {
              "inner_lr": 1e-3, "max_meta_batches": None},
     "adapt": {"epochs": 1, "batch_size": 16, "lr": 1e-3, "max_steps": None},
     "eval": {"max_len": 32, "strategies": [STRATEGY_BACKBONE, STRATEGY_META_ADAPTER]},
-    "caps": {"train": None, "adapt": None, "valid": None, "test": None},
     "strategy": STRATEGY_META_ADAPTER,
     "sweep": {"points": []},
 }
@@ -115,8 +114,6 @@ RULES: dict = {
     "eval": {"max_len": Rule("a whole number", "at least 1"),
              "strategies": Rule(NAMES, "known strategies", choices=tuple(STRATEGIES),
                                 noun="strategy")},
-    "caps": dict.fromkeys(DEFAULT_CONFIG["caps"],
-                          Rule("a whole number", "non-negative", null=True)),
     "strategy": Rule("a string", "strategies with one", noun="stage-one strategy",
                      choices=tuple(s for s, r in STRATEGIES.items() if r.stage_one)),
     "sweep": {"points": Rule("a list of tables")},
@@ -180,11 +177,6 @@ def _out_dir(config: dict) -> Path:
     if root and not out.is_absolute():
         out = Path(root) / out
     return out
-
-
-def _caps(config: dict) -> dict[str, int] | None:
-    caps = {k: v for k, v in config["caps"].items() if v is not None}
-    return caps or None
 
 
 def _model_configs(config: dict, vocab: Vocab) -> tuple[ModelConfig, AdapterConfig]:
@@ -274,7 +266,7 @@ def cmd_pretrain(config: dict) -> int:
         registry, vocab, mc, ac,
         OptimizerSettings(lr=pre["lr"], weight_decay=pre["weight_decay"]),
         epochs=pre["epochs"], batch_size=pre["batch_size"], seed=config["seed"],
-        caps=_caps(config), max_steps=pre["max_steps"])
+        max_steps=pre["max_steps"])
     checkpoint.save_params(out / "backbone.ckpt", {n: model.params[n].data for n in model.params})
     checkpoint.write_json(out / "backbone.json", {
         "model": config["model"], "adapter": config["adapter"],
@@ -307,7 +299,7 @@ def cmd_stage_one(config: dict, strategy: str) -> int:
     registry, vocab = _load_world(config)
     mc, ac = _model_configs(config, vocab)
     backbone = _load_backbone(config)
-    datasets = role_datasets(registry, "meta_train", _caps(config))
+    datasets = role_datasets(registry, "meta_train")
     out = _out_dir(config)
     write_manifest(out, config)
     trained, logs = train_strategies([strategy], mc, ac, vocab, backbone, datasets,
@@ -369,7 +361,7 @@ def cmd_adapt_evaluate(config: dict) -> int:
     mc, ac = _model_configs(config, vocab)
     backbone = _load_backbone(config)
     trained = _load_trained(config, strategies, mc, ac)
-    heldout = role_datasets(registry, "heldout", _caps(config))
+    heldout = role_datasets(registry, "heldout")
     if not heldout:
         raise DataIntegrityError("no held-out DLPs in the registry")
     records = compare_strategies(strategies, heldout, mc=mc, ac=ac, vocab=vocab,
@@ -402,8 +394,8 @@ def cmd_sweep(config: dict) -> int:
     registry, vocab = _load_world(config)
     mc, ac = _model_configs(config, vocab)
     backbone = _load_backbone(config)
-    meta_datasets = role_datasets(registry, "meta_train", _caps(config))
-    heldout = role_datasets(registry, "heldout", _caps(config))
+    meta_datasets = role_datasets(registry, "meta_train")
+    heldout = role_datasets(registry, "heldout")
     rows = hyperparam_sweep(points, _meta_config(config), mc=mc, ac=ac, vocab=vocab,
                             backbone=backbone, meta_datasets=meta_datasets, heldout=heldout,
                             budget=_budget(config), max_len=config["eval"]["max_len"])

@@ -627,10 +627,9 @@ def load_registry(root: str | Path) -> Registry:
     return Registry(root=root, spec=spec)
 
 
-def load_dlp_dataset(registry: Registry, dlp: DlpId, caps: dict[str, int] | None = None) -> DlpDataset:
+def load_dlp_dataset(registry: Registry, dlp: DlpId) -> DlpDataset:
     """Load one DLP's splits, check each split's line count against the
-    size world.json gives it, enforce caps (head-of-file truncation), and
-    assert pairwise cross-split disjointness."""
+    size world.json gives it, and assert pairwise cross-split disjointness."""
     row = registry.row(dlp)
     splits: dict[str, list[SentencePair]] = {}
     for split in SPLITS:
@@ -647,9 +646,6 @@ def load_dlp_dataset(registry: Registry, dlp: DlpId, caps: dict[str, int] | None
             if not tgt:
                 raise DataIntegrityError(f"{path}: malformed line without tab separator")
             pairs.append((src, tgt))
-        cap = (caps or {}).get(split)
-        if cap is not None:
-            pairs = pairs[:cap]
         splits[split] = pairs
     for i, a in enumerate(SPLITS):
         for b in SPLITS[i + 1 :]:
@@ -660,5 +656,5 @@ def load_dlp_dataset(registry: Registry, dlp: DlpId, caps: dict[str, int] | None
     return DlpDataset(id=dlp, **splits)
 
 
-def load_datasets(registry: Registry, dlps: list[DlpId], caps: dict[str, int] | None = None) -> dict[DlpId, DlpDataset]:
-    return {dlp: load_dlp_dataset(registry, dlp, caps) for dlp in dlps}
+def load_datasets(registry: Registry, dlps: list[DlpId]) -> dict[DlpId, DlpDataset]:
+    return {dlp: load_dlp_dataset(registry, dlp) for dlp in dlps}

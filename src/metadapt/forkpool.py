@@ -89,8 +89,10 @@ class ForkPool:
                 finally:
                     child.close()  # the worker holds its own copy of this end
                 self._workers.append((proc, conn))
-        except BaseException:
+        except BaseException as exc:
             self.close()
+            if isinstance(exc, OSError):  # the system's limit, not the data
+                raise StateError(f"{what}: could not start a worker process ({exc})") from exc
             raise
 
     def __enter__(self) -> "ForkPool":

@@ -173,14 +173,15 @@ def write_records(records: list[MetricsRecord], path: str | Path) -> None:
 
 def read_records(path: str | Path) -> list[MetricsRecord]:
     """Records of a metrics file; wrong columns or a value that does not
-    parse, such as an invalid DLP, are a DataIntegrityError naming the file."""
+    parse or is out of range, such as an invalid DLP or a BLEU above 100, are
+    a DataIntegrityError naming the file."""
     out = []
     reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     if reader.fieldnames != RECORD_COLUMNS:
         raise DataIntegrityError(f"{path}: unexpected metrics columns {reader.fieldnames}")
     for row in reader:
         try:
-            out.append(MetricsRecord(
+            record = MetricsRecord(
                 dlp=DlpId(row["domain"], row["src_lang"], row["tgt_lang"]),
                 strategy=row["strategy"],
                 bleu=float(row["bleu"]),
@@ -190,10 +191,12 @@ def read_records(path: str | Path) -> list[MetricsRecord]:
                 trainable_ratio=float(row["trainable_ratio"]),
                 wall_time=float(row["wall_time"]),
                 note=row["note"],
-            ))
+            )
+            record.validate()
         except (TypeError, ValueError, InputError) as exc:  # a short row reads None
             raise DataIntegrityError(
                 f"{path}: bad value on line {reader.line_num} ({exc})") from exc
+        out.append(record)
     return out
 
 
@@ -208,11 +211,6 @@ class ReportRow:
     delta_bleu: float
 
 
-@dataclass
-class ReportTable:
-    rows: list[ReportRow]
-
-
 def _group_key(record: MetricsRecord, grouping: str) -> str:
     if grouping == "domain":
         return record.dlp.domain
@@ -223,7 +221,7 @@ def _group_key(record: MetricsRecord, grouping: str) -> str:
     raise InputError(f"aggregate: unknown grouping '{grouping}'")
 
 
-def aggregate(records: list[MetricsRecord], grouping: str, reference: str) -> ReportTable:
+def aggregate(records: list[MetricsRecord], grouping: str, reference: str) -> list[ReportRow]:
     """Unweighted per-group means per strategy, with BLEU deltas vs the
     reference strategy in the same group."""
     if not records:
@@ -249,16 +247,16 @@ def aggregate(records: list[MetricsRecord], grouping: str, reference: str) -> Re
         out.append(ReportRow(group=group, strategy=strategy, mean_bleu=bleu,
                              mean_chrf=chrf_score, mean_loss=loss, count=count,
                              delta_bleu=bleu - ref_bleu))
-    return ReportTable(rows=out)
+    return out
 
 
 REPORT_COLUMNS = ["group", "strategy", "mean_bleu", "mean_chrf", "mean_loss", "count", "delta_bleu"]
 
 
-def write_report(table: ReportTable, path: str | Path) -> None:
+def write_report(rows: list[ReportRow], path: str | Path) -> None:
     write_csv(path, REPORT_COLUMNS, ([r.group, r.strategy, f"{r.mean_bleu:.4f}",
                                       f"{r.mean_chrf:.4f}", f"{r.mean_loss:.6f}", r.count,
-                                      f"{r.delta_bleu:.4f}"] for r in table.rows))
+                                      f"{r.delta_bleu:.4f}"] for r in rows))
 
 
 # ---------------------------------------------------------------------------

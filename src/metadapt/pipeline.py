@@ -63,10 +63,8 @@ class AdaptBudget:
         check(self.RULES, vars(self), "adapt budget: {}")
 
 
-def role_datasets(registry: Registry, role: str, caps: dict[str, int] | None = None,
-                  ) -> dict[DlpId, DlpDataset]:
-    ids = [r.dlp for r in registry.by_role(role)]
-    return load_datasets(registry, ids, caps)
+def role_datasets(registry: Registry, role: str) -> dict[DlpId, DlpDataset]:
+    return load_datasets(registry, [r.dlp for r in registry.by_role(role)])
 
 
 # ---------------------------------------------------------------------------
@@ -75,11 +73,10 @@ def role_datasets(registry: Registry, role: str, caps: dict[str, int] | None = N
 
 def pretrain_backbone(registry: Registry, vocab: Vocab, mc: ModelConfig, ac: AdapterConfig,
                       settings: OptimizerSettings, epochs: int, batch_size: int, seed: int,
-                      caps: dict[str, int] | None = None, max_steps: int | None = None,
-                      ) -> tuple[TranslationModel, list[float]]:
+                      max_steps: int | None = None) -> tuple[TranslationModel, list[float]]:
     """Train a fresh backbone (no adapters) on the pretrain-domain DLPs, which
     cover every language of the world in the neutral domain."""
-    datasets = role_datasets(registry, "pretrain", caps)
+    datasets = role_datasets(registry, "pretrain")
     if not datasets:
         raise InputError("pretrain_backbone: registry has no pretrain-role DLPs")
     model = build_model(mc, ac, seed=seed, adapter_groups=())
@@ -96,11 +93,11 @@ def backbone_dev_bleu(model: TranslationModel, vocab: Vocab, registry: Registry,
     learnability gate for every downstream claim)."""
     hyps: list[str] = []
     refs: list[str] = []
-    for row in registry.by_role("pretrain"):
-        ds = load_datasets(registry, [row.dlp], caps={"valid": sample_per_dlp})[row.dlp]
-        sources = [s for s, _ in ds.valid]
-        refs.extend(t for _, t in ds.valid)
-        hyps.extend(greedy_decode(model, vocab, sources, row.dlp.src_lang, row.dlp.tgt_lang, max_len))
+    for dlp, ds in role_datasets(registry, "pretrain").items():
+        pairs = ds.valid[:sample_per_dlp]
+        refs.extend(t for _, t in pairs)
+        hyps.extend(greedy_decode(model, vocab, [s for s, _ in pairs], dlp.src_lang,
+                                  dlp.tgt_lang, max_len))
     return corpus_bleu(hyps, refs)
 
 
@@ -224,25 +221,18 @@ def hyperparam_sweep(grid: list[dict], base_cfg: MetaConfig, *, mc: ModelConfig,
     rows = []
     for point in grid:
         cfg = replace(base_cfg, **point)
-        rows.append(_sweep_run(point, cfg, mc, ac, vocab, backbone,
-                               meta_datasets, heldout, budget, max_len))
+        trained, _ = train_strategies([STRATEGY_META_ADAPTER], mc, ac, vocab, backbone,
+                                      meta_datasets, cfg)
+        bleus = [rec.bleu for rec in compare_strategies(
+            [STRATEGY_META_ADAPTER], heldout, mc=mc, ac=ac, vocab=vocab, backbone=backbone,
+            trained=trained, budget=budget, run_seed=cfg.seed, max_len=max_len)]
+        row = {"m": cfg.m, "k": cfg.k, "beta": cfg.beta, "tau": cfg.tau, "n": cfg.n,
+               "mean_bleu": sum(bleus) / len(bleus), "best": False}
+        rows.append(row | {k: v for k, v in point.items() if k not in row})
     best = max(range(len(rows)), key=lambda i: rows[i]["mean_bleu"])
     for i, row in enumerate(rows):
         row["best"] = i == best
     return rows
-
-
-def _sweep_run(point: dict, cfg: MetaConfig, mc, ac, vocab, backbone,
-               meta_datasets, heldout, budget, max_len) -> dict:
-    trained, _ = train_strategies([STRATEGY_META_ADAPTER], mc, ac, vocab, backbone,
-                                  meta_datasets, cfg)
-    bleus = [rec.bleu for rec in compare_strategies(
-        [STRATEGY_META_ADAPTER], heldout, mc=mc, ac=ac, vocab=vocab, backbone=backbone,
-        trained=trained, budget=budget, run_seed=cfg.seed, max_len=max_len)]
-    row = {"m": cfg.m, "k": cfg.k, "beta": cfg.beta, "tau": cfg.tau, "n": cfg.n,
-           "mean_bleu": sum(bleus) / len(bleus), "best": False}
-    row.update({k: v for k, v in point.items() if k not in row})
-    return row
 
 
 def write_sweep(rows: list[dict], path: str | Path) -> None:

@@ -38,7 +38,7 @@ class DlpId:
 
 @dataclass
 class DlpDataset:
-    """Capped parallel corpus splits for one DLP."""
+    """Parallel corpus splits for one DLP."""
 
     id: DlpId
     train: list[SentencePair] = field(default_factory=list)

@@ -528,13 +528,12 @@ def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
     components: Components = {}
 
     def train_component(name: str, subset: dict[DlpId, DlpDataset], comp_seed: int) -> None:
-        for group in list(model.adapter_groups):
-            remove_adapter_group(model, group)
         add_adapter_group(model, "stack", seed=comp_seed)
         supervised_train(model, vocab, pooled_rows(subset), cfg.inner, cfg.epochs,
                          STAGE_ONE_BATCH, cfg.seed, model.adapter_names("stack"),
                          max_steps=max_steps)
         components[name] = read_adapter_group(model, "stack")
+        remove_adapter_group(model, "stack")
 
     for idx, (src, tgt) in enumerate(lang_pairs):
         subset = {d: ds for d, ds in datasets.items() if (d.src_lang, d.tgt_lang) == (src, tgt)}
@@ -542,8 +541,6 @@ def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
     for idx, domain in enumerate(domains):
         subset = {d: ds for d, ds in datasets.items() if d.domain == domain}
         train_component(f"dom:{domain}", subset, hash_seed(cfg.seed, 42, idx))
-    for group in list(model.adapter_groups):
-        remove_adapter_group(model, group)
     return components
 
 
@@ -562,10 +559,9 @@ def component_shapes(strategy: str, mc: ModelConfig, ac: AdapterConfig,
 
 def install_stack(model: TranslationModel, components: Components, dlp: DlpId,
                   seed: int = 0) -> None:
-    """Insert the language-pair and domain adapters for `dlp`, in that
-    order, each freshly initialized when its component was never trained."""
-    for group in list(model.adapter_groups):
-        remove_adapter_group(model, group)
+    """Insert the language-pair and domain adapters for `dlp` into `model`,
+    which has no adapter groups, in that order, each freshly initialized when
+    its component was never trained."""
     wanted = [("lp", f"lp:{dlp.src_lang}-{dlp.tgt_lang}"), ("dom", f"dom:{dlp.domain}")]
     for g_idx, (group, component) in enumerate(wanted):
         add_adapter_group(model, group, seed=hash_seed(seed, 43, g_idx))

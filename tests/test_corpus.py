@@ -197,13 +197,6 @@ def test_injected_overlap_raises(tmp_path):
         load_dlp_dataset(reg, row.dlp)
 
 
-def test_caps_truncate_head_of_file(tiny_registry):
-    row = tiny_registry.rows[0]
-    full = load_dlp_dataset(tiny_registry, row.dlp)
-    capped = load_dlp_dataset(tiny_registry, row.dlp, caps={"train": 7})
-    assert capped.train == full.train[:7]
-
-
 def test_registry_round_trip(tiny_registry):
     """load_registry gives the rows generate_world returned, and registry.tsv,
     written for readers, lists exactly those rows: each DLP in its role, with

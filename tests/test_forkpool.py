@@ -98,15 +98,18 @@ def test_the_pool_starts_min_most_cpus_minus_one_workers(monkeypatch, most, cpus
 
 @pytest.mark.parametrize("fail_at", [0, 1])
 def test_a_failed_start_raises_its_own_error_and_leaves_nothing_open(monkeypatch, fail_at):
-    """When starting the first or the second of two workers raises, that
-    error reaches the caller, every worker already started has ended, and
-    every pipe end the pool opened is closed, even while the caller holds
-    the error (its traceback keeps the pool's locals alive)."""
+    """When starting the first or the second of two workers raises an
+    OSError, the caller gets a StateError caused by it, every worker already
+    started has ended, and every pipe end the pool opened is closed, even
+    while the caller holds the error (its traceback keeps the pool's locals
+    alive)."""
     on_cpus(monkeypatch, 3)
     started = _record_starts(monkeypatch, fail_at=fail_at)
     fds = sorted(os.listdir("/proc/self/fd"))
-    with pytest.raises(OSError, match="^cannot start a process$") as caught:
+    with pytest.raises(StateError, match=r"^test: could not start a worker process "
+                                         r"\(cannot start a process\)$") as caught:
         ForkPool(_with_pid, 3, "test")
+    assert isinstance(caught.value.__cause__, OSError)
     assert len(started) == fail_at
     assert multiprocessing.active_children() == []
     assert sorted(os.listdir("/proc/self/fd")) == fds

@@ -246,16 +246,16 @@ def _record(domain, src, tgt, strategy, bleu, chrf_score=50.0, loss=1.0):
 
 def test_aggregate_single_record_degenerate():
     rec = _record("d", "a", "b", "base", 42.0)
-    table = aggregate([rec], "domain", reference="base")
-    assert len(table.rows) == 1
-    row = table.rows[0]
+    rows = aggregate([rec], "domain", reference="base")
+    assert len(rows) == 1
+    row = rows[0]
     assert row.mean_bleu == 42.0 and row.delta_bleu == 0.0 and row.count == 1
 
 
 def test_aggregate_reference_delta_zero():
     recs = [_record("d", "a", "b", "base", 40.0), _record("d", "a", "b", "new", 45.0)]
-    table = aggregate(recs, "domain", reference="base")
-    deltas = {r.strategy: r.delta_bleu for r in table.rows}
+    rows = aggregate(recs, "domain", reference="base")
+    deltas = {r.strategy: r.delta_bleu for r in rows}
     assert deltas["base"] == 0.0
     assert deltas["new"] == pytest.approx(5.0)
 
@@ -265,8 +265,8 @@ def test_aggregate_mean_and_reorder_consistency():
             _record("d", "a", "b", "ref", 10.0), _record("d", "b", "a", "ref", 10.0)]
     t1 = aggregate(recs, "domain", reference="ref")
     t2 = aggregate(list(reversed(recs)), "domain", reference="ref")
-    row1 = next(r for r in t1.rows if r.strategy == "s")
-    row2 = next(r for r in t2.rows if r.strategy == "s")
+    row1 = next(r for r in t1 if r.strategy == "s")
+    row2 = next(r for r in t2 if r.strategy == "s")
     assert row1.mean_bleu == pytest.approx(25.0)
     assert row1.delta_bleu == pytest.approx(15.0)
     assert (row1.mean_bleu, row1.delta_bleu) == (row2.mean_bleu, row2.delta_bleu)

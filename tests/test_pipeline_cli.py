@@ -358,6 +358,9 @@ def _report_run(tmp_path) -> Path:
      "training_log.jsonl: line 2 is not a record with a step and a loss"),
     ("training_log.jsonl", b"1.0}\n", b"null}\n",
      "training_log.jsonl: line 2 is not a record with a step and a loss"),
+    # parses, but a score out of range
+    ("metrics.csv", b",10.0000,", b",150.0000,",
+     "metrics.csv: bad value on line 2 (metrics record: scores must lie in [0, 100])"),
 ])
 def test_cli_report_damaged_input_exit_3(tmp_path, capsys, damaged, old, new, message):
     run_dir = _report_run(tmp_path)
@@ -538,7 +541,7 @@ def test_cli_baseline_default_strategy_writes_what_meta_train_writes(smoke_run, 
     ("seeed=2", "unknown config key 'seeed'"),
     ("adapt=3", "config 'adapt' must be a table"),
     ("eval=3", "config 'eval' must be a table"),
-    ("caps=3", "config 'caps' must be a table"),
+    ("caps=3", "unknown config key 'caps'"),
     ("pretrain.lr=inf", "config 'pretrain.lr' must be a number"),
     ("meta.tau=Infinity", "config 'meta.tau' must be a number"),
     ("adapt.batch_size=0", "config 'adapt.batch_size' must be at least 1"),
@@ -555,15 +558,12 @@ def test_cli_config_shape_exit_2(smoke_run, capsys, override, message):
     ("pretrain.epochs=1.5", "config 'pretrain.epochs' must be a whole number, got 1.5"),
     ("eval.max_len=2.5", "config 'eval.max_len' must be a whole number"),
     ("seed=true", "config 'seed' must be a whole number"),
-    ('caps.train="x"', "config 'caps.train' must be null or a whole number"),
     ('adapt.max_steps="x"', "config 'adapt.max_steps' must be null or a whole number"),
     ("pretrain.max_steps=true", "config 'pretrain.max_steps' must be null or a whole number"),
     ("meta.max_meta_batches=2.0", "config 'meta.max_meta_batches' must be null or a whole"),
     ("sweep.points=[3]", "config 'sweep.points' must be a list of tables, got [3]"),
     ('sweep.points=[{"tau": "inf"}, {"k": 1.5}]', "config 'sweep.points[1].k' must be a whole"),
     ("seed=-1", "config 'seed' must be non-negative, got -1"),
-    ("caps.train=-1", "config 'caps.train' must be non-negative, got -1"),
-    ("caps.test=-2", "config 'caps.test' must be non-negative, got -2"),
     ("meta.inner_lr=-1", "config 'meta.inner_lr' must be non-negative, got -1"),
     ("adapt.lr=-1", "config 'adapt.lr' must be non-negative, got -1"),
     ("pretrain.weight_decay=-5", "config 'pretrain.weight_decay' must be non-negative, got -5"),
@@ -600,9 +600,9 @@ def test_cli_config_types_accept_numbers_and_null(tmp_path):
     from metadapt.cli import load_config
 
     config = load_config(str(_smoke_config(tmp_path)), [
-        "pretrain.lr=1", "caps.train=5", "adapt.max_steps=null",
+        "pretrain.lr=1", "meta.max_meta_batches=5", "adapt.max_steps=null",
         'sweep.points=[{"tau": "inf"}, {"m": 2, "beta": 1, "max_meta_batches": null}]'])
-    assert config["pretrain"]["lr"] == 1 and config["caps"]["train"] == 5
+    assert config["pretrain"]["lr"] == 1 and config["meta"]["max_meta_batches"] == 5
     assert config["adapt"]["max_steps"] is None
 
 
@@ -757,7 +757,7 @@ def _draws(rule) -> list[str]:
 STAGE_OF = {"corpus_dir": "gen-corpus", "world": "gen-corpus", "out_dir": "pretrain",
             "seed": "pretrain", "model": "pretrain", "adapter": "pretrain",
             "pretrain": "pretrain", "meta": "meta-train", "adapt": "adapt", "eval": "adapt",
-            "caps": "adapt", "strategy": "baseline", "sweep": "sweep"}
+            "strategy": "baseline", "sweep": "sweep"}
 
 
 @pytest.fixture(scope="module")
