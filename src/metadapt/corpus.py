@@ -629,31 +629,31 @@ def load_registry(root: str | Path) -> Registry:
 
 def load_dlp_dataset(registry: Registry, dlp: DlpId) -> DlpDataset:
     """Load one DLP's splits, check each split's line count against the
-    size world.json gives it, and assert pairwise cross-split disjointness."""
+    size world.json gives it, and assert pairwise cross-split disjointness.
+    Each split is kept as its file's text, parsed when first read: a line is
+    `src + "\\t" + tgt` cut at its first tab, so equal lines are equal pairs."""
     row = registry.row(dlp)
-    splits: dict[str, list[SentencePair]] = {}
+    texts: dict[str, str] = {}
+    line_sets: dict[str, set[str]] = {}
     for split in SPLITS:
         path = row.path(registry.root, split)
         if not path.exists():
             raise FileNotFoundError(f"missing split file: {path}")
-        lines = read_text(path).splitlines()
-        if len(lines) != row.sizes[split]:
+        texts[split] = read_text(path)
+        split_lines = texts[split].splitlines()
+        if len(split_lines) != row.sizes[split]:
             raise DataIntegrityError(
-                f"{path}: {len(lines)} lines, world.json gives {row.sizes[split]}")
-        pairs: list[SentencePair] = []
-        for line in lines:
-            src, _, tgt = line.partition("\t")
-            if not tgt:
-                raise DataIntegrityError(f"{path}: malformed line without tab separator")
-            pairs.append((src, tgt))
-        splits[split] = pairs
+                f"{path}: {len(split_lines)} lines, world.json gives {row.sizes[split]}")
+        if not all(line.partition("\t")[2] for line in split_lines):
+            raise DataIntegrityError(f"{path}: malformed line without tab separator")
+        line_sets[split] = set(split_lines)
     for i, a in enumerate(SPLITS):
         for b in SPLITS[i + 1 :]:
-            overlap = set(splits[a]) & set(splits[b])
+            overlap = line_sets[a] & line_sets[b]
             if overlap:
                 raise DataIntegrityError(
                     f"{dlp.key()}: splits '{a}' and '{b}' overlap on {len(overlap)} pairs")
-    return DlpDataset(id=dlp, **splits)
+    return DlpDataset(id=dlp, **texts)
 
 
 def load_datasets(registry: Registry, dlps: list[DlpId]) -> dict[DlpId, DlpDataset]:

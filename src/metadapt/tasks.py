@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +36,46 @@ class DlpId:
         return f"{self.domain}/{self.src_lang}-{self.tgt_lang}"
 
 
+def parse_pairs(text: str) -> list[SentencePair]:
+    """A split file's pairs in file order: each line's source, then its
+    target after the line's first tab."""
+    pairs = []
+    for line in text.splitlines():
+        src, _, tgt = line.partition("\t")
+        pairs.append((src, tgt))
+    return pairs
+
+
+class _Split:
+    """One split of a DlpDataset, given as its pairs or as its split file's
+    text. The first read parses the text and keeps the pairs in its place,
+    so a split nothing reads is never parsed."""
+
+    def __set_name__(self, owner, name):
+        self._slot = "_" + name
+
+    def __get__(self, ds, owner=None):
+        if ds is None:
+            return ""  # the default: an empty file's text
+        value = ds.__dict__[self._slot]
+        if isinstance(value, str):
+            value = ds.__dict__[self._slot] = parse_pairs(value)
+        return value
+
+    def __set__(self, ds, value):
+        ds.__dict__[self._slot] = value
+
+
 @dataclass
 class DlpDataset:
-    """Parallel corpus splits for one DLP."""
+    """Parallel corpus splits for one DLP. Each split is a list of pairs
+    when read; it may be given as its file's text (`parse_pairs`)."""
 
     id: DlpId
-    train: list[SentencePair] = field(default_factory=list)
-    adapt: list[SentencePair] = field(default_factory=list)
-    valid: list[SentencePair] = field(default_factory=list)
-    test: list[SentencePair] = field(default_factory=list)
+    train: list[SentencePair] = _Split()
+    adapt: list[SentencePair] = _Split()
+    valid: list[SentencePair] = _Split()
+    test: list[SentencePair] = _Split()
 
     @property
     def size(self) -> int:

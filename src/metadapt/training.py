@@ -201,8 +201,12 @@ class _Shards:
         self._settings = settings
         self._params = {n: model.params[n] for n in trainable}
         total = sum(p.size for p in self._params.values())
-        self._buf = np.frombuffer(mmap.mmap(-1, max(8, 8 * (SHARDS + 1) * total)),
-                                  dtype=np.float64, count=(SHARDS + 1) * total
+        try:
+            shared = mmap.mmap(-1, max(8, 8 * (SHARDS + 1) * total))
+        except OSError as exc:  # the system's limit, not the data
+            raise StateError(f"supervised training: could not map the shared values "
+                             f"({exc})") from exc
+        self._buf = np.frombuffer(shared, dtype=np.float64, count=(SHARDS + 1) * total
                                   ).reshape(SHARDS + 1, total)
         self._rows = [self._split(row) for row in self._buf]
         for name, value in self._rows[0].items():
