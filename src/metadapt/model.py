@@ -163,8 +163,8 @@ class TranslationModel:
         return T.swapaxes(x, 1, 2)
 
     def _kv(self, prefix: str, kv_in: Tensor) -> tuple[Tensor, Tensor]:
-        k = self._heads(T.matmul(kv_in, self._p(f"{prefix}/wk")) + self._p(f"{prefix}/bk"))
-        v = self._heads(T.matmul(kv_in, self._p(f"{prefix}/wv")) + self._p(f"{prefix}/bv"))
+        k = self._heads(T.linear(kv_in, self._p(f"{prefix}/wk"), self._p(f"{prefix}/bk")))
+        v = self._heads(T.linear(kv_in, self._p(f"{prefix}/wv"), self._p(f"{prefix}/bv")))
         return k, v
 
     def _attention(self, prefix: str, q_in: Tensor, kv_in: Tensor, add_mask: np.ndarray,
@@ -175,7 +175,7 @@ class TranslationModel:
         and values to the cached ones."""
         mc = self.mc
         dh = mc.model_dim // mc.num_heads
-        q = self._heads(T.matmul(q_in, self._p(f"{prefix}/wq")) + self._p(f"{prefix}/bq"))
+        q = self._heads(T.linear(q_in, self._p(f"{prefix}/wq"), self._p(f"{prefix}/bq")))
         if cache is not None and prefix in cache.cross:
             k, v = cache.cross[prefix]
         else:
@@ -189,11 +189,11 @@ class TranslationModel:
         attn = T.softmax(scores + Tensor(add_mask))
         ctx = T.swapaxes(T.matmul(attn, v), 1, 2)
         ctx = T.reshape(ctx, (q_in.shape[0], q_in.shape[1], mc.model_dim))
-        return T.matmul(ctx, self._p(f"{prefix}/wo")) + self._p(f"{prefix}/bo")
+        return T.linear(ctx, self._p(f"{prefix}/wo"), self._p(f"{prefix}/bo"))
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
-        h = T.relu(T.matmul(x, self._p(f"{prefix}/w1")) + self._p(f"{prefix}/b1"))
-        return T.matmul(h, self._p(f"{prefix}/w2")) + self._p(f"{prefix}/b2")
+        h = T.relu(T.linear(x, self._p(f"{prefix}/w1"), self._p(f"{prefix}/b1")))
+        return T.linear(h, self._p(f"{prefix}/w2"), self._p(f"{prefix}/b2"))
 
     def _ln(self, prefix: str, x: Tensor) -> Tensor:
         return T.layer_norm(x, self._p(f"{prefix}/g"), self._p(f"{prefix}/b"))
@@ -299,8 +299,8 @@ def adapter_forward(h: Tensor, params: dict[str, Tensor], ln_epsilon: float = 1e
     if h.shape[-1] != params["down_w"].shape[0]:
         raise DimensionError("adapter_forward: hidden size does not match down-projection")
     x = T.layer_norm(h, params["ln_g"], params["ln_b"], ln_epsilon)
-    x = T.relu(T.matmul(x, params["down_w"]) + params["down_b"])
-    return T.matmul(x, params["up_w"]) + params["up_b"] + h
+    x = T.relu(T.linear(x, params["down_w"], params["down_b"]))
+    return T.linear(x, params["up_w"], params["up_b"]) + h
 
 
 # ---------------------------------------------------------------------------

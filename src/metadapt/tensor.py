@@ -236,24 +236,52 @@ def scale(a, factor: float) -> Tensor:
     return _make(a.data * factor, (a,), bwd, "scale")
 
 
+def _product(a: Tensor, b: Tensor, op: str) -> Array:
+    """a.data @ b.data, with matmul's shape checks raised as `op`'s."""
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"{op}: both operands must be at least 2-D")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"{op}: inner dims differ, {a.shape} vs {b.shape}")
+    try:
+        return a.data @ b.data
+    except ValueError as exc:
+        raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from exc
+
+
+def _product_bwd(a: Tensor, b: Tensor, g: Array) -> None:
+    if a.requires_grad:
+        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+    if b.requires_grad:
+        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+
+
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul: both operands must be at least 2-D")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
+    return _make(_product(a, b, "matmul"), (a, b), lambda g: _product_bwd(a, b, g), "matmul")
+
+
+def linear(x, w, b) -> Tensor:
+    """x @ w + b as one op, so the graph keeps no separate x @ w array.
+
+    Values and gradients are byte-equal to add(matmul(x, w), b): the sum is
+    the same elementwise add, and backward forms b's gradient from g, then
+    hands matmul's products a copy of g in the output's layout, as
+    `_accumulate` gave the matmul output of the two-op form.
+    """
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    data = _product(x, w, "linear")
     try:
-        data = a.data @ b.data
+        data += b.data
     except ValueError as exc:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}") from exc
+        raise DimensionError(f"linear: bias of shape {b.shape} does not fit {data.shape}") from exc
 
     def bwd(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+            _accumulate(b, _unbroadcast(g, b.shape))
+        if x.requires_grad or w.requires_grad:
+            _product_bwd(x, w, np.add(g, 0.0, out=np.empty_like(data)))
 
-    return _make(data, (a, b), bwd, "matmul")
+    return _make(data, (x, w, b), bwd, "linear")
 
 
 def relu(a) -> Tensor:
@@ -344,6 +372,10 @@ def cross_entropy(logits, targets: Array, mask: Array) -> Tensor:
         raise DimensionError("cross_entropy: logits must be at least 2-D")
     if targets.shape != logits.shape[:-1] or maskf.shape != targets.shape:
         raise DimensionError("cross_entropy: targets/mask must match logits leading shape")
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise InputError("cross_entropy: targets must be integers")
+    if targets.size and (targets.min() < 0 or targets.max() >= logits.shape[-1]):
+        raise InputError("cross_entropy: target id out of vocabulary range")
     denom = maskf.sum()
     if denom <= 0.0:
         raise InputError("cross_entropy: empty batch (mask selects no positions)")
@@ -370,12 +402,12 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
         raise InputError("dropout: p must be in [0, 1)")
     if p == 0.0:
         return a
-    keep = (rng.random(a.shape) >= p) / (1.0 - p)
+    kept = rng.random(a.shape) >= p
 
     def bwd(g: Array) -> None:
-        _accumulate(a, g * keep)
+        _accumulate(a, g * (kept / (1.0 - p)))
 
-    return _make(a.data * keep, (a,), bwd, "dropout")
+    return _make(a.data * (kept / (1.0 - p)), (a,), bwd, "dropout")
 
 
 def reshape(a, shape: Sequence[int]) -> Tensor:

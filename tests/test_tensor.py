@@ -124,6 +124,15 @@ def test_cross_entropy_empty_batch():
         T.cross_entropy(logits, np.zeros((1, 2), dtype=int), np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("targets", [[[0, -1]], [[0, 5]], [[0.0, 1.0]]],
+                         ids=["negative", "past-vocab", "float"])
+def test_cross_entropy_rejects_bad_target_ids(targets):
+    """Target ids follow embedding_lookup's rule: integers in [0, vocab).
+    A negative id would otherwise wrap to the last vocabulary entry."""
+    with pytest.raises(InputError):
+        T.cross_entropy(T.Tensor(np.zeros((1, 2, 5))), np.array(targets), np.ones((1, 2)))
+
+
 def test_dropout_mask_scaling_and_eval_identity():
     rng = np.random.default_rng(0)
     x = T.Tensor(np.ones((1000,)))
