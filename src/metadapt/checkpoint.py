@@ -11,17 +11,23 @@ Entries are written in sorted name order so identical parameter maps produce
 identical files.
 
 `atomic_write` is the one way the package writes an artifact (checkpoints,
-manifests, training logs, metrics and report tables): a reader or a crash
+the run index, training logs, metrics and report tables): a reader or a crash
 sees the old file or the new one, never a part of either. The text helpers
 below are the one encoding of every other artifact: UTF-8, JSON sorted with
 indent 2 (a log: one sorted JSON object per line), CSV with "\n" line ends;
 bytes that are not UTF-8, or text that is not JSON, are a DataIntegrityError
 naming the file.
+
+The run index, `INDEX` in a run's out_dir, holds `{"stages": {stage: entry}}`:
+each entry the stage's config, the code version, the stage's own facts, and
+under `files` the size and SHA-256 of every file it wrote, by its path
+relative to out_dir. A stage loads a file only once `verified` matches it.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -33,9 +39,11 @@ from typing import IO, Iterator
 
 import numpy as np
 
+from . import __version__
 from .errors import DataIntegrityError
 
 MAGIC = b"MDCKPT01"
+INDEX = "manifest.json"
 
 
 @contextmanager
@@ -140,3 +148,57 @@ def load_params(path: str | Path) -> dict[str, np.ndarray]:
     if offset != len(raw):
         raise DataIntegrityError(f"{path}: trailing bytes after last checkpoint entry")
     return out
+
+
+def _digest(data: bytes) -> dict:
+    return {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+
+
+def _stages(index: Path) -> dict:
+    raw = read_json(index)
+    if not (isinstance(raw, dict) and isinstance(raw.get("stages"), dict)):
+        raise DataIntegrityError(f"{index}: no stages table, so not a run index of this format")
+    return raw["stages"]
+
+
+def record_stage(out_dir: Path, stage: str, config: dict, files: list[str], **facts) -> None:
+    """Replace `stage`'s entry of the run index in `out_dir` (an index that
+    cannot be read starts anew): `config`, the code version, `facts` and the
+    digest of each of `files`, already written under `out_dir`."""
+    try:
+        stages = _stages(out_dir / INDEX)
+    except (FileNotFoundError, DataIntegrityError):
+        stages = {}
+    stages[stage] = {"config": config, "code_version": __version__, **facts,
+                     "files": {name: _digest((out_dir / name).read_bytes()) for name in files}}
+    write_json(out_dir / INDEX, {"stages": stages})
+
+
+def read_stage(out_dir: Path, stage: str) -> dict:
+    """`stage`'s entry of the run index in `out_dir`; no index, one that
+    cannot be read or has no entry for `stage` is a DataIntegrityError."""
+    index = out_dir / INDEX
+    try:
+        entry = _stages(index).get(stage)
+    except FileNotFoundError as exc:
+        raise DataIntegrityError(f"{index} not found; run the '{stage}' stage again") from exc
+    except DataIntegrityError as exc:
+        raise DataIntegrityError(f"{exc}; run the '{stage}' stage again") from exc
+    if not (isinstance(entry, dict) and all(isinstance(entry.get(k), dict)
+                                            for k in ("config", "files"))):
+        raise DataIntegrityError(f"{index}: no entry for stage '{stage}'; run it again")
+    return entry
+
+
+def verified(out_dir: Path, stage: str, entry: dict, name: str) -> Path:
+    """The path of `name` under `out_dir`, once its size and SHA-256 are the
+    ones `stage`'s index `entry` lists for it."""
+    path = out_dir / name
+    try:
+        digest = _digest(path.read_bytes())
+    except FileNotFoundError as exc:
+        raise DataIntegrityError(f"{path} not found; run the '{stage}' stage again") from exc
+    if digest != entry["files"].get(name):
+        raise DataIntegrityError(f"{path}: size or SHA-256 is not what the run index lists "
+                                 f"for stage '{stage}'; run it again")
+    return path

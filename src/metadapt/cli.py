@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .pipeline import (
     pretrain_backbone,
     role_datasets,
     train_strategies,
-    write_manifest,
     write_sweep,
 )
 from .rules import KINDS, NAMES, Rule, check
@@ -112,8 +110,8 @@ RULES: dict = {
              for k in DEFAULT_CONFIG["meta"]},
     "adapt": {**AdaptBudget.RULES, "lr": OptimizerSettings.RULES["lr"]},
     "eval": {"max_len": Rule("a whole number", "at least 1"),
-             "strategies": Rule(NAMES, "known strategies", choices=tuple(STRATEGIES),
-                                noun="strategy")},
+             "strategies": Rule(NAMES, "one or more distinct known strategies",
+                                choices=tuple(STRATEGIES), noun="strategy")},
     "strategy": Rule("a string", "strategies with one", noun="stage-one strategy",
                      choices=tuple(s for s, r in STRATEGIES.items() if r.stage_one)),
     "sweep": {"points": Rule("a list of tables")},
@@ -179,13 +177,6 @@ def _out_dir(config: dict) -> Path:
     return out
 
 
-def _model_configs(config: dict, vocab: Vocab) -> tuple[ModelConfig, AdapterConfig]:
-    mc = ModelConfig(vocab_size=len(vocab), **config["model"])
-    ac = AdapterConfig(**config["adapter"])
-    ac.validate(mc.model_dim)
-    return mc, ac
-
-
 def _with_inf(table: dict) -> dict:
     """`table` with a tau of "inf" as math.inf: the config keeps the string,
     as JSON has no infinity."""
@@ -205,41 +196,37 @@ def _budget(config: dict) -> AdaptBudget:
                        max_steps=adapt["max_steps"])
 
 
-def _load_world(config: dict) -> tuple[Registry, Vocab]:
+def _load_world(config: dict) -> tuple[Registry, Vocab, ModelConfig, AdapterConfig]:
+    """The corpus registry and vocabulary, and the model tables on that vocabulary."""
     registry = load_registry(config["corpus_dir"])
     vocab = Vocab.load(registry.root / "vocab.json")
-    return registry, vocab
-
-
-def _backbone_path(config: dict) -> Path:
-    return _out_dir(config) / "backbone.ckpt"
+    mc = ModelConfig(vocab_size=len(vocab), **config["model"])
+    ac = AdapterConfig(**config["adapter"])
+    ac.validate(mc.model_dim)
+    return registry, vocab, mc, ac
 
 
 def _load_backbone(config: dict) -> dict[str, np.ndarray]:
-    """The pretrained backbone, verified against the backbone.json written
-    beside it: its model and adapter tables must equal this run's config
-    (ConfigError), and the loaded parameters must match its checksum."""
-    path = _backbone_path(config)
-    if not path.exists():
-        raise DataIntegrityError(f"backbone checkpoint not found at {path}; run `pretrain` first")
-    info_path = path.with_suffix(".json")
-    try:
-        info = checkpoint.read_json(info_path)
-    except FileNotFoundError as exc:
-        raise DataIntegrityError(f"{info_path} not found; run `pretrain` again") from exc
-    if not (isinstance(info, dict) and all(isinstance(info.get(t), dict)
-                                           for t in ("model", "adapter"))):
-        raise DataIntegrityError(f"{info_path}: no model and adapter tables")
+    """The pretrained backbone, verified against the pretrain entry of the
+    run index: its model and adapter tables must equal this run's config
+    (ConfigError), the file its digest and the parameters its checksum."""
+    out = _out_dir(config)
+    entry = checkpoint.read_stage(out, "pretrain")
+    index = out / checkpoint.INDEX
     for table in ("model", "adapter"):
-        ours, theirs = config[table], info[table]
+        ours, theirs = config[table], entry["config"].get(table)
+        if not isinstance(theirs, dict):
+            raise DataIntegrityError(f"{index}: the pretrain entry has no {table} table")
         diff = [f"{k}={ours.get(k)!r} (backbone: {theirs.get(k)!r})"
                 for k in sorted(set(ours) | set(theirs)) if ours.get(k) != theirs.get(k)]
         if diff:
-            raise ConfigError(f"{table} config differs from the backbone's {info_path}: "
-                              + ", ".join(diff))
+            raise ConfigError(f"{table} config differs from the backbone's, in the pretrain "
+                              f"entry of {index}: " + ", ".join(diff))
+    path = checkpoint.verified(out, "pretrain", entry, "backbone.ckpt")
     params = checkpoint.load_params(path)
-    if backbone_checksum(params) != info.get("backbone_checksum"):
-        raise DataIntegrityError(f"{path}: backbone checksum differs from {info_path}")
+    if backbone_checksum(params) != entry.get("backbone_checksum"):
+        raise DataIntegrityError(f"{path}: backbone checksum differs from the pretrain entry "
+                                 f"of {index}")
     return params
 
 
@@ -257,62 +244,48 @@ def cmd_gen_corpus(config: dict) -> int:
 
 
 def cmd_pretrain(config: dict) -> int:
-    registry, vocab = _load_world(config)
-    mc, ac = _model_configs(config, vocab)
+    registry, vocab, mc, ac = _load_world(config)
     pre = config["pretrain"]
     out = _out_dir(config)
-    write_manifest(out, config)
     model, losses = pretrain_backbone(
         registry, vocab, mc, ac,
         OptimizerSettings(lr=pre["lr"], weight_decay=pre["weight_decay"]),
         epochs=pre["epochs"], batch_size=pre["batch_size"], seed=config["seed"],
         max_steps=pre["max_steps"])
     checkpoint.save_params(out / "backbone.ckpt", {n: model.params[n].data for n in model.params})
-    checkpoint.write_json(out / "backbone.json", {
-        "model": config["model"], "adapter": config["adapter"],
-        "partition": {"backbone": sorted(model.backbone_names()),
-                      "adapters": sorted(model.adapter_names())},
-        "backbone_checksum": model.backbone_checksum()})
     checkpoint.write_jsonl(out / "pretrain_log.jsonl",
                            ({"step": i, "loss": v} for i, v in enumerate(losses)))
+    checkpoint.record_stage(out, "pretrain", config, ["backbone.ckpt", "pretrain_log.jsonl"],
+                            backbone_checksum=model.backbone_checksum())
     dev = backbone_dev_bleu(model, vocab, registry, max_len=config["eval"]["max_len"])
     print(f"pretrained backbone: final loss {losses[-1]:.4f}, dev BLEU {dev:.2f}")
     return 0
 
 
-def _artifact_files(out: Path, strategy: str) -> tuple[Path | None, Callable[[str], Path]]:
-    """Where stage one keeps the artifact of `strategy`: its index (None when
-    it has none) and the file of each component. meta_adapter keeps
-    meta-train's layout, meta_adapter.ckpt beside training_log.jsonl; every
-    other strategy writes baseline_<strategy>/<component>.ckpt, indexed by
-    artifact.json."""
-    if strategy == STRATEGY_META_ADAPTER:
-        return None, lambda c: out / "meta_adapter.ckpt"
-    art_dir = out / f"baseline_{strategy}"
-    return art_dir / "artifact.json", lambda c: art_dir / f"{c.replace(':', '_')}.ckpt"
+def _component_file(strategy: str, component: str) -> str:  # relative to out_dir
+    return f"{strategy}/{component.replace(':', '_')}.ckpt"
 
 
 def cmd_stage_one(config: dict, strategy: str) -> int:
     """Train stage one of `strategy` on the meta-training DLPs and write its
-    artifact."""
+    artifact, its meta-training log if it logged meta-batches, and its entry
+    of the run index."""
     setup = STRATEGIES[strategy]
-    registry, vocab = _load_world(config)
-    mc, ac = _model_configs(config, vocab)
+    registry, vocab, mc, ac = _load_world(config)
     backbone = _load_backbone(config)
     datasets = role_datasets(registry, "meta_train")
     out = _out_dir(config)
-    write_manifest(out, config)
     trained, logs = train_strategies([strategy], mc, ac, vocab, backbone, datasets,
                                      _meta_config(config))
     components = trained[strategy]
-    index, file_of = _artifact_files(out, strategy)
-    for component, params in components.items():
-        checkpoint.save_params(file_of(component), params)
-    if index is None:
-        checkpoint.write_jsonl(out / "training_log.jsonl", logs[strategy])
-    else:
-        checkpoint.write_json(index, {"strategy": strategy, "components": sorted(components),
-                                      "note": setup.note})
+    files = [_component_file(strategy, c) for c in components]
+    for name, params in zip(files, components.values()):
+        checkpoint.save_params(out / name, params)
+    if logs[strategy]:
+        files.append(f"{strategy}/training_log.jsonl")
+        checkpoint.write_jsonl(out / files[-1], logs[strategy])
+    checkpoint.record_stage(out, strategy, config, files, components=sorted(components),
+                            note=setup.note)
     batches = sum(1 for r in logs[strategy] if "meta_batch_loss" in r)
     print(f"trained {strategy} over {len(datasets)} DLPs ({len(components)} component(s), "
           f"{batches} meta-batches)")
@@ -321,44 +294,36 @@ def cmd_stage_one(config: dict, strategy: str) -> int:
 
 def _load_trained(config: dict, strategies: list[str], mc: ModelConfig,
                   ac: AdapterConfig) -> dict[str, Components]:
-    """The stage-one artifact of each strategy that has one, each component
-    checked to hold exactly the tensors its stage one trains."""
+    """The stage-one artifact of each strategy that has one: the components
+    its entry of the run index lists, each file verified against that entry
+    and checked to hold exactly the tensors its stage one trains."""
     out = _out_dir(config)
     trained = {}
     for strategy in strategies:
         setup = STRATEGIES[strategy]
         if setup.stage_one is None:
             continue
-        index, file_of = _artifact_files(out, strategy)
-        first = index or file_of(setup.component)
-        if not first.exists():
-            raise DataIntegrityError(f"{first} missing; run `meta-train` or `baseline` "
-                                     f"for '{strategy}' first")
-        names = [setup.component]
-        if index is not None:
-            info = checkpoint.read_json(index)
-            names = info.get("components") if isinstance(info, dict) else None
-            if not isinstance(names, list):
-                raise DataIntegrityError(f"{index}: no components list")
-            if not (all(isinstance(c, str) for c in names)
-                    and (setup.stage_one == "stack" or names == [setup.component])):
-                raise DataIntegrityError(f"{index}: components {names!r} are not "
-                                         f"what {strategy} trains")
+        entry = checkpoint.read_stage(out, strategy)
+        names = entry.get("components")
+        if not (isinstance(names, list) and names and all(isinstance(c, str) for c in names)
+                and (setup.stage_one == "stack" or names == [setup.component])):
+            raise DataIntegrityError(f"{out / checkpoint.INDEX}: components {names!r} of stage "
+                                     f"'{strategy}' are not what it trains")
         shapes = component_shapes(strategy, mc, ac)
         trained[strategy] = {}
         for component in names:
-            params = checkpoint.load_params(file_of(component))
+            path = checkpoint.verified(out, strategy, entry, _component_file(strategy, component))
+            params = checkpoint.load_params(path)
             if {n: v.shape for n, v in params.items()} != shapes:
-                raise DataIntegrityError(f"{file_of(component)}: tensor names or shapes differ "
-                                         f"from what {strategy} trains")
+                raise DataIntegrityError(f"{path}: tensor names or shapes differ from what "
+                                         f"{strategy} trains")
             trained[strategy][component] = params
     return trained
 
 
 def cmd_adapt_evaluate(config: dict) -> int:
     strategies = config["eval"]["strategies"]
-    registry, vocab = _load_world(config)
-    mc, ac = _model_configs(config, vocab)
+    registry, vocab, mc, ac = _load_world(config)
     backbone = _load_backbone(config)
     trained = _load_trained(config, strategies, mc, ac)
     heldout = role_datasets(registry, "heldout")
@@ -368,8 +333,8 @@ def cmd_adapt_evaluate(config: dict) -> int:
                                  backbone=backbone, trained=trained, budget=_budget(config),
                                  run_seed=config["seed"], max_len=config["eval"]["max_len"])
     out = _out_dir(config)
-    write_manifest(out, config)
     write_records(records, out / "metrics.csv")
+    checkpoint.record_stage(out, "adapt", config, ["metrics.csv"])
     for rec in records:
         print(f"{rec.dlp.key():30s} {rec.strategy:18s} BLEU {rec.bleu:6.2f} chrF {rec.chrf:6.2f}")
     return 0
@@ -391,8 +356,7 @@ def cmd_sweep(config: dict) -> int:
     if not points:
         raise ConfigError("sweep: config must list sweep.points")
     points = [_with_inf(p) for p in points]
-    registry, vocab = _load_world(config)
-    mc, ac = _model_configs(config, vocab)
+    registry, vocab, mc, ac = _load_world(config)
     backbone = _load_backbone(config)
     meta_datasets = role_datasets(registry, "meta_train")
     heldout = role_datasets(registry, "heldout")
@@ -400,8 +364,8 @@ def cmd_sweep(config: dict) -> int:
                             backbone=backbone, meta_datasets=meta_datasets, heldout=heldout,
                             budget=_budget(config), max_len=config["eval"]["max_len"])
     out = _out_dir(config)
-    write_manifest(out, config)
     write_sweep(rows, out / "sweep.csv")
+    checkpoint.record_stage(out, "sweep", config, ["sweep.csv"])
     best = next(r for r in rows if r["best"])
     print(f"swept {len(rows)} grid points; best mean BLEU {best['mean_bleu']:.2f}")
     return 0
@@ -410,31 +374,30 @@ def cmd_sweep(config: dict) -> int:
 def cmd_report(run_dirs: list[str], reference: str, out_dir: str) -> int:
     records = []
     logs = []
-    for run in run_dirs:
-        metrics = Path(run) / "metrics.csv"
+    for run in map(Path, run_dirs):
+        metrics = run / "metrics.csv"
         if not metrics.exists():
             raise DataIntegrityError(f"report: {metrics} not found")
         records.extend(read_records(metrics))
-        for log_name in ("training_log.jsonl", "pretrain_log.jsonl"):
-            log_path = Path(run) / log_name
-            if log_path.exists():
-                lines = checkpoint.read_text(log_path).splitlines()
-                for number, line in enumerate(lines, start=1):
-                    try:  # a log damaged on disk can end in a cut line
-                        rec = json.loads(line)
-                    except ValueError as exc:
-                        raise DataIntegrityError(
-                            f"report: {log_path}: invalid JSON on line {number} ({exc})") from exc
-                    if isinstance(rec, dict) and not {"meta_batch_loss", "loss"} & set(rec):
-                        continue  # no loss to plot, such as the early-stop record
-                    point = rec if isinstance(rec, dict) else {}
-                    step, loss = point.get("step"), point.get("meta_batch_loss", point.get("loss"))
-                    # a meta-batch without query pairs logs a NaN loss
-                    if not (KINDS["a whole number"](step) and isinstance(loss, (int, float))
-                            and not isinstance(loss, bool)):
-                        raise DataIntegrityError(f"report: {log_path}: line {number} is not a "
-                                                 f"record with a step and a loss: {line}")
-                    logs.append({"run": Path(run).name, "log": log_name, "step": step, "loss": loss})
+        for log_name in sorted(p.relative_to(run).as_posix() for p in run.rglob("*.jsonl")):
+            log_path = run / log_name
+            lines = checkpoint.read_text(log_path).splitlines()
+            for number, line in enumerate(lines, start=1):
+                try:  # a log damaged on disk can end in a cut line
+                    rec = json.loads(line)
+                except ValueError as exc:
+                    raise DataIntegrityError(
+                        f"report: {log_path}: invalid JSON on line {number} ({exc})") from exc
+                if isinstance(rec, dict) and not {"meta_batch_loss", "loss"} & set(rec):
+                    continue  # no loss to plot, such as the early-stop record
+                point = rec if isinstance(rec, dict) else {}
+                step, loss = point.get("step"), point.get("meta_batch_loss", point.get("loss"))
+                # a meta-batch without query pairs logs a NaN loss
+                if not (KINDS["a whole number"](step) and isinstance(loss, (int, float))
+                        and not isinstance(loss, bool)):
+                    raise DataIntegrityError(f"report: {log_path}: line {number} is not a "
+                                             f"record with a step and a loss: {line}")
+                logs.append({"run": run.name, "log": log_name, "step": step, "loss": loss})
     if not records:
         raise DataIntegrityError("report: the metrics files hold no records")
     out = Path(out_dir)

@@ -92,9 +92,10 @@ class SyntheticWorldSpec:
                              # length L gives sentences of L tokens: past the cap, none pass
                              Rule("two whole numbers",
                                   f"1 <= first <= second <= {MAX_SENTENCE_TOKENS}")),
-             **dict.fromkeys(("train_size", "adapt_size", "valid_size", "test_size", "seed"),
-                             Rule("a whole number", "non-negative")),
-             "pretrain_train_size": Rule("a whole number", "non-negative", null=True),
+             **dict.fromkeys(("train_size", "adapt_size", "valid_size", "test_size"),
+                             Rule("a whole number", "at least 1")),
+             "seed": Rule("a whole number", "non-negative"),
+             "pretrain_train_size": Rule("a whole number", "at least 1", null=True),
              "min_domain_tv": Rule("a number", "in [0, 1]")}
 
     def __post_init__(self):
@@ -111,6 +112,14 @@ class SyntheticWorldSpec:
             raise ConfigError("world spec: the pretrain domain cannot be held out")
         if self.domain_vocab_size > self.content_vocab_size:
             raise ConfigError("world spec: domain_vocab_size exceeds content inventory")
+        if empty := {"meta_train", "heldout"} - {_dlp_role(self, d) for d in self.dlps()}:
+            raise ConfigError(f"world spec: heldout_domains and heldout_languages leave no DLP "
+                              f"in the {' or '.join(sorted(empty))} role")
+
+    def dlps(self) -> list[DlpId]:
+        """Each domain with each ordered pair of distinct languages, sorted."""
+        return sorted(DlpId(d, s, t) for d in self.domains for s in self.languages
+                      for t in self.languages if s != t)
 
     @classmethod
     def from_dict(cls, raw: dict, where: str) -> "SyntheticWorldSpec":
@@ -455,18 +464,15 @@ class RegistryRow:
 
 @dataclass
 class Registry:
-    """Every DLP of `spec`'s grid (each domain with each ordered pair of
-    distinct languages), one row each in sorted DLP order, in the role and
-    with the split sizes the spec gives it; `root` holds the split files."""
+    """One row for each of `spec.dlps()`, in the role and with the split
+    sizes the spec gives it; `root` holds the split files."""
 
     root: Path
     spec: SyntheticWorldSpec
     rows: list[RegistryRow] = field(init=False)
 
     def __post_init__(self):
-        grid = (DlpId(d, s, t) for d in self.spec.domains for s in self.spec.languages
-                for t in self.spec.languages if s != t)
-        self.rows = [_registry_row(self.spec, dlp) for dlp in sorted(grid)]
+        self.rows = [_registry_row(self.spec, dlp) for dlp in self.spec.dlps()]
 
     def by_role(self, role: str) -> list[RegistryRow]:
         return [r for r in self.rows if r.role == role]
@@ -547,8 +553,8 @@ def _write_dlp(spec: SyntheticWorldSpec, models: dict[str, _DomainModel], root: 
 
 
 def generate_world(spec: SyntheticWorldSpec, out_dir: str | Path) -> Registry:
-    """Write the full corpus tree, registry manifest, vocab, and world spec;
-    returns the spec's registry.
+    """Write the full corpus tree, vocab, and world spec; returns the spec's
+    registry.
 
     Deterministic: the same spec produces a byte-identical tree, on any
     number of CPUs. Each DLP is one job with its own rng stream, run on up
@@ -575,9 +581,7 @@ def generate_world(spec: SyntheticWorldSpec, out_dir: str | Path) -> Registry:
     vocab = Vocab.build(token_counts, list(spec.languages), list(spec.domains))
     vocab.save(root / "vocab.json")
     write_json(root / "world.json", asdict(spec))
-    registry = Registry(root=root, spec=spec)
-    _write_manifest(registry)
-    return registry
+    return Registry(root=root, spec=spec)
 
 
 def _assert_domain_separation(spec: SyntheticWorldSpec, unigrams: dict[str, Counter]) -> None:
@@ -594,27 +598,6 @@ def _assert_domain_separation(spec: SyntheticWorldSpec, unigrams: dict[str, Coun
                 raise ConfigError(
                     f"generate_world: domains '{a}' and '{b}' are too similar "
                     f"(TV {tv:.3f} < {spec.min_domain_tv})")
-
-
-MANIFEST_COLUMNS = ["domain", "src_lang", "tgt_lang", "role",
-                    "train_path", "adapt_path", "valid_path", "test_path",
-                    "train_size", "adapt_size", "valid_size", "test_size"]
-
-
-def _write_manifest(registry: Registry) -> None:
-    """registry.tsv, an index of the rows for readers; the program reads
-    world.json instead."""
-    lines = ["\t".join(MANIFEST_COLUMNS)]
-    for row in registry.rows:
-        rel = {s: row.path(Path("."), s).as_posix() for s in SPLITS}
-        lines.append("\t".join([
-            row.dlp.domain, row.dlp.src_lang, row.dlp.tgt_lang, row.role,
-            rel["train"], rel["adapt"], rel["valid"], rel["test"],
-            str(row.sizes["train"]), str(row.sizes["adapt"]),
-            str(row.sizes["valid"]), str(row.sizes["test"]),
-        ]))
-    with atomic_write(registry.root / "registry.tsv") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def load_registry(root: str | Path) -> Registry:

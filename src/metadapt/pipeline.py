@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import write_csv, write_json
+from .checkpoint import write_csv
 from .corpus import Registry, Vocab, load_datasets
 from .errors import InputError
 from .metrics import MetricsRecord, corpus_bleu, chrf, count_trainable
@@ -240,14 +240,3 @@ def write_sweep(rows: list[dict], path: str | Path) -> None:
                                      "inf" if row["tau"] == float("inf") else row["tau"],
                                      row["n"], f"{row['mean_bleu']:.4f}", str(row["best"]).lower()]
                                     for row in rows))
-
-
-# ---------------------------------------------------------------------------
-# run manifests
-# ---------------------------------------------------------------------------
-
-def write_manifest(out_dir: str | Path, config: dict) -> None:
-    from . import __version__
-
-    write_json(Path(out_dir) / "manifest.json",
-               {"config": config, "seed": config["seed"], "code_version": __version__})

@@ -50,8 +50,8 @@ RANGES = {
 @dataclass(frozen=True)
 class Rule:
     """A kind and a range (keys of KINDS and RANGES), and None too if
-    `null`. A rule with `choices` takes only those names, one or a list; its
-    `range` then names that set, and `noun` one of them."""
+    `null`. A rule with `choices` takes one of those names, or a list of one
+    or more distinct ones; its `range` names that set, and `noun` one name."""
 
     kind: str
     range: str = ""
@@ -81,3 +81,5 @@ def check(rules: dict[str, Rule], values: dict, where: str) -> None:
         if unknown:
             raise ConfigError(f"{label}: unknown {rule.noun} {', '.join(map(repr, unknown))}; "
                               f"{rule.range}: {', '.join(rule.choices)}")
+        if many and (not value or len(set(value)) != len(value)):
+            raise ConfigError(f"{label} must be {rule.range}, got {value!r}")

@@ -264,9 +264,8 @@ def linear(x, w, b) -> Tensor:
     """x @ w + b as one op, so the graph keeps no separate x @ w array.
 
     Values and gradients are byte-equal to add(matmul(x, w), b): the sum is
-    the same elementwise add, and backward forms b's gradient from g, then
-    hands matmul's products a copy of g in the output's layout, as
-    `_accumulate` gave the matmul output of the two-op form.
+    the same elementwise add, and backward forms b's gradient from g and hands
+    g itself to matmul's products (`_accumulate` gave it the output's layout).
     """
     x, w, b = _coerce(x), _coerce(w), _coerce(b)
     data = _product(x, w, "linear")
@@ -278,8 +277,7 @@ def linear(x, w, b) -> Tensor:
     def bwd(g: Array) -> None:
         if b.requires_grad:
             _accumulate(b, _unbroadcast(g, b.shape))
-        if x.requires_grad or w.requires_grad:
-            _product_bwd(x, w, np.add(g, 0.0, out=np.empty_like(data)))
+        _product_bwd(x, w, g)
 
     return _make(data, (x, w, b), bwd, "linear")
 

@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 
@@ -104,3 +105,49 @@ def test_atomic_write_replaces_file_and_creates_parents(tmp_path):
             fh.write(text)
     assert path.read_bytes() == b"new\r\n"  # text is written as given
     assert list(path.parent.iterdir()) == [path]
+
+
+def test_record_stage_replaces_only_its_own_entry(tmp_path):
+    """Each entry keys its files by their path relative to out_dir, and a
+    stage recorded again replaces its own entry alone."""
+    checkpoint.save_params(tmp_path / "a" / "x.ckpt", _params())
+    (tmp_path / "log.jsonl").write_text("{}\n", encoding="utf-8")
+    checkpoint.record_stage(tmp_path, "a", {"seed": 1}, ["a/x.ckpt"], note="n")
+    checkpoint.record_stage(tmp_path, "b", {"seed": 2}, ["log.jsonl"])
+    checkpoint.record_stage(tmp_path, "a", {"seed": 3}, ["a/x.ckpt"], note="m")
+    a, b = (checkpoint.read_stage(tmp_path, s) for s in ("a", "b"))
+    assert (a["config"], a["note"], list(a["files"])) == ({"seed": 3}, "m", ["a/x.ckpt"])
+    assert (b["config"], list(b["files"])) == ({"seed": 2}, ["log.jsonl"])
+    assert a["files"]["a/x.ckpt"]["bytes"] == (tmp_path / "a" / "x.ckpt").stat().st_size
+    assert checkpoint.verified(tmp_path, "a", a, "a/x.ckpt") == tmp_path / "a" / "x.ckpt"
+
+
+@pytest.mark.parametrize("index, message", [
+    (None, "manifest.json not found; run the 's' stage again"),
+    ({"config": {}, "seed": 0, "code_version": "0.1.0"}, "no stages table"),
+    ({"stages": {"other": {"config": {}, "files": {}}}}, "no entry for stage 's'"),
+    ({"stages": {"s": {"config": {}}}}, "no entry for stage 's'"),
+], ids=["no-index", "older-format", "no-entry", "entry-without-files"])
+def test_read_stage_of_a_missing_entry_is_data_integrity_error(tmp_path, index, message):
+    if index is not None:
+        (tmp_path / "manifest.json").write_text(json.dumps(index), encoding="utf-8")
+    with pytest.raises(DataIntegrityError, match=re.escape(message)):
+        checkpoint.read_stage(tmp_path, "s")
+
+
+def test_verified_rejects_a_changed_unlisted_or_missing_file(tmp_path):
+    for name in ("x.ckpt", "y.ckpt"):
+        checkpoint.save_params(tmp_path / name, _params())
+    checkpoint.record_stage(tmp_path, "s", {}, ["x.ckpt"])
+    entry = checkpoint.read_stage(tmp_path, "s")
+    raw = bytearray((tmp_path / "x.ckpt").read_bytes())
+    raw[-1] ^= 1  # one payload byte: the framing still parses
+    (tmp_path / "x.ckpt").write_bytes(bytes(raw))
+    assert checkpoint.load_params(tmp_path / "x.ckpt").keys() == _params().keys()
+    entry["files"]["z.ckpt"] = entry["files"]["x.ckpt"]
+    for name, message in (("x.ckpt", "x.ckpt: size or SHA-256 is not what the run index lists "
+                                     "for stage 's'; run it again"),
+                          ("y.ckpt", "y.ckpt: size or SHA-256 is not what the run index lists"),
+                          ("z.ckpt", "z.ckpt not found; run the 's' stage again")):
+        with pytest.raises(DataIntegrityError, match=re.escape(message)):
+            checkpoint.verified(tmp_path, "s", entry, name)

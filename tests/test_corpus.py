@@ -198,31 +198,20 @@ def test_injected_overlap_raises(tmp_path):
 
 
 def test_registry_round_trip(tiny_registry):
-    """load_registry gives the rows generate_world returned, and registry.tsv,
-    written for readers, lists exactly those rows: each DLP in its role, with
-    its split paths and sizes, in the same (sorted) order."""
+    """load_registry gives the rows generate_world returned, in sorted DLP
+    order."""
     root = tiny_registry.root
     reloaded = load_registry(root)
     assert reloaded.rows == tiny_registry.rows
     assert [r.dlp for r in reloaded.rows] == sorted(r.dlp for r in reloaded.rows)
-    header, *lines = (root / "registry.tsv").read_text(encoding="utf-8").splitlines()
-    assert header.split("\t") == ["domain", "src_lang", "tgt_lang", "role",
-                                  "train_path", "adapt_path", "valid_path", "test_path",
-                                  "train_size", "adapt_size", "valid_size", "test_size"]
-    assert len(lines) == len(reloaded.rows)
-    for line, row in zip(lines, reloaded.rows):
-        cells = line.split("\t")
-        assert DlpId(*cells[:3]) == row.dlp and cells[3] == row.role
-        for i, split in enumerate(("train", "adapt", "valid", "test")):
-            assert root / cells[4 + i] == row.path(root, split)
-            assert int(cells[8 + i]) == row.sizes[split]
 
 
 def test_corpus_without_registry_tsv_loads_the_same_registry(tiny_registry, tmp_path):
-    """The program reads world.json, never registry.tsv."""
+    """The program reads world.json and writes no registry.tsv; a copied
+    corpus loads the same registry and datasets."""
     root = tmp_path / "copy"
     shutil.copytree(tiny_registry.root, root)
-    (root / "registry.tsv").unlink()
+    assert not (root / "registry.tsv").exists()
     reloaded = load_registry(root)
     assert reloaded.spec == tiny_registry.spec and reloaded.rows == tiny_registry.rows
     row = reloaded.row(DlpId("gears", "apa", "bel"))
@@ -249,8 +238,9 @@ def test_filter_idempotence_property(pairs):
 ACCEPTANCE_WORLD = Path(__file__).resolve().parent.parent / "configs" / "acceptance_world.json"
 #: SHA-256 over each file's relative path and then its bytes, in sorted
 #: rglob order, of the tree written for configs/acceptance_world.json by the
-#: generator that drew with ``Generator.choice(..., p=...)`` on every draw.
-ACCEPTANCE_WORLD_SHA256 = "1bc7178ac1f57cb40e7e973a615cfbabed3508dc6921a195656da96bcdee5bae"
+#: generator that drew with ``Generator.choice(..., p=...)`` on every draw,
+#: less the registry.tsv that generator also wrote.
+ACCEPTANCE_WORLD_SHA256 = "8f3a59a0cfd6290f2750e5bc04db0adb1039162151de796a4c9c4b92904928a9"
 
 
 def _tree_sha256(root: Path) -> str:

@@ -174,9 +174,34 @@ def test_greedy_hypotheses_are_pinned(world):
     assert greedy_hypotheses(world) == expected
 
 
-def test_smoke_chain_artifacts_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """The directory the smoke chain ran in, and its digests."""
+    tmp = tmp_path_factory.mktemp("smoke_chain")
+    return tmp, smoke_chain(tmp)
+
+
+def test_smoke_chain_artifacts_are_pinned(smoke):
     expected = pinned("smoke_chain")
-    assert smoke_chain(tmp_path) == expected
+    assert smoke[1] == expected
+
+
+def test_smoke_chain_run_index_lists_every_file_once(smoke):
+    """Each stage of the chain has one entry in the run index, and every file
+    the chain leaves in out_dir, but the index and the report under it, is
+    listed by exactly one entry with its size and SHA-256."""
+    out = smoke[0] / "run"
+    stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert sorted(stages) == sorted(["pretrain", "adapt", "sweep",
+                                     *(s for s, setup in STRATEGIES.items() if setup.stage_one)])
+    listed = [name for entry in stages.values() for name in entry["files"]]
+    written = [path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()]
+    assert sorted(listed) == sorted(name for name in written
+                                    if name != "manifest.json" and not name.startswith("report/"))
+    for entry in stages.values():
+        for name, digest in entry["files"].items():
+            data = (out / name).read_bytes()
+            assert digest == {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
 
 
 PIN_TESTS = ["test_meta_train_snapshot_is_pinned", "test_greedy_hypotheses_are_pinned",

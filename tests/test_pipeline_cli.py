@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -84,11 +85,12 @@ def test_cli_full_smoke_pipeline(tmp_path):
     assert run(["pretrain", "--config", str(cfg)]) == 0
     out = tmp_path / "run"
     assert (out / "backbone.ckpt").exists()
-    manifest = json.loads((out / "backbone.json").read_text())
-    assert manifest["backbone_checksum"]
-    assert manifest["partition"]["adapters"] == []  # backbone checkpoint has no adapters
+    entry = json.loads((out / "manifest.json").read_text())["stages"]["pretrain"]
+    assert entry["backbone_checksum"]
+    # backbone checkpoint has no adapters
+    assert not [n for n in checkpoint.load_params(out / "backbone.ckpt") if "/adapter/" in n]
     assert run(["meta-train", "--config", str(cfg)]) == 0
-    assert (out / "meta_adapter.ckpt").exists()
+    assert (out / "meta_adapter" / "adapter.ckpt").exists()
     assert run(["adapt", "--config", str(cfg)]) == 0
     records = read_records(out / "metrics.csv")
     strategies = {r.strategy for r in records}
@@ -183,9 +185,9 @@ def test_cli_baseline_roundtrip(tmp_path):
     assert run(["gen-corpus", "--config", str(cfg)]) == 0
     assert run(["pretrain", "--config", str(cfg)]) == 0
     assert run(["baseline", "--config", str(cfg), "--set", "strategy=agnostic_adapter"]) == 0
-    art_dir = tmp_path / "run" / "baseline_agnostic_adapter"
-    info = json.loads((art_dir / "artifact.json").read_text())
-    assert info["components"] == ["adapter"]
+    art_dir = tmp_path / "run" / "agnostic_adapter"
+    info = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]
+    assert info["agnostic_adapter"]["components"] == ["adapter"]
     params = checkpoint.load_params(art_dir / "adapter.ckpt")
     assert all("/adapter/" in name for name in params)
     assert run(["adapt", "--config", str(cfg),
@@ -214,7 +216,8 @@ def test_cli_truncated_backbone_exit_3(tmp_path, capsys):
     ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
     capsys.readouterr()
     assert run(["meta-train", "--config", str(cfg)]) == 3
-    assert "truncated checkpoint" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{ckpt}: size or SHA-256 is not what the run index lists" in err and "'pretrain'" in err
 
 
 def test_cli_backbone_manifest_checked_on_load(tmp_path, capsys):
@@ -227,9 +230,10 @@ def test_cli_backbone_manifest_checked_on_load(tmp_path, capsys):
     assert "model_dim=48 (backbone: 16)" in capsys.readouterr().err
     assert run(["meta-train", "--config", str(cfg), "--set", "adapter.bottleneck_dim=3"]) == 2
     # parameters that do not match the recorded backbone checksum
-    info_path = tmp_path / "run" / "backbone.json"
+    info_path = tmp_path / "run" / "manifest.json"
     info = json.loads(info_path.read_text(encoding="utf-8"))
-    info_path.write_text(json.dumps(dict(info, backbone_checksum="0" * 64)), encoding="utf-8")
+    info["stages"]["pretrain"]["backbone_checksum"] = "0" * 64
+    info_path.write_text(json.dumps(info), encoding="utf-8")
     assert run(["meta-train", "--config", str(cfg)]) == 3
     assert "checksum" in capsys.readouterr().err
     info_path.unlink()
@@ -250,20 +254,23 @@ def _adapt_agnostic(cfg) -> int:
 
 def test_cli_truncated_artifact_index_exit_3(tmp_path, capsys):
     cfg = _baseline_run(tmp_path)
-    index = tmp_path / "run" / "baseline_agnostic_adapter" / "artifact.json"
+    index = tmp_path / "run" / "manifest.json"
     index.write_bytes(index.read_bytes()[: index.stat().st_size // 2])
     capsys.readouterr()
     assert _adapt_agnostic(cfg) == 3
-    assert "artifact.json: invalid JSON" in capsys.readouterr().err
+    assert "manifest.json: invalid JSON" in capsys.readouterr().err
 
 
 def test_cli_artifact_index_without_components_exit_3(tmp_path, capsys):
     cfg = _baseline_run(tmp_path)
-    index = tmp_path / "run" / "baseline_agnostic_adapter" / "artifact.json"
-    index.write_text(json.dumps({"strategy": "agnostic_adapter", "note": ""}), encoding="utf-8")
+    index = tmp_path / "run" / "manifest.json"
+    info = json.loads(index.read_text(encoding="utf-8"))
+    del info["stages"]["agnostic_adapter"]["components"]
+    index.write_text(json.dumps(info), encoding="utf-8")
     capsys.readouterr()
     assert _adapt_agnostic(cfg) == 3
-    assert "artifact.json: no components list" in capsys.readouterr().err
+    assert ("manifest.json: components None of stage 'agnostic_adapter' are not what it trains"
+            in capsys.readouterr().err)
 
 
 def test_cli_unknown_eval_strategy_exit_2(tmp_path, capsys):
@@ -448,11 +455,10 @@ def _copy_of(smoke_run: Path, tmp_path: Path) -> list[str]:
     ("corpus/general/apa-bel/train.tsv", ["pretrain"]),
     ("corpus/world.json", ["pretrain"]),
     ("corpus/vocab.json", ["pretrain"]),
-    ("run/backbone.json", ["meta-train"]),
-    ("run/baseline_agnostic_adapter/artifact.json",
-     ["adapt", "--set", 'eval.strategies=["agnostic_adapter"]']),
+    ("run/manifest.json", ["meta-train"]),
+    ("run/manifest.json", ["adapt", "--set", 'eval.strategies=["agnostic_adapter"]']),
     ("run/metrics.csv", ["report"]),
-    ("run/training_log.jsonl", ["report"]),
+    ("run/meta_adapter/training_log.jsonl", ["report"]),
     ("hyp.txt", ["evaluate"]),
 ])
 def test_cli_non_utf8_artifact_exit_3(smoke_run, tmp_path, capsys, name, command):
@@ -477,32 +483,46 @@ def test_cli_rerun_replaces_training_logs(smoke_run, tmp_path):
     args = _copy_of(smoke_run, tmp_path)
     assert run(["pretrain", *args, "--set", "pretrain.max_steps=4"]) == 0
     assert run(["meta-train", *args, "--set", "meta.max_meta_batches=2"]) == 0
-    for name, steps in (("pretrain_log.jsonl", 4), ("training_log.jsonl", 2)):
+    for name, steps in (("pretrain_log.jsonl", 4), ("meta_adapter/training_log.jsonl", 2)):
         lines = (tmp_path / "run" / name).read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["step"] for line in lines] == list(range(steps)), name
 
 
 def _index_listing(components):
-    def damage(path: Path) -> None:
-        path.write_text(json.dumps({"strategy": "agnostic_adapter", "components": components,
-                                    "note": ""}), encoding="utf-8")
+    def damage(index: Path) -> None:
+        info = json.loads(index.read_text(encoding="utf-8"))
+        info["stages"]["agnostic_adapter"]["components"] = components
+        index.write_text(json.dumps(info), encoding="utf-8")
     return damage
+
+
+def _record_digest(path: Path) -> None:
+    """Give the run index the new digest of a damaged `<stage>/<file>`, so
+    that a check after the digest is what rejects it."""
+    index = path.parent.parent / "manifest.json"
+    info = json.loads(index.read_text(encoding="utf-8"))
+    data = path.read_bytes()
+    info["stages"][path.parent.name]["files"][f"{path.parent.name}/{path.name}"] = {
+        "bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    index.write_text(json.dumps(info), encoding="utf-8")
 
 
 def _with_extra_tensor(path: Path) -> None:
     checkpoint.save_params(path, {**checkpoint.load_params(path),
                                   "enc/0/adapter/main/extra": np.zeros(2)})
+    _record_digest(path)
 
 
 def _backbone_copy(path: Path) -> None:
-    path.write_bytes((path.parent / "backbone.ckpt").read_bytes())
+    path.write_bytes((path.parent.parent / "backbone.ckpt").read_bytes())
+    _record_digest(path)
 
 
 @pytest.mark.parametrize("name, strategy, damage", [
-    ("baseline_agnostic_adapter/artifact.json", "agnostic_adapter", _index_listing([1])),
-    ("baseline_agnostic_adapter/artifact.json", "agnostic_adapter", _index_listing([])),
-    ("meta_adapter.ckpt", "meta_adapter", _with_extra_tensor),
-    ("meta_adapter.ckpt", "meta_adapter", _backbone_copy),
+    ("manifest.json", "agnostic_adapter", _index_listing([1])),
+    ("manifest.json", "agnostic_adapter", _index_listing([])),
+    ("meta_adapter/adapter.ckpt", "meta_adapter", _with_extra_tensor),
+    ("meta_adapter/adapter.ckpt", "meta_adapter", _backbone_copy),
 ], ids=["component-not-a-name", "no-component", "unknown-tensor", "backbone-as-adapter"])
 def test_cli_stage_one_artifact_checked_on_load(smoke_run, tmp_path, capsys, name, strategy,
                                                 damage):
@@ -529,10 +549,109 @@ def test_cli_baseline_without_stage_one_exit_2(tmp_path, capsys, strategy):
 
 def test_cli_baseline_default_strategy_writes_what_meta_train_writes(smoke_run, tmp_path):
     args = _copy_of(smoke_run, tmp_path)
-    ckpt = tmp_path / "run" / "meta_adapter.ckpt"
+    ckpt = tmp_path / "run" / "meta_adapter" / "adapter.ckpt"
     ckpt.unlink()
     assert run(["baseline", *args]) == 0  # config.strategy defaults to meta_adapter
-    assert ckpt.read_bytes() == (smoke_run / "run" / "meta_adapter.ckpt").read_bytes()
+    assert ckpt.read_bytes() == (smoke_run / "run" / "meta_adapter" / "adapter.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("name, stage, command", [
+    ("backbone.ckpt", "pretrain", ["meta-train"]),
+    ("meta_adapter/adapter.ckpt", "meta_adapter",
+     ["adapt", "--set", 'eval.strategies=["meta_adapter"]']),
+    ("agnostic_adapter/adapter.ckpt", "agnostic_adapter",
+     ["adapt", "--set", 'eval.strategies=["agnostic_adapter"]']),
+])
+def test_cli_flipped_checkpoint_byte_exit_3(smoke_run, tmp_path, capsys, name, stage, command):
+    """A flipped payload byte keeps a checkpoint's names and shapes, so only
+    the digest in the run index tells it apart: the stage that loads it
+    exits 3 in one line naming the file and the stage that wrote it."""
+    args = _copy_of(smoke_run, tmp_path)
+    path = tmp_path / "run" / name
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01  # the low byte of the last float64
+    path.write_bytes(bytes(data))
+    shapes = [{n: v.shape for n, v in checkpoint.load_params(p).items()}
+              for p in (path, smoke_run / "run" / name)]
+    assert shapes[0] == shapes[1]
+    capsys.readouterr()
+    assert run([command[0], *args, *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err and f"stage '{stage}'" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_run_index_of_the_parent_format_exit_3(smoke_run, tmp_path, capsys):
+    """A manifest.json with no stages table (the config, seed and code
+    version alone, as written before the run index) is not read as one:
+    exit 3 in one line that says to run the stage again, and pretrain then
+    starts a new index."""
+    args = _copy_of(smoke_run, tmp_path)
+    config = json.loads((smoke_run / "config.json").read_text(encoding="utf-8"))
+    index = tmp_path / "run" / "manifest.json"
+    index.write_text(json.dumps({"config": config, "seed": config["seed"],
+                                 "code_version": "0.1.0"}), encoding="utf-8")
+    for command in ("meta-train", "adapt"):
+        capsys.readouterr()
+        assert run([command, *args]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {index}: no stages table") and err.count("\n") == 1
+        assert err.endswith("; run the 'pretrain' stage again\n")
+    assert run(["pretrain", *args]) == 0
+    assert list(json.loads(index.read_text(encoding="utf-8"))["stages"]) == ["pretrain"]
+
+
+def test_cli_copied_run_still_verifies(smoke_run, tmp_path):
+    """The index keys each file by its path relative to out_dir, so a copy
+    of a run directory verifies and scores as the original did."""
+    args = _copy_of(smoke_run, tmp_path)
+    stages = json.loads((tmp_path / "run" / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert sorted(stages) == ["adapt", "agnostic_adapter", "meta_adapter", "pretrain"]
+    assert all(not Path(name).is_absolute() and ".." not in Path(name).parts
+               for entry in stages.values() for name in entry["files"])
+    assert run(["adapt", *args]) == 0
+
+    def scores(run_dir):
+        return [(r.dlp, r.strategy, r.bleu, r.chrf, r.loss)
+                for r in read_records(run_dir / "metrics.csv")]
+    assert scores(tmp_path / "run") == scores(smoke_run / "run")
+
+
+def test_cli_full_model_meta_baseline_writes_its_training_log(smoke_run, tmp_path):
+    """full_model_meta runs the Reptile loop, so its stage one keeps its log
+    beside its checkpoint, and report plots every log of the run in sorted
+    path order."""
+    import csv
+
+    args = _copy_of(smoke_run, tmp_path)
+    assert run(["baseline", *args, "--set", "strategy=full_model_meta"]) == 0
+    out = tmp_path / "run"
+    lines = (out / "full_model_meta" / "training_log.jsonl").read_text(encoding="utf-8")
+    assert sum("meta_batch_loss" in json.loads(line) for line in lines.splitlines()) == 3
+    stages = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["stages"]
+    assert sorted(stages["full_model_meta"]["files"]) == ["full_model_meta/model.ckpt",
+                                                          "full_model_meta/training_log.jsonl"]
+    assert run(["report", "--runs", str(out), "--out", str(tmp_path / "report")]) == 0
+    with open(tmp_path / "report" / "loss_curves.csv", encoding="utf-8", newline="") as fh:
+        logs = [row["log"] for row in csv.DictReader(fh)]
+    assert list(dict.fromkeys(logs)) == ["full_model_meta/training_log.jsonl",
+                                         "meta_adapter/training_log.jsonl", "pretrain_log.jsonl"]
+
+
+@pytest.mark.parametrize("overrides, role", [
+    (['world.heldout_languages=["apa","bel","cor"]'], "meta_train"),
+    (["world.heldout_domains=[]", "world.heldout_languages=[]"], "heldout"),
+])
+def test_cli_world_with_an_empty_role_exit_2(tmp_path, capsys, overrides, role):
+    """A world spec that leaves a role with no DLP is a config error naming
+    the keys that decide the roles, before gen-corpus writes any file."""
+    cfg = _smoke_config(tmp_path)
+    sets = [arg for override in overrides for arg in ("--set", override)]
+    assert run(["gen-corpus", "--config", str(cfg), *sets]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: world spec: heldout_domains and heldout_languages leave "
+                   f"no DLP in the {role} role\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name]  # nothing written
 
 
 @pytest.mark.parametrize("override, message", [
@@ -576,6 +695,10 @@ def test_cli_config_shape_exit_2(smoke_run, capsys, override, message):
     ("out_dir=3", "config 'out_dir' must be a string, got 3"),
     ("corpus_dir=null", "config 'corpus_dir' must be a string, got None"),
     ("eval.max_len=40", "config 'eval.max_len' must be at most model.max_seq_len (24), got 40"),
+    ("eval.strategies=[]",
+     "config 'eval.strategies' must be one or more distinct known strategies, got []"),
+    ('eval.strategies=["backbone","meta_adapter","backbone"]',
+     "config 'eval.strategies' must be one or more distinct known strategies, got ['backbone', "),
     ("world.specialist_len=[200,200]",
      "world spec: specialist_len must be 1 <= first <= second <= 175, got (200, 200)"),
     ("world.neutral_len=[176,180]",
@@ -610,6 +733,9 @@ WORLD_WRONG_TYPES = [("seed", 1.5), ("templates_per_domain", 2.5), ("min_domain_
                      ("train_size", 60.5), ("neutral_len", [3.5, 6]),
                      # out of range
                      ("train_size", -5), ("valid_size", -1), ("pretrain_train_size", -3),
+                     # a split of no pairs
+                     ("train_size", 0), ("adapt_size", 0), ("valid_size", 0), ("test_size", 0),
+                     ("pretrain_train_size", 0),
                      ("templates_per_domain", 0), ("content_vocab_size", -3),
                      ("domain_vocab_size", -1), ("seed", -1),
                      # a name that is not one token and one path component
@@ -691,7 +817,8 @@ def test_cli_inf_tau_keeps_the_manifest_strict_json(smoke_run, tmp_path):
         raise ValueError(f"not JSON: {constant}")
 
     manifest = (tmp_path / "run" / "manifest.json").read_text(encoding="utf-8")
-    assert json.loads(manifest, parse_constant=reject)["config"]["meta"]["tau"] == "inf"
+    stages = json.loads(manifest, parse_constant=reject)["stages"]
+    assert stages["meta_adapter"]["config"]["meta"]["tau"] == "inf"
     config = load_config(str(smoke_run / "config.json"), ["meta.tau=inf"])
     assert _meta_config(config).tau == math.inf
 
