@@ -32,7 +32,6 @@ from .pipeline import (
     hyperparam_sweep,
     pretrain_backbone,
     role_datasets,
-    train_strategies,
     write_sweep,
 )
 from .rules import KINDS, NAMES, Rule, check
@@ -43,6 +42,7 @@ from .training import (
     STRATEGY_BACKBONE,
     STRATEGY_META_ADAPTER,
     component_shapes,
+    train_strategy,
 )
 
 DEFAULT_CONFIG: dict = {
@@ -269,24 +269,23 @@ def _component_file(strategy: str, component: str) -> str:  # relative to out_di
 def cmd_stage_one(config: dict, strategy: str) -> int:
     """Train stage one of `strategy` on the meta-training DLPs and write its
     artifact, its meta-training log if it logged meta-batches, and its entry
-    of the run index."""
+    of the run index, which names the backbone it was trained on."""
     setup = STRATEGIES[strategy]
     registry, vocab, mc, ac = _load_world(config)
     backbone = _load_backbone(config)
     datasets = role_datasets(registry, "meta_train")
     out = _out_dir(config)
-    trained, logs = train_strategies([strategy], mc, ac, vocab, backbone, datasets,
+    components, log = train_strategy(strategy, mc, ac, vocab, backbone, datasets,
                                      _meta_config(config))
-    components = trained[strategy]
     files = [_component_file(strategy, c) for c in components]
     for name, params in zip(files, components.values()):
         checkpoint.save_params(out / name, params)
-    if logs[strategy]:
+    if log:
         files.append(f"{strategy}/training_log.jsonl")
-        checkpoint.write_jsonl(out / files[-1], logs[strategy])
+        checkpoint.write_jsonl(out / files[-1], log)
     checkpoint.record_stage(out, strategy, config, files, components=sorted(components),
-                            note=setup.note)
-    batches = sum(1 for r in logs[strategy] if "meta_batch_loss" in r)
+                            note=setup.note, backbone_checksum=backbone_checksum(backbone))
+    batches = sum(1 for r in log if "meta_batch_loss" in r)
     print(f"trained {strategy} over {len(datasets)} DLPs ({len(components)} component(s), "
           f"{batches} meta-batches)")
     return 0
@@ -296,18 +295,24 @@ def _load_trained(config: dict, strategies: list[str], mc: ModelConfig,
                   ac: AdapterConfig) -> dict[str, Components]:
     """The stage-one artifact of each strategy that has one: the components
     its entry of the run index lists, each file verified against that entry
-    and checked to hold exactly the tensors its stage one trains."""
+    and checked to hold exactly the tensors its stage one trains. The entry
+    must name the backbone of the pretrain entry as the one it trained on."""
     out = _out_dir(config)
+    index = out / checkpoint.INDEX
+    pretrained = checkpoint.read_stage(out, "pretrain").get("backbone_checksum")
     trained = {}
     for strategy in strategies:
         setup = STRATEGIES[strategy]
         if setup.stage_one is None:
             continue
         entry = checkpoint.read_stage(out, strategy)
+        if entry.get("backbone_checksum") != pretrained:
+            raise DataIntegrityError(f"{index}: stage '{strategy}' was not trained on the "
+                                     f"backbone of the pretrain entry; run it again")
         names = entry.get("components")
         if not (isinstance(names, list) and names and all(isinstance(c, str) for c in names)
                 and (setup.stage_one == "stack" or names == [setup.component])):
-            raise DataIntegrityError(f"{out / checkpoint.INDEX}: components {names!r} of stage "
+            raise DataIntegrityError(f"{index}: components {names!r} of stage "
                                      f"'{strategy}' are not what it trains")
         shapes = component_shapes(strategy, mc, ac)
         trained[strategy] = {}
@@ -471,9 +476,10 @@ def run(argv: list[str] | None = None) -> int:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if args.command == "report":
                 return cmd_report(args.runs, args.reference, args.out)
-            if args.command == "evaluate" and args.hyp_file:
-                if not args.ref_file:
-                    raise ConfigError("evaluate: --hyp-file requires --ref-file")
+            if args.command == "evaluate" and (args.hyp_file or args.ref_file):
+                if not (args.hyp_file and args.ref_file):
+                    given, needed = ("hyp", "ref") if args.hyp_file else ("ref", "hyp")
+                    raise ConfigError(f"evaluate: --{given}-file requires --{needed}-file")
                 return cmd_evaluate_files(args.hyp_file, args.ref_file)
             config = load_config(args.config, args.set)
             if args.command == "gen-corpus":

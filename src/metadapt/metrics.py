@@ -1,5 +1,4 @@
-"""Corpus-level BLEU and chrF, plus trainable-parameter accounting and
-report aggregation.
+"""Corpus-level BLEU and chrF, plus metrics records and report aggregation.
 
 BLEU
     Corpus BLEU-4 without smoothing: geometric mean of modified n-gram
@@ -258,23 +257,3 @@ def write_report(rows: list[ReportRow], path: str | Path) -> None:
                                       f"{r.mean_chrf:.4f}", f"{r.mean_loss:.6f}", r.count,
                                       f"{r.delta_bleu:.4f}"] for r in rows))
 
-
-# ---------------------------------------------------------------------------
-# efficiency accounting
-# ---------------------------------------------------------------------------
-
-def count_trainable(model, names: list[str], adapter_sets: int | None = None) -> tuple[int, float]:
-    """Size of the trained parameters `names` and its share of the total
-    parameter count.
-
-    With `adapter_sets`, the count is that many adapter sets the size of one
-    of the model's adapter groups (the stacked-adapter strategy trains one
-    set per language pair and one per domain, but installs only two), and
-    the share is of the backbone plus those sets.
-    """
-    if adapter_sets is not None:
-        per_set = model.param_count(model.adapter_names()) // max(len(model.adapter_groups), 1)
-        count = adapter_sets * per_set
-        return count, count / (model.param_count(model.backbone_names()) + count)
-    count = model.param_count(names)
-    return count, count / model.param_count()

@@ -1,5 +1,5 @@
-"""End-to-end stage orchestration: backbone pretraining, strategy training,
-meta-adaptation, evaluation, and the hyperparameter sweep harness.
+"""End-to-end stage orchestration: backbone pretraining, meta-adaptation,
+evaluation, and the hyperparameter sweep harness.
 
 The two-stage protocol: strategies are first trained on the meta-training
 DLPs (or not at all, for the zero-shot backbone and the random-init adapter),
@@ -19,7 +19,7 @@ from . import tensor as T
 from .checkpoint import write_csv
 from .corpus import Registry, Vocab, load_datasets
 from .errors import InputError
-from .metrics import MetricsRecord, corpus_bleu, chrf, count_trainable
+from .metrics import MetricsRecord, corpus_bleu, chrf
 from .model import (
     AdapterConfig,
     ModelConfig,
@@ -44,7 +44,7 @@ from .training import (
     meta_adapt,
     pooled_rows,
     supervised_train,
-    train_stage_one,
+    train_strategy,
 )
 
 @dataclass(frozen=True)
@@ -133,32 +133,8 @@ def evaluate_dlp(model: TranslationModel, vocab: Vocab, dlp: DlpId,
 
 
 # ---------------------------------------------------------------------------
-# strategy training + adaptation runs
+# adaptation runs
 # ---------------------------------------------------------------------------
-
-def train_strategies(strategies: list[str], mc: ModelConfig, ac: AdapterConfig,
-                     vocab: Vocab, backbone: dict[str, np.ndarray],
-                     datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
-                     max_steps: int | None = None,
-                     ) -> tuple[dict[str, Components], dict[str, list[dict]]]:
-    """Run stage one for each strategy that has one, on a model built with
-    the strategy's `STRATEGIES` adapter groups; returns each one's artifact
-    and meta-training log, keyed by strategy."""
-    trained: dict[str, Components] = {}
-    logs: dict[str, list[dict]] = {}
-    for strategy in strategies:
-        setup = STRATEGIES.get(strategy)
-        if setup is None:
-            raise InputError(f"train_strategies: unknown strategy '{strategy}'")
-        if setup.stage_one is None:
-            continue
-        model = build_model(mc, ac, seed=hash_seed(cfg.seed, 50),
-                            adapter_groups=setup.adapter_groups)
-        restore_params(model, backbone)
-        trained[strategy], logs[strategy] = train_stage_one(strategy, model, vocab, datasets,
-                                                            cfg, max_steps=max_steps)
-    return trained, logs
-
 
 def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
                        mc: ModelConfig, ac: AdapterConfig, vocab: Vocab,
@@ -166,29 +142,33 @@ def adapt_and_evaluate(strategy: str, dlp: DlpId, dataset: DlpDataset, *,
                        budget: AdaptBudget, run_seed: int, max_len: int) -> MetricsRecord:
     """Adapt one strategy to one held-out DLP under the shared budget, starting
     from its stage-one artifact in `trained`, then score it on the DLP's test
-    split."""
+    split. Its record counts what the strategy trained once: the size of its
+    stage-one artifact (every adapter set of a stack, not only the two
+    installed), else of the set stage two fine-tunes, over the backbone's
+    size plus that count when it is of adapters."""
     t0 = time.perf_counter()
     setup = STRATEGIES.get(strategy)
     if setup is None:
         raise InputError(f"adapt_and_evaluate: unknown strategy '{strategy}'")
     if setup.stage_one is not None and strategy not in trained:
         raise InputError(f"adapt_and_evaluate: {strategy} snapshot missing")
-    model = build_model(mc, ac, seed=hash_seed(run_seed, 51), adapter_groups=setup.adapter_groups)
-    restore_params(model, backbone)
-    adapter_sets = None
+    model = setup.model(mc, ac, backbone, hash_seed(run_seed, 51))
+    artifact = trained[strategy] if setup.stage_one else {}
     if setup.stage_one == "stack":
-        install_stack(model, trained[strategy], dlp, seed=run_seed)
-        adapter_sets = len(trained[strategy])
-    elif setup.stage_one is not None:
-        restore_params(model, trained[strategy][setup.component])
+        install_stack(model, artifact, dlp, seed=run_seed)
+    elif artifact:
+        restore_params(model, artifact[setup.component])
     trainable = setup.trains(model)
     counts = None
     if trainable:
-        meta_adapt(model, vocab, snapshot_params(model, trainable), dlp, dataset.adapt,
-                   budget.settings, epochs=budget.epochs, batch_size=budget.batch_size,
-                   seed=run_seed, with_domain_tag=setup.with_domain_tag,
-                   max_steps=budget.max_steps)
-        counts = count_trainable(model, trainable, adapter_sets)
+        start = snapshot_params(model, trainable)
+        meta_adapt(model, vocab, start, dlp, dataset.adapt, budget.settings,
+                   epochs=budget.epochs, batch_size=budget.batch_size, seed=run_seed,
+                   with_domain_tag=setup.with_domain_tag, max_steps=budget.max_steps)
+        count = sum(v.size for params in (artifact or {"": start}).values()
+                    for v in params.values())
+        backbone_size = sum(v.size for v in backbone.values())
+        counts = (count, count / (backbone_size + (count if setup.component == "adapter" else 0)))
     return evaluate_dlp(model, vocab, dlp, dataset.test, strategy, max_len,
                         with_domain_tag=setup.with_domain_tag, counts=counts,
                         wall_time=time.perf_counter() - t0, note=setup.note)
@@ -221,8 +201,8 @@ def hyperparam_sweep(grid: list[dict], base_cfg: MetaConfig, *, mc: ModelConfig,
     rows = []
     for point in grid:
         cfg = replace(base_cfg, **point)
-        trained, _ = train_strategies([STRATEGY_META_ADAPTER], mc, ac, vocab, backbone,
-                                      meta_datasets, cfg)
+        trained = {STRATEGY_META_ADAPTER: train_strategy(STRATEGY_META_ADAPTER, mc, ac, vocab,
+                                                         backbone, meta_datasets, cfg)[0]}
         bleus = [rec.bleu for rec in compare_strategies(
             [STRATEGY_META_ADAPTER], heldout, mc=mc, ac=ac, vocab=vocab, backbone=backbone,
             trained=trained, budget=budget, run_seed=cfg.seed, max_len=max_len)]

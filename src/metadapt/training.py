@@ -103,9 +103,9 @@ STRATEGY_RANDOM_ADAPTER = "random_adapter"
 class StrategySetup:
     """What both stages know of one strategy. `component` says what it
     trains, `trains(model)`: the adapters ("adapter"), every parameter
-    ("model") or nothing (""); it also names stage one's artifact. Each
-    stage builds its model with `adapter_groups` over the pretrained
-    backbone. `stage_one` says how stage one trains that set on the
+    ("model") or nothing (""); it also names stage one's artifact. Both
+    stages build their model with `model`, over the pretrained backbone.
+    `stage_one` says how stage one trains that set on the
     meta-training registry: not at all (None), the Reptile loop ("meta"),
     pooled mixed-batch training ("supervised"), or one adapter per language
     pair and one per domain ("stack", an artifact of one component per
@@ -123,6 +123,14 @@ class StrategySetup:
     @property
     def adapter_groups(self) -> tuple[str, ...]:
         return ("main",) if self.component == "adapter" and self.stage_one != "stack" else ()
+
+    def model(self, mc: ModelConfig, ac: AdapterConfig, backbone: dict[str, np.ndarray],
+              seed: int) -> TranslationModel:
+        """A model with this row's adapter groups, initialized from `seed`,
+        holding the pretrained `backbone`."""
+        model = build_model(mc, ac, seed=seed, adapter_groups=self.adapter_groups)
+        restore_params(model, backbone)
+        return model
 
     def trains(self, model: TranslationModel) -> list[str]:
         if self.component == "model":
@@ -522,6 +530,18 @@ def train_stage_one(strategy: str, model: TranslationModel, vocab: Vocab,
                      STAGE_ONE_BATCH, cfg.seed, trainable, with_domain_tag=setup.with_domain_tag,
                      max_steps=max_steps)
     return {setup.component: snapshot_params(model, trainable)}, []
+
+
+def train_strategy(strategy: str, mc: ModelConfig, ac: AdapterConfig, vocab: Vocab,
+                   backbone: dict[str, np.ndarray], datasets: dict[DlpId, DlpDataset],
+                   cfg: MetaConfig, max_steps: int | None = None) -> tuple[Components, list[dict]]:
+    """`train_stage_one` of `strategy` on its row's model over `backbone`,
+    initialized from stream 50 of cfg.seed."""
+    setup = STRATEGIES.get(strategy)
+    if setup is None:
+        raise InputError(f"train_strategy: unknown strategy '{strategy}'")
+    model = setup.model(mc, ac, backbone, hash_seed(cfg.seed, 50))
+    return train_stage_one(strategy, model, vocab, datasets, cfg, max_steps)
 
 
 def _train_stack_adapter(model: TranslationModel, vocab: Vocab,

@@ -19,11 +19,10 @@ from metadapt.pipeline import (
     hyperparam_sweep,
     pretrain_backbone,
     role_datasets,
-    train_strategies,
 )
 from metadapt.rules import NAMES
 from metadapt.tasks import DlpId
-from metadapt.training import MetaConfig
+from metadapt.training import STRATEGIES, MetaConfig, train_strategy
 
 from conftest import tiny_world_spec
 
@@ -115,6 +114,19 @@ def test_cli_evaluate_identity_scores_100(tmp_path, capsys):
     assert run(["evaluate", "--hyp-file", str(refs), "--ref-file", str(refs)]) == 0
     out = capsys.readouterr().out
     assert "BLEU 100.00" in out and "chrF 100.00" in out
+
+
+@pytest.mark.parametrize("given, needed", [("hyp", "ref"), ("ref", "hyp")])
+def test_cli_evaluate_with_one_file_exit_2(tmp_path, monkeypatch, capsys, given, needed):
+    """Files are scored only as a pair: one alone is a config error, before
+    any config, corpus or run is read."""
+    monkeypatch.chdir(tmp_path)
+    lines = tmp_path / "lines.txt"
+    lines.write_text("a b c\n", encoding="utf-8")
+    assert run(["evaluate", f"--{given}-file", str(lines)]) == 2
+    assert capsys.readouterr().err == (f"config error: evaluate: --{given}-file requires "
+                                       f"--{needed}-file\n")
+    assert list(tmp_path.iterdir()) == [lines]
 
 
 @pytest.mark.parametrize("hyps, refs", [("a b c\nd e\n", "a b c\n"), ("", "a b c\n"), ("", "")],
@@ -601,6 +613,27 @@ def test_cli_run_index_of_the_parent_format_exit_3(smoke_run, tmp_path, capsys):
     assert list(json.loads(index.read_text(encoding="utf-8"))["stages"]) == ["pretrain"]
 
 
+@pytest.mark.parametrize("pretrain_again", [True, False], ids=["pretrained-again", "no-checksum"])
+def test_cli_stage_one_of_another_backbone_exit_3(smoke_run, tmp_path, capsys, pretrain_again):
+    """A stage-one entry names the backbone it was trained on. After the
+    backbone is pretrained again, or when the entry names none, its
+    artifact is not scored: exit 3 in one line that names the stage and
+    says to run it again."""
+    args = _copy_of(smoke_run, tmp_path)
+    if pretrain_again:
+        assert run(["pretrain", *args, "--set", "seed=6", "--set", "pretrain.max_steps=4"]) == 0
+    else:
+        index = tmp_path / "run" / "manifest.json"
+        info = json.loads(index.read_text(encoding="utf-8"))
+        del info["stages"]["meta_adapter"]["backbone_checksum"]
+        index.write_text(json.dumps(info), encoding="utf-8")
+    capsys.readouterr()
+    assert run(["adapt", *args, "--set", 'eval.strategies=["meta_adapter"]']) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "stage 'meta_adapter'" in err and err.endswith("run it again\n")
+
+
 def test_cli_copied_run_still_verifies(smoke_run, tmp_path):
     """The index keys each file by its path relative to out_dir, so a copy
     of a run directory verifies and scores as the original did."""
@@ -1003,8 +1036,8 @@ def test_adapt_and_evaluate_identical_budgets_all_strategies(smoke_stack):
                      inner=OptimizerSettings(lr=2e-3))
     strategies = ["backbone", "meta_adapter", "random_adapter", "full_ft", "tag_ft",
                   "agnostic_adapter", "stack_adapter", "full_model_meta"]
-    trained, _ = train_strategies(strategies, mc, ac, vocab, backbone, meta_ds, cfg,
-                                  max_steps=2)
+    trained = {s: train_strategy(s, mc, ac, vocab, backbone, meta_ds, cfg, max_steps=2)[0]
+               for s in strategies if STRATEGIES[s].stage_one}
     budget = AdaptBudget(epochs=1, batch_size=8, settings=OptimizerSettings(lr=2e-3),
                          max_steps=2)
     records = []
@@ -1036,11 +1069,11 @@ def test_adapt_and_evaluate_rejects_unknown_strategy_and_missing_snapshot(smoke_
                                run_seed=0, max_len=10)
 
 
-def test_train_strategies_rejects_unknown_strategy(smoke_stack):
+def test_train_strategy_rejects_unknown_strategy(smoke_stack):
     registry, vocab, mc, ac, backbone = smoke_stack
     with pytest.raises(InputError, match="unknown strategy 'bogus'"):
-        train_strategies(["bogus"], mc, ac, vocab, backbone, role_datasets(registry, "meta_train"),
-                         MetaConfig())
+        train_strategy("bogus", mc, ac, vocab, backbone, role_datasets(registry, "meta_train"),
+                       MetaConfig())
 
 
 def test_hyperparam_sweep_degenerate_and_deterministic(smoke_stack):
@@ -1061,7 +1094,8 @@ def test_hyperparam_sweep_degenerate_and_deterministic(smoke_stack):
     assert len(rows1) == 1 and rows1[0]["best"] is True
 
     # a size-1 grid equals a direct meta-train + evaluate run
-    trained, _ = train_strategies(["meta_adapter"], mc, ac, vocab, backbone, meta_ds, base)
+    trained = {"meta_adapter": train_strategy("meta_adapter", mc, ac, vocab, backbone, meta_ds,
+                                              base)[0]}
     dlp = next(iter(pair))
     direct = adapt_and_evaluate("meta_adapter", dlp, pair[dlp], mc=mc, ac=ac, vocab=vocab,
                                 backbone=backbone, trained=trained, budget=budget,

@@ -222,7 +222,7 @@ def test_grad_check_relu_away_from_kinks():
     x = T.Tensor([0.5, -0.4, 1.2, -2.0], requires_grad=True)
 
     def f():
-        return T.tensor_sum(T.relu(T.mul(x, x) - 0.01))
+        return T.tensor_sum(T.relu(T.add(T.mul(x, x), -0.01)))
 
     report = grad_check(f, {"x": x}, tol=1e-4)
     assert report.passed, report
@@ -238,7 +238,7 @@ def test_grad_check_composite_ops_finite_difference():
 
     def f():
         h = T.layer_norm(T.matmul(T.Tensor(x), w1), g, b)
-        return T.cross_entropy(T.softmax(h) * 5.0, targets, np.ones(3))
+        return T.cross_entropy(T.mul(T.softmax(h), 5.0), targets, np.ones(3))
 
     report = grad_check(f, {"w1": w1, "g": g, "b": b}, tol=1e-4)
     assert report.passed, report

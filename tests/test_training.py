@@ -1,10 +1,13 @@
+import ast
 import multiprocessing
 import os
 from multiprocessing.context import ForkProcess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import metadapt
 from metadapt import pipeline
 from metadapt import tensor as T
 from metadapt import training
@@ -773,6 +776,21 @@ def test_stage_one_trains_exactly_the_tables_set(world, name):
     for param, value in before.items():
         if param not in trains:
             assert np.array_equal(model.params[param].data, value), param
+
+
+def test_only_model_and_training_read_adapter_groups():
+    """`training.py` alone builds a strategy's models: besides `model.py`,
+    no module reads `adapter_groups`, and none names an `adapter_sets`
+    count (stage two counts what a strategy trained from its artifact)."""
+    readers, sets = [], []
+    for path in sorted(Path(metadapt.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "adapter_groups":
+                readers.append(path.name)
+            if "adapter_sets" in (getattr(node, "attr", None), getattr(node, "id", None),
+                                  getattr(node, "arg", None)):
+                sets.append(f"{path.name}:{node.lineno}")
+    assert set(readers) <= {"model.py", "training.py"} and sets == []
 
 
 def test_stack_stage_one_keeps_the_backbone(world):
