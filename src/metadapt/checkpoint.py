@@ -12,11 +12,12 @@ identical files.
 
 `atomic_write` is the one way the package writes an artifact (checkpoints,
 the run index, training logs, metrics and report tables): a reader or a crash
-sees the old file or the new one, never a part of either. The text helpers
-below are the one encoding of every other artifact: UTF-8, JSON sorted with
-indent 2 (a log: one sorted JSON object per line), CSV with "\n" line ends;
-bytes that are not UTF-8, or text that is not JSON, are a DataIntegrityError
-naming the file.
+sees the old file or the new one, never a part of either; `atomic_dir` does
+the same for a whole tree, the corpus. The text helpers below are the one
+encoding of every other artifact: UTF-8, JSON sorted with indent 2 (a log:
+one sorted JSON object per line), CSV with "\n" line ends; bytes that are
+not UTF-8, or text that is not JSON, are a DataIntegrityError naming the
+file.
 
 The run index, `INDEX` in a run's out_dir, holds `{"stages": {stage: entry}}`:
 each entry the stage's config, the code version, the stage's own facts, and
@@ -32,15 +33,16 @@ import json
 import math
 import os
 import secrets
+import shutil
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
 from . import __version__
-from .errors import DataIntegrityError
+from .errors import DataIntegrityError, InputError
 
 MAGIC = b"MDCKPT01"
 INDEX = "manifest.json"
@@ -64,6 +66,49 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def atomic_dir(path: str | Path, check_old: Callable[[Path], None]) -> Iterator[Path]:
+    """Make a new temp directory beside `path` to fill.
+
+    `path` is resolved first, so a symlink keeps pointing at the directory
+    that is replaced. The working directory, or one that holds it, is an
+    InputError and a file at `path` a FileExistsError; a non-empty directory
+    there is passed to `check_old`, which raises to keep it. All of this
+    happens before anything is written. A clean exit renames the temp
+    directory to `path`, after moving the tree already there aside, and then
+    deletes that tree; an exception deletes the temp directory and leaves
+    `path` as it was."""
+    path = Path(path).resolve()
+    cwd = Path.cwd().resolve()
+    if path == cwd or path in cwd.parents:
+        raise InputError(f"{path}: is the working directory or holds it, so it cannot be "
+                         "replaced whole")
+    if path.exists() and not path.is_dir():
+        raise FileExistsError(f"{path}: exists and is not a directory")
+    if path.is_dir() and any(path.iterdir()):
+        check_old(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp.mkdir()
+    old = tmp.with_suffix(".old")
+    try:
+        yield tmp
+        if path.exists():
+            os.rename(path, old)
+        os.rename(tmp, path)
+    except BaseException:
+        if old.exists() and not path.exists():
+            os.rename(old, path)
+        shutil.rmtree(tmp, ignore_errors=True)  # the exception raised says what failed
+        raise
+    try:
+        if old.exists():
+            shutil.rmtree(old)
+    except OSError as exc:
+        raise OSError(f"{path}: the new tree is in place, but the old one moved to {old} "
+                      f"could not be deleted ({exc})") from exc
 
 
 def write_json(path: str | Path, payload) -> None:

@@ -238,6 +238,9 @@ def cmd_gen_corpus(config: dict) -> int:
     if not config["world"]:
         raise ConfigError("gen-corpus: config must define a 'world' table")
     spec = SyntheticWorldSpec.from_dict(config["world"], "in config")
+    corpus, out = Path(config["corpus_dir"]).resolve(), _out_dir(config).resolve()
+    if out == corpus or corpus in out.parents:  # the new corpus replaces corpus_dir whole
+        raise ConfigError(f"gen-corpus: out_dir ({out}) must not lie inside corpus_dir ({corpus})")
     registry = generate_world(spec, config["corpus_dir"])
     print(f"generated {len(registry.rows)} DLPs under {registry.root}")
     return 0

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_write, read_json, read_text, write_json
+from .checkpoint import atomic_dir, atomic_write, read_json, read_text, write_json
 from .errors import ConfigError, DataIntegrityError, InputError
 from .forkpool import ForkPool
 from .rules import NAMES, Rule, check
@@ -554,7 +554,11 @@ def _write_dlp(spec: SyntheticWorldSpec, models: dict[str, _DomainModel], root: 
 
 def generate_world(spec: SyntheticWorldSpec, out_dir: str | Path) -> Registry:
     """Write the full corpus tree, vocab, and world spec; returns the spec's
-    registry.
+    registry. The tree is written beside out_dir and renamed into place
+    whole, so a failed run leaves out_dir as it was. A directory already at
+    out_dir is replaced only when it is empty or an earlier corpus;
+    anything else is left as it is, and a FileExistsError raised before
+    anything is written.
 
     Deterministic: the same spec produces a byte-identical tree, on any
     number of CPUs. Each DLP is one job with its own rng stream, run on up
@@ -563,25 +567,38 @@ def generate_world(spec: SyntheticWorldSpec, out_dir: str | Path) -> Registry:
     ConfigError when the generated domain unigram distributions are closer
     than the configured minimum pairwise total-variation distance.
     """
-    root = Path(out_dir)
-    root.mkdir(parents=True, exist_ok=True)
     models = _domain_models(spec)
     jobs = [(d_idx, s_idx, t_idx) for d_idx in range(len(spec.domains))
             for s_idx in range(len(spec.languages))
             for t_idx in range(len(spec.languages)) if s_idx != t_idx]
-    with ForkPool(_write_dlp, len(jobs), "generate_world: DLP") as pool:
-        results = pool.map((spec, models, root), jobs)
-    token_counts: Counter = Counter()
-    unigrams: dict[str, Counter] = {d: Counter() for d in spec.domains}
-    for (d_idx, _, _), (tokens, latent_counts) in zip(jobs, results):
-        token_counts.update(tokens)
-        unigrams[spec.domains[d_idx]].update(latent_counts)
+    with atomic_dir(out_dir, _check_earlier_corpus) as tree:
+        with ForkPool(_write_dlp, len(jobs), "generate_world: DLP") as pool:
+            results = pool.map((spec, models, tree), jobs)
+        token_counts: Counter = Counter()
+        unigrams: dict[str, Counter] = {d: Counter() for d in spec.domains}
+        for (d_idx, _, _), (tokens, latent_counts) in zip(jobs, results):
+            token_counts.update(tokens)
+            unigrams[spec.domains[d_idx]].update(latent_counts)
 
-    _assert_domain_separation(spec, unigrams)
-    vocab = Vocab.build(token_counts, list(spec.languages), list(spec.domains))
-    vocab.save(root / "vocab.json")
-    write_json(root / "world.json", asdict(spec))
-    return Registry(root=root, spec=spec)
+        _assert_domain_separation(spec, unigrams)
+        vocab = Vocab.build(token_counts, list(spec.languages), list(spec.domains))
+        vocab.save(tree / "vocab.json")
+        write_json(tree / "world.json", asdict(spec))
+    return Registry(root=Path(out_dir), spec=spec)
+
+
+def _check_earlier_corpus(root: Path) -> None:
+    """FileExistsError unless `root` holds an earlier corpus and nothing
+    else: world.json, vocab.json and a directory per domain of that world."""
+    try:
+        domains = read_json(root / "world.json")["domains"]
+        kept = {("world.json", False), ("vocab.json", False), *((d, True) for d in domains)}
+        earlier = all((p.name, p.is_dir()) in kept for p in root.iterdir())
+    except (OSError, DataIntegrityError, TypeError, KeyError):
+        earlier = False
+    if not earlier:
+        raise FileExistsError(f"{root}: not empty and not only an earlier corpus, which is "
+                              "all that a new corpus may replace; it is left as it is")
 
 
 def _assert_domain_separation(spec: SyntheticWorldSpec, unigrams: dict[str, Counter]) -> None:

@@ -140,20 +140,18 @@ class TranslationModel:
     def backbone_checksum(self) -> str:
         return backbone_checksum({n: self.params[n].data for n in self.backbone_names()})
 
-    def param_count(self, names: list[str] | None = None) -> int:
-        names = list(self.params) if names is None else names
-        return int(sum(self.params[n].size for n in names))
+    def param_count(self) -> int:
+        return int(sum(p.size for p in self.params.values()))
 
     # -- forward ------------------------------------------------------------
 
     def _p(self, name: str) -> Tensor:
         return self.params[name]
 
-    def _maybe_dropout(self, x: Tensor, train: bool, rng: np.random.Generator | None) -> Tensor:
-        if not train or self.mc.dropout == 0.0:
+    def _maybe_dropout(self, x: Tensor, rng: np.random.Generator | None) -> Tensor:
+        """x with dropout when given an rng, the one switch of a training pass."""
+        if rng is None or self.mc.dropout == 0.0:
             return x
-        if rng is None:
-            raise InputError("training forward pass needs an rng for dropout")
         return T.dropout(x, self.mc.dropout, rng)
 
     def _heads(self, x: Tensor) -> Tensor:
@@ -207,34 +205,34 @@ class TranslationModel:
         base = f"{side}/{layer}/adapter/{group}"
         return {k: self._p(f"{base}/{k}") for k in ("ln_g", "ln_b", "down_w", "down_b", "up_w", "up_b")}
 
-    def _embed(self, ids: np.ndarray, train: bool, rng, start: int = 0) -> Tensor:
+    def _embed(self, ids: np.ndarray, rng, start: int = 0) -> Tensor:
         """Embeddings of ids at positions start, start + 1, ..."""
         end = start + ids.shape[1]
         if end > self.mc.max_seq_len:
             raise DimensionError(f"sequence length {end} exceeds max_seq_len {self.mc.max_seq_len}")
         x = T.scale(T.embedding_lookup(self._p("embed/tok"), ids), np.sqrt(self.mc.model_dim))
         x = x + Tensor(self._pos[start:end])
-        return self._maybe_dropout(x, train, rng)
+        return self._maybe_dropout(x, rng)
 
     def encode(self, src: np.ndarray, src_mask: np.ndarray,
-               train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        x = self._embed(src, train, rng)
+               rng: np.random.Generator | None = None) -> Tensor:
+        x = self._embed(src, rng)
         key_mask = NEG_MASK * (1.0 - src_mask)[:, None, None, :]
         for i in range(self.mc.num_layers):
             p = f"enc/{i}"
             ln1 = self._ln(f"{p}/ln1", x)
-            x = x + self._maybe_dropout(self._attention(f"{p}/attn", ln1, ln1, key_mask), train, rng)
-            x = x + self._maybe_dropout(self._ffn(f"{p}/ffn", self._ln(f"{p}/ln2", x)), train, rng)
+            x = x + self._maybe_dropout(self._attention(f"{p}/attn", ln1, ln1, key_mask), rng)
+            x = x + self._maybe_dropout(self._ffn(f"{p}/ffn", self._ln(f"{p}/ln2", x)), rng)
             x = self._adapters("enc", i, x)
         return self._ln("enc/ln_f", x)
 
     def encoder_output(self, src: np.ndarray, src_mask: np.ndarray, enc: Tensor | None = None,
-                       train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+                       rng: np.random.Generator | None = None) -> Tensor:
         """`enc`, an encoder output the caller already holds for `src`, or
         src encoded now. An `enc` of another shape than src's encoder output
         is a DimensionError."""
         if enc is None:
-            return self.encode(src, src_mask, train, rng)
+            return self.encode(src, src_mask, rng)
         if enc.shape != (*src.shape, self.mc.model_dim):
             raise DimensionError(f"encoder output of shape {enc.shape} given for sources "
                                  f"of shape {src.shape}")
@@ -248,8 +246,7 @@ class TranslationModel:
         return DecoderCache(key_mask=np.zeros((enc_out.shape[0], 0)), cross=cross)
 
     def decode_logits(self, enc_out: Tensor, src_mask: np.ndarray, dec_in: np.ndarray,
-                      dec_mask: np.ndarray, train: bool = False,
-                      rng: np.random.Generator | None = None,
+                      dec_mask: np.ndarray, rng: np.random.Generator | None = None,
                       cache: DecoderCache | None = None) -> Tensor:
         """Decoder logits at every position of dec_in. Without a cache dec_in
         starts at position 0 (teacher forcing). With one, it continues after
@@ -259,7 +256,7 @@ class TranslationModel:
         if cache is not None and T.grad_enabled():
             raise StateError("decode_logits: a decoder cache is for no_grad decoding only")
         start = 0 if cache is None else cache.key_mask.shape[1]
-        x = self._embed(dec_in, train, rng, start)
+        x = self._embed(dec_in, rng, start)
         key_mask = dec_mask
         if cache is not None:
             key_mask = cache.key_mask = np.concatenate([cache.key_mask, dec_mask], axis=1)
@@ -270,18 +267,17 @@ class TranslationModel:
         for i in range(self.mc.num_layers):
             p = f"dec/{i}"
             ln1 = self._ln(f"{p}/ln1", x)
-            x = x + self._maybe_dropout(self._attention(f"{p}/attn", ln1, ln1, self_mask, cache), train, rng)
-            x = x + self._maybe_dropout(self._attention(f"{p}/xattn", self._ln(f"{p}/ln2", x), enc_out, cross_mask, cache), train, rng)
-            x = x + self._maybe_dropout(self._ffn(f"{p}/ffn", self._ln(f"{p}/ln3", x)), train, rng)
+            x = x + self._maybe_dropout(self._attention(f"{p}/attn", ln1, ln1, self_mask, cache), rng)
+            x = x + self._maybe_dropout(self._attention(f"{p}/xattn", self._ln(f"{p}/ln2", x), enc_out, cross_mask, cache), rng)
+            x = x + self._maybe_dropout(self._ffn(f"{p}/ffn", self._ln(f"{p}/ln3", x)), rng)
             x = self._adapters("dec", i, x)
         x = self._ln("dec/ln_f", x)
         return T.matmul(x, T.swapaxes(self._p("embed/tok"), 0, 1))
 
-    def forward_logits(self, batch: Batch, train: bool = False,
-                       rng: np.random.Generator | None = None,
+    def forward_logits(self, batch: Batch, rng: np.random.Generator | None = None,
                        enc: Tensor | None = None) -> Tensor:
-        enc = self.encoder_output(batch.src, batch.src_mask, enc, train, rng)
-        return self.decode_logits(enc, batch.src_mask, batch.dec_in, batch.gold_mask, train, rng)
+        enc = self.encoder_output(batch.src, batch.src_mask, enc, rng)
+        return self.decode_logits(enc, batch.src_mask, batch.dec_in, batch.gold_mask, rng)
 
 
 def backbone_checksum(params: dict[str, np.ndarray]) -> str:
@@ -495,11 +491,11 @@ def _pad_rows(rows: list[list[int]], pad_id: int) -> tuple[np.ndarray, np.ndarra
     return ids, mask
 
 
-def forward_loss(model: TranslationModel, batch: Batch, train: bool = False,
+def forward_loss(model: TranslationModel, batch: Batch,
                  rng: np.random.Generator | None = None, enc: Tensor | None = None) -> Tensor:
     """Mean token cross-entropy over non-padding gold positions; `enc` is
     the encoder output of batch.src, if the caller already holds it."""
-    logits = model.forward_logits(batch, train=train, rng=rng, enc=enc)
+    logits = model.forward_logits(batch, rng=rng, enc=enc)
     return T.cross_entropy(logits, batch.gold, batch.gold_mask)
 
 

@@ -9,6 +9,7 @@ DLP's adapt split before being scored on its test split.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -199,6 +200,7 @@ def hyperparam_sweep(grid: list[dict], base_cfg: MetaConfig, *, mc: ModelConfig,
     if not grid:
         raise InputError("hyperparam_sweep: empty grid")
     rows = []
+    varied = dict.fromkeys(key for point in grid for key in point)
     for point in grid:
         cfg = replace(base_cfg, **point)
         trained = {STRATEGY_META_ADAPTER: train_strategy(STRATEGY_META_ADAPTER, mc, ac, vocab,
@@ -208,7 +210,7 @@ def hyperparam_sweep(grid: list[dict], base_cfg: MetaConfig, *, mc: ModelConfig,
             trained=trained, budget=budget, run_seed=cfg.seed, max_len=max_len)]
         row = {"m": cfg.m, "k": cfg.k, "beta": cfg.beta, "tau": cfg.tau, "n": cfg.n,
                "mean_bleu": sum(bleus) / len(bleus), "best": False}
-        rows.append(row | {k: v for k, v in point.items() if k not in row})
+        rows.append(row | {k: getattr(cfg, k) for k in varied if k not in row})
     best = max(range(len(rows)), key=lambda i: rows[i]["mean_bleu"])
     for i, row in enumerate(rows):
         row["best"] = i == best
@@ -216,7 +218,10 @@ def hyperparam_sweep(grid: list[dict], base_cfg: MetaConfig, *, mc: ModelConfig,
 
 
 def write_sweep(rows: list[dict], path: str | Path) -> None:
-    write_csv(path, SWEEP_COLUMNS, ([row["m"], row["k"], row["beta"],
-                                     "inf" if row["tau"] == float("inf") else row["tau"],
-                                     row["n"], f"{row['mean_bleu']:.4f}", str(row["best"]).lower()]
-                                    for row in rows))
+    """SWEEP_COLUMNS with, after `n`, one column of JSON values per other
+    field the grid varies, in first-seen order."""
+    extra = [k for k in rows[0] if k not in SWEEP_COLUMNS]
+    write_csv(path, SWEEP_COLUMNS[:5] + extra + SWEEP_COLUMNS[5:],
+              ([row["m"], row["k"], row["beta"], "inf" if row["tau"] == float("inf") else row["tau"],
+                row["n"], *(json.dumps(row[k]) for k in extra), f"{row['mean_bleu']:.4f}",
+                str(row["best"]).lower()] for row in rows))

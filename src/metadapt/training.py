@@ -262,8 +262,7 @@ class _Shards:
             for name, grad in self._rows[1 + shard].items():
                 self._params[name].grad = grad
             with T.use_tape(T.Tape()):
-                loss = forward_loss(self._model, batch, train=True,
-                                    rng=shard_stream(*key, shard))
+                loss = forward_loss(self._model, batch, rng=shard_stream(*key, shard))
                 T.backward(loss)
         finally:
             for name, grad in own.items():
@@ -363,7 +362,7 @@ def inner_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarr
     for step in range(k):
         # rebinding `loss` frees the previous step's graph only after this
         # forward has run, which keeps glibc from trimming the heap (README)
-        loss = forward_loss(model, batch, train=True, rng=rng)
+        loss = forward_loss(model, batch, rng=rng)
         _finite(float(loss.data), step)
         T.backward(loss)
         opt.step()
@@ -510,16 +509,16 @@ def pooled_rows(datasets: dict[DlpId, DlpDataset]) -> list[tuple[DlpId, Sentence
 
 def train_stage_one(strategy: str, model: TranslationModel, vocab: Vocab,
                     datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
-                    max_steps: int | None = None) -> tuple[Components, list[dict]]:
+                    ) -> tuple[Components, list[dict]]:
     """Stage one of a `STRATEGIES` entry on `model`, built with the entry's
     adapter groups over the backbone: returns the artifact's components and
-    the meta-training log (empty unless the entry runs the meta loop, which
-    `max_steps` does not cut)."""
+    the meta-training log (empty unless the entry runs the meta loop). A
+    supervised stage one trains cfg.epochs whole epochs."""
     setup = STRATEGIES.get(strategy)
     if setup is None or setup.stage_one is None:
         raise InputError(f"train_stage_one: no stage one for strategy {strategy!r}")
     if setup.stage_one == "stack":
-        return _train_stack_adapter(model, vocab, datasets, cfg, max_steps), []
+        return _train_stack_adapter(model, vocab, datasets, cfg), []
     trainable = setup.trains(model)
     if not trainable:
         raise StateError(f"{strategy} needs an adapter-equipped model")
@@ -527,26 +526,24 @@ def train_stage_one(strategy: str, model: TranslationModel, vocab: Vocab,
         snapshot, log = meta_train(model, vocab, datasets, cfg, trainable=trainable)
         return {setup.component: snapshot.tensors}, log
     supervised_train(model, vocab, pooled_rows(datasets), cfg.inner, cfg.epochs,
-                     STAGE_ONE_BATCH, cfg.seed, trainable, with_domain_tag=setup.with_domain_tag,
-                     max_steps=max_steps)
+                     STAGE_ONE_BATCH, cfg.seed, trainable, with_domain_tag=setup.with_domain_tag)
     return {setup.component: snapshot_params(model, trainable)}, []
 
 
 def train_strategy(strategy: str, mc: ModelConfig, ac: AdapterConfig, vocab: Vocab,
                    backbone: dict[str, np.ndarray], datasets: dict[DlpId, DlpDataset],
-                   cfg: MetaConfig, max_steps: int | None = None) -> tuple[Components, list[dict]]:
+                   cfg: MetaConfig) -> tuple[Components, list[dict]]:
     """`train_stage_one` of `strategy` on its row's model over `backbone`,
     initialized from stream 50 of cfg.seed."""
     setup = STRATEGIES.get(strategy)
     if setup is None:
         raise InputError(f"train_strategy: unknown strategy '{strategy}'")
     model = setup.model(mc, ac, backbone, hash_seed(cfg.seed, 50))
-    return train_stage_one(strategy, model, vocab, datasets, cfg, max_steps)
+    return train_stage_one(strategy, model, vocab, datasets, cfg)
 
 
 def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
-                         datasets: dict[DlpId, DlpDataset], cfg: MetaConfig,
-                         max_steps: int | None) -> Components:
+                         datasets: dict[DlpId, DlpDataset], cfg: MetaConfig) -> Components:
     lang_pairs = sorted({(d.src_lang, d.tgt_lang) for d in datasets})
     domains = sorted({d.domain for d in datasets})
     components: Components = {}
@@ -554,8 +551,7 @@ def _train_stack_adapter(model: TranslationModel, vocab: Vocab,
     def train_component(name: str, subset: dict[DlpId, DlpDataset], comp_seed: int) -> None:
         add_adapter_group(model, "stack", seed=comp_seed)
         supervised_train(model, vocab, pooled_rows(subset), cfg.inner, cfg.epochs,
-                         STAGE_ONE_BATCH, cfg.seed, model.adapter_names("stack"),
-                         max_steps=max_steps)
+                         STAGE_ONE_BATCH, cfg.seed, model.adapter_names("stack"))
         components[name] = read_adapter_group(model, "stack")
         remove_adapter_group(model, "stack")
 

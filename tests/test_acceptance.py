@@ -238,7 +238,7 @@ def test_criterion_04_reptile_oracle(tiny_registry):
         episode = build_episode([dlp], datasets, cfg.n, cfg.q, episode_stream(cfg.seed, step))
         batch = make_batch(list(episode.tasks[0].support), vocab, dlp)
         opt = AdamW({n: twin.params[n] for n in names}, cfg.inner)
-        loss = forward_loss(twin, batch, train=True, rng=inner_stream(cfg.seed, step, 0))
+        loss = forward_loss(twin, batch, rng=inner_stream(cfg.seed, step, 0))
         T.backward(loss)
         opt.step()
     worst = max(float(np.max(np.abs(snap.tensors[n] - twin.params[n].data))) for n in names)
@@ -312,7 +312,7 @@ def test_criterion_07_efficiency_accounting(experiment):
     cfg = MetaConfig(m=2, n=4, q=0, k=1, epochs=1, seed=0, max_meta_batches=1,
                      inner=OptimizerSettings(lr=1e-3))
     artifact, _ = train_stage_one("stack_adapter", model, vocab=experiment["vocab"],
-                                  datasets=subset, cfg=cfg, max_steps=1)
+                                  datasets=subset, cfg=cfg)
     lp_count = len({(d.src_lang, d.tgt_lang) for d in subset})
     dom_count = len({d.domain for d in subset})
     rec = adapt_and_evaluate("stack_adapter", sorted(subset)[0], subset[sorted(subset)[0]],
@@ -387,7 +387,7 @@ def test_invariant_adaptation_speed(experiment):
             losses = [valid_loss()]
             for lo in range(0, len(order), budget.batch_size):
                 chunk = [ds.adapt[i] for i in order[lo : lo + budget.batch_size]]
-                loss = forward_loss(model, make_batch(chunk, vocab, dlp), train=True,
+                loss = forward_loss(model, make_batch(chunk, vocab, dlp),
                                     rng=np.random.default_rng(np.random.SeedSequence([78, lo])))
                 T.backward(loss)
                 opt.step()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from metadapt import checkpoint
-from metadapt.errors import DataIntegrityError
+from metadapt.errors import DataIntegrityError, InputError
 
 
 def _params():
@@ -105,6 +105,64 @@ def test_atomic_write_replaces_file_and_creates_parents(tmp_path):
             fh.write(text)
     assert path.read_bytes() == b"new\r\n"  # text is written as given
     assert list(path.parent.iterdir()) == [path]
+
+
+def test_atomic_dir_over_a_file_fails_before_writing(tmp_path):
+    """A file where the tree goes is left as it is, with nothing beside it
+    (a directory renamed over it would hide the file)."""
+    path = tmp_path / "corpus"
+    path.write_text("a file\n", encoding="utf-8")
+    with pytest.raises(FileExistsError):
+        with checkpoint.atomic_dir(path, _keep):
+            pass
+    assert path.read_text(encoding="utf-8") == "a file\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def _keep(path):
+    raise FileExistsError(f"{path}: kept")
+
+
+def test_atomic_dir_refuses_the_working_directory_and_its_parents(tmp_path, monkeypatch):
+    """"." and "" name the working directory, whose name the tree's temp
+    name is made from; it and every directory above it are refused before
+    anything is written."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for path in (".", "", "..", tmp_path, "/"):
+        with pytest.raises(InputError, match="working directory"):
+            with checkpoint.atomic_dir(path, _keep):
+                pass
+    assert list(tmp_path.iterdir()) == [cwd] and list(cwd.iterdir()) == []
+
+
+def test_atomic_dir_asks_before_replacing_a_non_empty_directory(tmp_path):
+    """A non-empty directory is passed to check_old, whose exception keeps
+    it; an empty one is replaced without asking."""
+    path = tmp_path / "tree"
+    path.mkdir()
+    with checkpoint.atomic_dir(path, _keep) as tree:
+        (tree / "a.txt").write_text("new\n", encoding="utf-8")
+    assert (path / "a.txt").read_text(encoding="utf-8") == "new\n"
+    with pytest.raises(FileExistsError, match="kept"):
+        with checkpoint.atomic_dir(path, _keep):
+            pass
+    assert list(tmp_path.iterdir()) == [path] and list(path.iterdir()) == [path / "a.txt"]
+
+
+def test_atomic_dir_through_a_symlink_replaces_its_target(tmp_path):
+    """The link stays a link, its target holds the new tree, and nothing is
+    left beside either."""
+    target, link = tmp_path / "target", tmp_path / "link"
+    target.mkdir()
+    (target / "old.txt").write_text("old\n", encoding="utf-8")
+    link.symlink_to(target)
+    with checkpoint.atomic_dir(link, lambda path: None) as tree:
+        (tree / "new.txt").write_text("new\n", encoding="utf-8")
+    assert link.is_symlink() and link.resolve() == target
+    assert [p.name for p in target.iterdir()] == ["new.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "target"]
 
 
 def test_record_stage_replaces_only_its_own_entry(tmp_path):

@@ -1,16 +1,19 @@
 """Every config value of a kind its rule does not take is a config error
 that names the value's dotted key, for each rule `load_config` applies: the
 rows of `cli.RULES` (the world table is checked by its spec) and the rows of
-each `sweep.points` table."""
+each `sweep.points` table. A world table is a config error or a spec that
+fills every role and split."""
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metadapt.cli import RULES, load_config
+from metadapt.corpus import Registry, SyntheticWorldSpec
 from metadapt.errors import ConfigError
 from metadapt.rules import NAMES, Rule
 from metadapt.training import MetaConfig
@@ -66,3 +69,50 @@ def test_a_value_of_the_wrong_kind_is_a_config_error_naming_its_key(data, key, n
         override = f"{key}={json.dumps(value)}"
     with pytest.raises(ConfigError, match=re.escape(f"'{key}'")):
         load_config(None, [override])
+
+
+_LANGUAGES = ["apa", "bel", "cor", "dun"]
+_DOMAINS = ["general", "gears", "herbs", "stars"]
+_SIZES = ("train_size", "adapt_size", "valid_size", "test_size", "pretrain_train_size")
+
+
+@st.composite
+def _world_tables(draw):
+    """World tables over small pools, at most one value of each spoilt: the
+    pretrain domain or a held-out name becomes any name of its pool or one
+    unknown name, or a size 0 or null; other sizes are 1 to 3."""
+    languages = draw(st.lists(st.sampled_from(_LANGUAGES), min_size=2, max_size=4, unique=True))
+    domains = draw(st.lists(st.sampled_from(_DOMAINS), min_size=2, max_size=4, unique=True))
+    pretrain = draw(st.sampled_from(domains))
+    others = [d for d in domains if d != pretrain]
+    table = {
+        "languages": languages, "domains": domains, "pretrain_domain": pretrain,
+        "heldout_domains": draw(st.lists(st.sampled_from(others), max_size=2, unique=True)),
+        "heldout_languages": draw(st.lists(st.sampled_from(languages), max_size=2, unique=True)),
+        "content_vocab_size": draw(st.integers(1, 40)),
+        "domain_vocab_size": draw(st.integers(1, 40)),
+    } | {key: draw(st.integers(1, 3)) for key in _SIZES}
+    spoilt = draw(st.sampled_from([None, "pretrain_domain", "heldout_domains",
+                                   "heldout_languages", *_SIZES]))
+    if spoilt == "pretrain_domain":
+        table[spoilt] = draw(st.sampled_from(_DOMAINS + ["unknown"]))
+    elif spoilt in ("heldout_domains", "heldout_languages"):
+        pool = _DOMAINS if spoilt == "heldout_domains" else _LANGUAGES
+        table[spoilt] = table[spoilt] + [draw(st.sampled_from(pool + ["unknown"]))]
+    elif spoilt:
+        table[spoilt] = draw(st.sampled_from([0, None]))
+    return table
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(table=_world_tables())
+def test_an_accepted_world_spec_fills_every_role_and_split(table):
+    """A world table is either a config error, or a spec whose registry
+    gives every role at least one DLP and every split at least one pair."""
+    try:
+        spec = SyntheticWorldSpec.from_dict(table, "world")
+    except ConfigError:
+        return
+    registry = Registry(root=Path("unused"), spec=spec)
+    assert {row.role for row in registry.rows} == {"pretrain", "meta_train", "heldout"}
+    assert all(size >= 1 for row in registry.rows for size in row.sizes.values())

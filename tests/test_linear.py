@@ -107,7 +107,7 @@ def test_model_outputs_match_two_op_projections(tiny_registry, monkeypatch):
             for p in model.params.values():
                 p.zero_grad()
             with T.use_tape(T.Tape()):
-                loss = forward_loss(model, batch, train=True, rng=np.random.default_rng(23))
+                loss = forward_loss(model, batch, rng=np.random.default_rng(23))
                 T.backward(loss)
             got.append(loss.data.tobytes())
             got.append({n: model.params[n].grad.tobytes() for n in trainable})
@@ -130,7 +130,7 @@ def test_training_forward_records_one_node_per_projection(tiny_registry, monkeyp
 
     def nodes():
         with T.use_tape(T.Tape()) as tape:
-            forward_loss(model, batch, train=True, rng=np.random.default_rng(23))
+            forward_loss(model, batch, rng=np.random.default_rng(23))
         return len(tape)
 
     fused = nodes()

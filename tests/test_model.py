@@ -413,7 +413,7 @@ def test_adapter_only_backward_equals_adapter_slice_of_full_backward(tiny_regist
         for p in model.params.values():
             p.zero_grad()
         with T.use_tape(T.Tape()):
-            T.backward(forward_loss(model, batch, train=True, rng=np.random.default_rng(9)))
+            T.backward(forward_loss(model, batch, rng=np.random.default_rng(9)))
         return {n: model.params[n].grad.tobytes() for n in model.adapter_names()}
 
     only = adapter_grads(model.adapter_names())

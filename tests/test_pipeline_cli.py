@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from metadapt.pipeline import (
     hyperparam_sweep,
     pretrain_backbone,
     role_datasets,
+    write_sweep,
 )
 from metadapt.rules import NAMES
 from metadapt.tasks import DlpId
@@ -76,6 +78,89 @@ def test_cli_gen_corpus_deterministic(tmp_path):
     first = _tree_bytes(tmp_path / "corpus")
     assert run(["gen-corpus", "--config", str(cfg)]) == 0
     assert _tree_bytes(tmp_path / "corpus") == first
+
+
+def test_cli_failed_gen_corpus_leaves_the_corpus_as_it_was(tmp_path, capsys):
+    """gen-corpus writes its tree beside corpus_dir and renames it into place
+    whole: a run that fails its domain check exits 2 and leaves the corpus
+    before it byte for byte, with no temp directory beside it, and a run
+    that passes replaces the whole tree."""
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    first = _tree_bytes(tmp_path / "corpus")
+    listing = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert run(["gen-corpus", "--config", str(cfg), "--set", "world.seed=1",
+                "--set", "world.min_domain_tv=0.999"]) == 2
+    assert "too similar" in capsys.readouterr().err
+    assert _tree_bytes(tmp_path / "corpus") == first
+    assert sorted(tmp_path.iterdir()) == listing
+
+    assert run(["gen-corpus", "--config", str(cfg), "--set", "world.seed=1"]) == 0
+    second = _tree_bytes(tmp_path / "corpus")
+    assert set(second) == set(first) and second != first
+    assert sorted(tmp_path.iterdir()) == listing
+
+
+@pytest.mark.parametrize("stray", ["stray.txt", "general/stray.txt", "run/backbone.ckpt"])
+def test_cli_gen_corpus_keeps_a_directory_that_is_not_only_a_corpus(tmp_path, capsys, stray):
+    """A corpus_dir that holds anything but an earlier corpus (a file beside
+    it, or a directory no domain of it names) exits 3 with every file left
+    byte for byte and nothing beside it; "general/stray.txt" lies inside a
+    domain's directory, which an earlier corpus owns, so that run replaces
+    the tree."""
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg)]) == 0
+    (tmp_path / "corpus" / stray).parent.mkdir(exist_ok=True)
+    (tmp_path / "corpus" / stray).write_text("kept by hand\n", encoding="utf-8")
+    before = _tree_bytes(tmp_path / "corpus")
+    listing = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    code = run(["gen-corpus", "--config", str(cfg), "--set", "world.seed=1"])
+    assert sorted(tmp_path.iterdir()) == listing
+    if stray.startswith("general/"):
+        assert code == 0 and stray not in _tree_bytes(tmp_path / "corpus")
+        return
+    assert code == 3
+    assert "not only an earlier corpus" in capsys.readouterr().err
+    assert _tree_bytes(tmp_path / "corpus") == before
+
+
+def test_cli_gen_corpus_keeps_a_directory_of_other_files(tmp_path, capsys):
+    """A corpus_dir with no world.json, say one holding other datasets,
+    exits 3 before anything is written and is left byte for byte."""
+    data = tmp_path / "data"
+    (data / "other").mkdir(parents=True)
+    (data / "other" / "train.tsv").write_text("a\tb\n", encoding="utf-8")
+    (data / "notes.txt").write_text("mine\n", encoding="utf-8")
+    before = _tree_bytes(data)
+    assert run(["gen-corpus", "--config", str(_smoke_config(tmp_path)),
+                "--set", f"corpus_dir={data}"]) == 3
+    assert "not only an earlier corpus" in capsys.readouterr().err
+    assert _tree_bytes(data) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data"]
+
+
+@pytest.mark.parametrize("corpus_dir, out_dir", [
+    (".", "runs/exp"), ("", "runs/exp"), ("{tmp}/corpus", "{tmp}/corpus"),
+    ("{tmp}/corpus", "{tmp}/corpus/run"), ("{tmp}", "{tmp}/corpus/run")])
+def test_cli_gen_corpus_with_out_dir_inside_corpus_dir_exit_2(tmp_path, capsys, monkeypatch,
+                                                                corpus_dir, out_dir):
+    """A new corpus replaces corpus_dir whole, so an out_dir at or under it
+    (as the working directory is for a relative out_dir when corpus_dir is
+    "." or "") is refused in one line before anything is written."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    cfg = _smoke_config(tmp_path)
+    assert run(["gen-corpus", "--config", str(cfg),
+                "--set", "corpus_dir=" + corpus_dir.replace("{tmp}", str(tmp_path)),
+                "--set", "out_dir=" + out_dir.replace("{tmp}", str(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: gen-corpus: out_dir (") and err.count("\n") == 1
+    assert "must not lie inside corpus_dir" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "cwd"]
+    assert list(cwd.iterdir()) == []
 
 
 def test_cli_full_smoke_pipeline(tmp_path):
@@ -218,6 +303,16 @@ def test_cli_sweep_writes_sweep_csv(tmp_path):
     row = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert row["tau"] == "inf" and row["best"] == "true"
     assert 0.0 <= float(row["mean_bleu"]) <= 100.0
+
+
+def test_write_sweep_gives_each_other_varied_field_a_json_column(tmp_path):
+    """Fields past SWEEP_COLUMNS follow `n` in row order, as JSON values."""
+    row = {"m": 2, "k": 1, "beta": 1.0, "tau": math.inf, "n": 4, "mean_bleu": 12.5,
+           "best": True, "sample_with_replacement": True, "max_meta_batches": None, "q": 4}
+    write_sweep([row], tmp_path / "sweep.csv")
+    assert (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines() == [
+        "m,k,beta,tau,n,sample_with_replacement,max_meta_batches,q,mean_bleu,best",
+        "2,1,1.0,inf,4,true,null,4,12.5000,true"]
 
 
 def test_cli_truncated_backbone_exit_3(tmp_path, capsys):
@@ -460,6 +555,16 @@ def _copy_of(smoke_run: Path, tmp_path: Path) -> list[str]:
         shutil.copytree(smoke_run / name, tmp_path / name)
     return ["--config", str(smoke_run / "config.json"), "--set", f"corpus_dir={tmp_path / 'corpus'}",
             "--set", f"out_dir={tmp_path / 'run'}"]
+
+
+def test_cli_sweep_writes_a_column_per_varied_field(smoke_run, tmp_path):
+    """A sweep over q writes q's column, so its rows tell their points apart."""
+    args = _copy_of(smoke_run, tmp_path)
+    assert run(["sweep", *args, "--set", 'sweep.points=[{"q": 2}, {"q": 4}]',
+                "--set", "meta.max_meta_batches=2"]) == 0
+    lines = (tmp_path / "run" / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "m,k,beta,tau,n,q,mean_bleu,best"
+    assert [line.split(",")[5] for line in lines[1:]] == ["2", "4"]
 
 
 @pytest.mark.parametrize("name, command", [
@@ -1036,7 +1141,7 @@ def test_adapt_and_evaluate_identical_budgets_all_strategies(smoke_stack):
                      inner=OptimizerSettings(lr=2e-3))
     strategies = ["backbone", "meta_adapter", "random_adapter", "full_ft", "tag_ft",
                   "agnostic_adapter", "stack_adapter", "full_model_meta"]
-    trained = {s: train_strategy(s, mc, ac, vocab, backbone, meta_ds, cfg, max_steps=2)[0]
+    trained = {s: train_strategy(s, mc, ac, vocab, backbone, meta_ds, cfg)[0]
                for s in strategies if STRATEGIES[s].stage_one}
     budget = AdaptBudget(epochs=1, batch_size=8, settings=OptimizerSettings(lr=2e-3),
                          max_steps=2)

@@ -146,7 +146,7 @@ def test_inner_adapt_k1_matches_manual_replay(world):
     model2.set_trainable(model2.adapter_names())
     batch = make_batch(list(support), vocab, dlp)
     opt = AdamW({n: model2.params[n] for n in model2.adapter_names()}, settings)
-    loss = forward_loss(model2, batch, train=True, rng=np.random.default_rng(7))
+    loss = forward_loss(model2, batch, rng=np.random.default_rng(7))
     T.backward(loss)
     opt.step()
     for name in got:
@@ -220,7 +220,7 @@ def test_meta_train_m1_k1_beta1_equals_sequential_fine_tuning(world):
         episode = build_episode([dlp], one, cfg.n, cfg.q, episode_stream(cfg.seed, step))
         batch = make_batch(list(episode.tasks[0].support), vocab, dlp)
         opt = AdamW({n: model2.params[n] for n in names}, cfg.inner)
-        loss = forward_loss(model2, batch, train=True, rng=inner_stream(cfg.seed, step, 0))
+        loss = forward_loss(model2, batch, rng=inner_stream(cfg.seed, step, 0))
         T.backward(loss)
         opt.step()
     for name in names:
@@ -237,9 +237,9 @@ def test_meta_train_early_stops_after_three_stale_epochs(world, monkeypatch):
     _, vocab, datasets = world
     real = training.forward_loss
 
-    def flat_query_loss(model, batch, train=False, rng=None):
+    def flat_query_loss(model, batch, rng=None):
         if T.grad_enabled():  # support steps train for real
-            return real(model, batch, train=train, rng=rng)
+            return real(model, batch, rng=rng)
         return T.Tensor(1.0)
 
     monkeypatch.setattr(training, "forward_loss", flat_query_loss)
@@ -566,7 +566,7 @@ def _reference_training(model, make, settings, n_rows, batch_size, steps, seed, 
                 for p in params.values():
                     p.zero_grad()
                 with T.use_tape(T.Tape()):
-                    loss = forward_loss(model, batch, train=True,
+                    loss = forward_loss(model, batch,
                                         rng=training.shard_stream(seed, stream, epoch, step, s))
                     T.backward(loss)
                 shard_grads.append({n: p.grad.copy() for n, p in params.items()})
@@ -677,8 +677,7 @@ def test_full_ft_updates_backbone(world):
     _, vocab, datasets = world
     model = small_model(vocab, groups=())
     checksum = model.backbone_checksum()
-    train_stage_one("full_ft", model, vocab, datasets,
-                    small_cfg(epochs=1), max_steps=3)
+    train_stage_one("full_ft", model, vocab, datasets, small_cfg(epochs=1))
     assert model.backbone_checksum() != checksum
 
 
@@ -686,8 +685,7 @@ def test_tag_ft_updates_backbone(world):
     _, vocab, datasets = world
     model = small_model(vocab, groups=())
     checksum = model.backbone_checksum()
-    train_stage_one("tag_ft", model, vocab, datasets,
-                    small_cfg(epochs=1), max_steps=3)
+    train_stage_one("tag_ft", model, vocab, datasets, small_cfg(epochs=1))
     assert model.backbone_checksum() != checksum
 
 
@@ -695,8 +693,7 @@ def test_agnostic_adapter_keeps_backbone_bitwise(world):
     _, vocab, datasets = world
     model = small_model(vocab)
     checksum = model.backbone_checksum()
-    art, _ = train_stage_one("agnostic_adapter", model, vocab, datasets,
-                             small_cfg(epochs=1), max_steps=3)
+    art, _ = train_stage_one("agnostic_adapter", model, vocab, datasets, small_cfg(epochs=1))
     assert model.backbone_checksum() == checksum
     assert set(art["adapter"]) == set(model.adapter_names())
 
@@ -721,13 +718,13 @@ def test_tag_collapse_equivalence(world):
     cfg = small_cfg(epochs=1, inner=OptimizerSettings(lr=2e-3))
 
     model_a = small_model(vocab, seed=6, groups=())
-    train_stage_one("tag_ft", model_a, vocab, single, cfg, max_steps=4)
+    train_stage_one("tag_ft", model_a, vocab, single, cfg)
 
     model_b = small_model(vocab, seed=6, groups=())
     from metadapt.training import pooled_rows
     supervised_train(model_b, vocab, pooled_rows(single), cfg.inner, cfg.epochs,
                      batch_size=16, seed=cfg.seed, trainable=list(model_b.params),
-                     with_domain_tag=True, max_steps=4)
+                     with_domain_tag=True)
     for name in model_a.params:
         assert np.array_equal(model_a.params[name].data, model_b.params[name].data)
 
@@ -737,8 +734,7 @@ def test_stack_adapter_component_inventory_and_counts(world):
     ids = sorted(datasets)[:4]
     subset = {d: datasets[d] for d in ids}
     model = small_model(vocab, groups=())
-    art, _ = train_stage_one("stack_adapter", model, vocab, subset,
-                             small_cfg(epochs=1), max_steps=1)
+    art, _ = train_stage_one("stack_adapter", model, vocab, subset, small_cfg(epochs=1))
     lang_pairs = {(d.src_lang, d.tgt_lang) for d in subset}
     domains = {d.domain for d in subset}
     assert len(art) == len(lang_pairs) + len(domains)
@@ -768,8 +764,7 @@ def test_stage_one_trains_exactly_the_tables_set(world, name):
     setup = STRATEGIES[name]
     model = small_model(vocab, groups=setup.adapter_groups)
     before = snapshot_params(model, list(model.params))
-    params, _ = train_stage_one(name, model, vocab, datasets, small_cfg(max_meta_batches=1),
-                                max_steps=1)
+    params, _ = train_stage_one(name, model, vocab, datasets, small_cfg(max_meta_batches=1))
     trains = setup.trains(model)
     assert list(params) == [setup.component]
     assert sorted(params[setup.component]) == sorted(trains)
@@ -797,8 +792,7 @@ def test_stack_stage_one_keeps_the_backbone(world):
     _, vocab, datasets = world
     model = small_model(vocab, groups=STRATEGIES["stack_adapter"].adapter_groups)
     before = snapshot_params(model, list(model.params))
-    params, _ = train_stage_one("stack_adapter", model, vocab, datasets, small_cfg(),
-                                max_steps=1)
+    params, _ = train_stage_one("stack_adapter", model, vocab, datasets, small_cfg())
     assert sorted(params) == sorted({f"lp:{d.src_lang}-{d.tgt_lang}" for d in datasets}
                                     | {f"dom:{d.domain}" for d in datasets})
     assert list(model.params) == list(before)
