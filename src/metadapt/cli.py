@@ -14,7 +14,9 @@ import copy
 import json
 import math
 import os
+import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +232,18 @@ def _load_backbone(config: dict) -> dict[str, np.ndarray]:
     return params
 
 
+def _run_facts(started: float) -> dict:
+    """What a run-index entry records of the stage's run: its wall time since
+    `started`, and the peak resident set of this process and of its largest
+    ended child, a ForkPool worker (0 when none was started)."""
+    def peak_mib(who: int) -> float:
+        return resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
+
+    return {"wall_s": round(time.perf_counter() - started, 3),
+            "peak_rss_mib": peak_mib(resource.RUSAGE_SELF),
+            "workers_peak_rss_mib": peak_mib(resource.RUSAGE_CHILDREN)}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -247,6 +261,7 @@ def cmd_gen_corpus(config: dict) -> int:
 
 
 def cmd_pretrain(config: dict) -> int:
+    started = time.perf_counter()
     registry, vocab, mc, ac = _load_world(config)
     pre = config["pretrain"]
     out = _out_dir(config)
@@ -259,7 +274,7 @@ def cmd_pretrain(config: dict) -> int:
     checkpoint.write_jsonl(out / "pretrain_log.jsonl",
                            ({"step": i, "loss": v} for i, v in enumerate(losses)))
     checkpoint.record_stage(out, "pretrain", config, ["backbone.ckpt", "pretrain_log.jsonl"],
-                            backbone_checksum=model.backbone_checksum())
+                            backbone_checksum=model.backbone_checksum(), **_run_facts(started))
     dev = backbone_dev_bleu(model, vocab, registry, max_len=config["eval"]["max_len"])
     print(f"pretrained backbone: final loss {losses[-1]:.4f}, dev BLEU {dev:.2f}")
     return 0
@@ -273,6 +288,7 @@ def cmd_stage_one(config: dict, strategy: str) -> int:
     """Train stage one of `strategy` on the meta-training DLPs and write its
     artifact, its meta-training log if it logged meta-batches, and its entry
     of the run index, which names the backbone it was trained on."""
+    started = time.perf_counter()
     setup = STRATEGIES[strategy]
     registry, vocab, mc, ac = _load_world(config)
     backbone = _load_backbone(config)
@@ -287,7 +303,8 @@ def cmd_stage_one(config: dict, strategy: str) -> int:
         files.append(f"{strategy}/training_log.jsonl")
         checkpoint.write_jsonl(out / files[-1], log)
     checkpoint.record_stage(out, strategy, config, files, components=sorted(components),
-                            note=setup.note, backbone_checksum=backbone_checksum(backbone))
+                            note=setup.note, backbone_checksum=backbone_checksum(backbone),
+                            **_run_facts(started))
     batches = sum(1 for r in log if "meta_batch_loss" in r)
     print(f"trained {strategy} over {len(datasets)} DLPs ({len(components)} component(s), "
           f"{batches} meta-batches)")
@@ -330,6 +347,7 @@ def _load_trained(config: dict, strategies: list[str], mc: ModelConfig,
 
 
 def cmd_adapt_evaluate(config: dict) -> int:
+    started = time.perf_counter()
     strategies = config["eval"]["strategies"]
     registry, vocab, mc, ac = _load_world(config)
     backbone = _load_backbone(config)
@@ -342,7 +360,7 @@ def cmd_adapt_evaluate(config: dict) -> int:
                                  run_seed=config["seed"], max_len=config["eval"]["max_len"])
     out = _out_dir(config)
     write_records(records, out / "metrics.csv")
-    checkpoint.record_stage(out, "adapt", config, ["metrics.csv"])
+    checkpoint.record_stage(out, "adapt", config, ["metrics.csv"], **_run_facts(started))
     for rec in records:
         print(f"{rec.dlp.key():30s} {rec.strategy:18s} BLEU {rec.bleu:6.2f} chrF {rec.chrf:6.2f}")
     return 0
@@ -360,6 +378,7 @@ def cmd_evaluate_files(hyp_path: str, ref_path: str) -> int:
 
 
 def cmd_sweep(config: dict) -> int:
+    started = time.perf_counter()
     points = config["sweep"].get("points")
     if not points:
         raise ConfigError("sweep: config must list sweep.points")
@@ -373,7 +392,7 @@ def cmd_sweep(config: dict) -> int:
                             budget=_budget(config), max_len=config["eval"]["max_len"])
     out = _out_dir(config)
     write_sweep(rows, out / "sweep.csv")
-    checkpoint.record_stage(out, "sweep", config, ["sweep.csv"])
+    checkpoint.record_stage(out, "sweep", config, ["sweep.csv"], **_run_facts(started))
     best = next(r for r in rows if r["best"])
     print(f"swept {len(rows)} grid points; best mean BLEU {best['mean_bleu']:.2f}")
     return 0

@@ -5,12 +5,14 @@ bottleneck adapters needs. Every op validates shapes, checks its output for
 NaN/Inf, and, when gradients are enabled and some input requires them, records
 itself on the active tape. backward() replays the tape in reverse; an op's
 backward computes an input's gradient only when that input requires one, so
-a frozen weight's gradient is never formed.
+a frozen weight's gradient is never formed. `keep_freed_heap` sets the
+allocator policy under which training frees each graph when its step ends.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,6 +20,36 @@ import numpy as np
 from .errors import DimensionError, InputError, NumericError, StateError
 
 Array = np.ndarray
+
+#: glibc's own ceiling for its dynamic mmap threshold on 64-bit, and twice
+#: that for the trim threshold, as glibc's dynamic rule sets it.
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's <malloc.h>
+
+
+def _mallopt():
+    """The C library's `mallopt`, or None where it has none."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return mallopt
+
+
+def keep_freed_heap() -> None:
+    """Let this process, and every process it forks later, reuse the heap
+    that a freed graph leaves. glibc raises its trim threshold only to twice
+    the largest mmapped block freed so far, so without this each freed
+    training graph hands the top of the heap back to the kernel, and the
+    next forward faults the same pages in again. Blocks up to MMAP_THRESHOLD
+    come from the heap, and its top is trimmed only past TRIM_THRESHOLD.
+    Idempotent; where the C library has no `mallopt` it does nothing."""
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 class Tape:

@@ -227,10 +227,6 @@ class _Shards:
         self._parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         self._opts: dict[int, AdamW] = {}  # this process's parts' optimizers
         self._restored = None  # the step whose row 0 this process last copied
-        # Each process holds its last shard's graph until its next forward
-        # has run: freeing it earlier lets glibc trim the heap after every
-        # shard and fault the pages back in on the next (README).
-        self._held = None
 
     def _split(self, row: np.ndarray) -> dict[str, np.ndarray]:
         views = {}
@@ -267,7 +263,6 @@ class _Shards:
         finally:
             for name, grad in own.items():
                 self._params[name].grad = grad
-        self._held = loss
         return float(loss.data), float(batch.gold_mask.sum())
 
     def _update(self, step: int, weights: list[tuple[int, float]], part: int) -> None:
@@ -316,6 +311,7 @@ def supervised_train(model: TranslationModel, vocab: Vocab,
         raise InputError("supervised_train: no training rows")
     if batch_size < 1:
         raise InputError(f"batch_size must be at least 1, got {batch_size}")
+    T.keep_freed_heap()  # before the fork, so the shard processes keep it too
 
     def make(indices) -> Batch:
         return make_mixed_batch([rows[i] for i in indices], vocab,
@@ -360,13 +356,11 @@ def inner_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarr
     batch = make_batch(list(support), vocab, dlp)
     opt = AdamW({n: model.params[n] for n in trainable}, settings)
     for step in range(k):
-        # rebinding `loss` frees the previous step's graph only after this
-        # forward has run, which keeps glibc from trimming the heap (README)
         loss = forward_loss(model, batch, rng=rng)
         _finite(float(loss.data), step)
         T.backward(loss)
+        del loss  # the step's graph goes when opt.step() clears the tape
         opt.step()
-    del loss  # before the snapshot is allocated: meta_train's peak RSS is 0.6 MiB lower
     return snapshot_params(model, trainable)
 
 
@@ -414,6 +408,7 @@ def meta_train(model: TranslationModel, vocab: Vocab, datasets: dict[DlpId, DlpD
     """
     if not datasets:
         raise InputError("meta_train: empty DLP registry")
+    T.keep_freed_heap()  # before the fork, so the inner-loop processes keep it too
     if trainable is None:
         trainable = model.adapter_names()
         if not trainable:

@@ -26,7 +26,7 @@ from metadapt.rules import NAMES
 from metadapt.tasks import DlpId
 from metadapt.training import STRATEGIES, MetaConfig, train_strategy
 
-from conftest import tiny_world_spec
+from conftest import on_cpus, tiny_world_spec
 
 
 SMOKE_WORLD = {
@@ -191,6 +191,24 @@ def test_cli_full_smoke_pipeline(tmp_path):
     assert run(["report", "--runs", str(out), "--reference", "backbone",
                 "--out", str(out / "report")]) == 0
     assert _tree_bytes(report_dir) == first  # byte-identical regeneration
+
+
+def test_cli_run_index_entries_record_wall_time_and_peak_rss(tmp_path, monkeypatch):
+    """Every entry the CLI writes holds the stage's wall time, the peak
+    resident set of its process and that of its largest ForkPool worker, as
+    positive numbers: on two CPUs every stage starts a worker."""
+    on_cpus(monkeypatch, 2)
+    cfg = _smoke_config(tmp_path)
+    for command in (["gen-corpus"], ["pretrain"], ["meta-train"],
+                    ["baseline", "--set", "strategy=agnostic_adapter"], ["adapt"],
+                    ["sweep", "--set", 'sweep.points=[{"k": 1}]']):
+        assert run([command[0], "--config", str(cfg), *command[1:]]) == 0
+    stages = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]
+    assert sorted(stages) == ["adapt", "agnostic_adapter", "meta_adapter", "pretrain", "sweep"]
+    for stage, entry in stages.items():
+        for fact in ("wall_s", "peak_rss_mib", "workers_peak_rss_mib"):
+            value = entry[fact]
+            assert isinstance(value, float) and value > 0, (stage, fact, value)
 
 
 def test_cli_evaluate_identity_scores_100(tmp_path, capsys):
@@ -1099,6 +1117,67 @@ def test_cli_rule_table_draws(smoke_run, rule_draws):
 
     check()
     assert staged == set(STAGE_OF)
+
+
+#: The top-level keys each command reads besides corpus_dir, out_dir and
+#: seed (adapt stands for evaluate too).
+READS = {"gen-corpus": ("world",), "pretrain": ("model", "adapter", "pretrain", "eval"),
+         "meta-train": ("model", "adapter", "meta"),
+         "baseline": ("model", "adapter", "meta", "strategy"),
+         "adapt": ("model", "adapter", "adapt", "eval"), "sweep": ("meta", "adapt", "eval", "sweep")}
+
+
+def test_cli_commands_exit_0_2_3_or_4_with_one_line(smoke_run, rule_draws):
+    """A `metadapt` process of any command a config drives, run on a copy of
+    the smoke run with one or two `--set` values of keys it reads, each
+    accepted by load_config alone and a change to the run's config (or a
+    stage-one strategy for baseline), exits 0 with nothing on stderr, or 2,
+    3 or 4 with one line there and no traceback."""
+    import os
+    import subprocess
+    import sys
+    import tempfile
+
+    from hypothesis import given, settings, strategies as st
+
+    from metadapt.cli import load_config
+    from metadapt.errors import ConfigError
+
+    config = str(smoke_run / "config.json")
+    smoke = load_config(config, [])
+    accepted = {top: [] for top in rule_draws[0]}
+    for top, draws in rule_draws[0].items():
+        for draw in draws:
+            try:
+                if load_config(config, [draw]) != smoke:
+                    accepted[top].append(draw)
+            except ConfigError:
+                pass
+    accepted["strategy"] = [f"strategy={s}" for s, row in STRATEGIES.items() if row.stage_one]
+    env = {k: v for k, v in os.environ.items() if k != "METADAPT_OUT_ROOT"}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def cases(command):
+        pool = [d for top in READS[command] + ("seed",) for d in accepted[top]]
+        return st.tuples(st.just(command), st.lists(st.sampled_from(pool), min_size=1,
+                                                    max_size=2, unique=True))
+
+    @settings(max_examples=36, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(READS)).flatmap(cases))
+    def check(case):
+        command, draws = case
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [command, *_copy_of(smoke_run, Path(tmp))]
+            argv += [arg for draw in draws for arg in ("--set", draw)]
+            done = subprocess.run([sys.executable, "-m", "metadapt.cli", *argv], cwd=tmp,
+                                  env=env, capture_output=True, text=True, timeout=300)
+        code, err = done.returncode, done.stderr
+        assert code in (0, 2, 3, 4), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        assert err.count("\n") == (code != 0) and err.endswith("\n" * (code != 0)), (argv, err)
+
+    check()
 
 
 # --- pipeline functions directly -------------------------------------------------

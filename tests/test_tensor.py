@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +152,34 @@ def test_tape_resets_after_optimizer_step():
     opt.step()
     assert len(T.active_tape()) == 0
     assert x.grad.tolist() == [0.0, 0.0]
+
+
+def test_keep_freed_heap_sets_both_thresholds_and_is_idempotent(monkeypatch):
+    calls = []
+    monkeypatch.setattr(T, "_mallopt", lambda: lambda option, value: calls.append((option, value)))
+    T.keep_freed_heap()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+    T.keep_freed_heap()
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)] * 2
+
+
+def test_keep_freed_heap_is_accepted_by_glibc():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("the thresholds are glibc's")
+    mallopt = T._mallopt()
+    assert mallopt(-3, T.MMAP_THRESHOLD) == 1 and mallopt(-1, T.TRIM_THRESHOLD) == 1
+    T.keep_freed_heap()
+    T.keep_freed_heap()
+
+
+def test_keep_freed_heap_without_mallopt_does_nothing(monkeypatch):
+    class NoMallopt:  # a C library without mallopt, as on macOS
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(T.ctypes, "CDLL", NoMallopt)
+    assert T._mallopt() is None
+    T.keep_freed_heap()
 
 
 def test_determinism_bitwise():

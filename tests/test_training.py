@@ -1,6 +1,7 @@
 import ast
 import multiprocessing
 import os
+import weakref
 from multiprocessing.context import ForkProcess
 from pathlib import Path
 
@@ -669,6 +670,84 @@ def test_meta_adapt_equals_the_reference_step(world, monkeypatch):
         assert _bitwise(model) == _bitwise(reference), cpus
         for name, value in adapted.items():
             assert value.tobytes() == reference.params[name].data.tobytes(), name
+
+
+# --- graph lifetime and the heap policy --------------------------------------------------
+
+def _graphs_gone_before_each_forward(monkeypatch) -> list:
+    """Wrap training.forward_loss so that each call asserts that the loss of
+    every earlier call, and so its graph, is gone; returns a weakref to
+    each call's loss data."""
+    refs = []
+    original = training.forward_loss
+
+    def checked(*args, **kwargs):
+        alive = [i for i, ref in enumerate(refs) if ref() is not None]
+        assert not alive, f"forward {len(refs)} runs while the graphs of {alive} are alive"
+        loss = original(*args, **kwargs)
+        refs.append(weakref.ref(loss.data))
+        return loss
+
+    monkeypatch.setattr(training, "forward_loss", checked)
+    return refs
+
+
+def test_each_shard_graph_is_gone_before_the_next_forward(world, monkeypatch):
+    """A shard's graph dies when the shard returns: on one CPU both shards
+    of every step run in this process, one after the other."""
+    _, vocab, datasets = world
+    dlp = sorted(datasets)[0]
+    rows = [(dlp, pair) for pair in datasets[dlp].train]
+    on_cpus(monkeypatch, 1)
+    refs = _graphs_gone_before_each_forward(monkeypatch)
+    model = small_model(vocab, seed=3, dropout=0.1)
+    losses = supervised_train(model, vocab, rows, OptimizerSettings(lr=1e-3), epochs=1,
+                              batch_size=8, seed=2, trainable=list(model.params), max_steps=3)
+    assert len(refs) == training.SHARDS * len(losses) == training.SHARDS * 3
+    assert all(ref() is None for ref in refs)
+
+
+def test_each_inner_step_graph_is_gone_before_the_next_forward(world, monkeypatch):
+    _, vocab, datasets = world
+    dlp = sorted(datasets)[0]
+    model = small_model(vocab, seed=3, dropout=0.1)
+    refs = _graphs_gone_before_each_forward(monkeypatch)
+    inner_adapt(model, vocab, snapshot_params(model, model.adapter_names()), dlp,
+                datasets[dlp].train[:4], 3, OptimizerSettings(lr=1e-3), np.random.default_rng(0))
+    assert len(refs) == 3 and all(ref() is None for ref in refs)
+
+
+def test_training_sets_the_heap_policy_before_it_forks(world, monkeypatch):
+    """supervised_train and meta_train set the heap policy before they open
+    their ForkPool, so every worker inherits it."""
+    _, vocab, datasets = world
+    dlp = sorted(datasets)[0]
+    order = []
+
+    class RecordingPool:
+        def __init__(self, fn, most, what):
+            order.append("pool")
+            self._fn = fn
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            pass
+
+        def map(self, common, items):
+            return [self._fn(*common, item) for item in items]
+
+    monkeypatch.setattr(training, "ForkPool", RecordingPool)
+    monkeypatch.setattr(T, "keep_freed_heap", lambda: order.append("heap"))
+    model = small_model(vocab, seed=3)
+    supervised_train(model, vocab, [(dlp, pair) for pair in datasets[dlp].train],
+                     OptimizerSettings(lr=1e-3), epochs=1, batch_size=8, seed=2,
+                     trainable=model.adapter_names(), max_steps=1)
+    assert order == ["heap", "pool"]
+    order.clear()
+    meta_train(small_model(vocab, seed=3), vocab, datasets, small_cfg(max_meta_batches=1))
+    assert order == ["heap", "pool"]
 
 
 # --- baselines ---------------------------------------------------------------------------
