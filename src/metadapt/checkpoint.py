@@ -131,8 +131,22 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
 
 def read_text(path: str | Path) -> str:
     """The file's text, exactly as stored (no newline translation)."""
+    return decode(Path(path).read_bytes(), path)
+
+
+def read_split(path: Path) -> bytes:
+    """A corpus split file's bytes; a missing file is a FileNotFoundError
+    naming it."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        return path.read_bytes()
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(f"missing split file: {path}") from exc
+
+
+def decode(data: bytes, path: str | Path) -> str:
+    """`data`, read from the file at `path`, as UTF-8 text."""
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise DataIntegrityError(f"{path}: not UTF-8 ({exc})") from exc
 
@@ -159,39 +173,45 @@ def save_params(path: str | Path, params: dict[str, np.ndarray]) -> None:
 
 
 def load_params(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a checkpoint; any framing that does not fit the file (a truncated
-    or corrupted entry, a repeated entry name, trailing bytes) is a
-    DataIntegrityError."""
+    """Read a checkpoint, each payload straight into its own array; any
+    framing that does not fit the file (a truncated or corrupted entry, a
+    repeated entry name, trailing bytes) is a DataIntegrityError."""
     path = Path(path)
-    raw = memoryview(path.read_bytes())
-    if raw[: len(MAGIC)] != MAGIC:
-        raise DataIntegrityError(f"{path}: unrecognized checkpoint header")
-    offset = len(MAGIC)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise DataIntegrityError(f"{path}: unrecognized checkpoint header")
+        offset = len(MAGIC)
 
-    def read(size: int) -> memoryview:
-        nonlocal offset
-        if size > len(raw) - offset:
-            raise DataIntegrityError(f"{path}: truncated checkpoint, {size} bytes wanted at "
-                                     f"offset {offset} of {len(raw)}")
-        offset += size
-        return raw[offset - size : offset]
+        def take(n: int) -> int:
+            """Claim the next n bytes of the file; returns n."""
+            nonlocal offset
+            if n > size - offset:
+                raise DataIntegrityError(f"{path}: truncated checkpoint, {n} bytes wanted at "
+                                         f"offset {offset} of {size}")
+            offset += n
+            return n
 
-    (count,) = struct.unpack("<Q", read(8))
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", read(4))
-        try:
-            name = str(read(name_len), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataIntegrityError(f"{path}: entry name at offset {offset} is not UTF-8") from exc
-        (ndim,) = struct.unpack("<I", read(4))
-        shape = struct.unpack(f"<{ndim}Q", read(8 * ndim))
-        payload = read(8 * math.prod(shape))
-        if name in out:
-            raise DataIntegrityError(f"{path}: checkpoint entry {name!r} appears twice")
-        out[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
-    if offset != len(raw):
-        raise DataIntegrityError(f"{path}: trailing bytes after last checkpoint entry")
+        (count,) = struct.unpack("<Q", fh.read(take(8)))
+        out: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", fh.read(take(4)))
+            try:
+                name = str(fh.read(take(name_len)), "utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataIntegrityError(f"{path}: entry name at offset {offset} is not "
+                                         "UTF-8") from exc
+            (ndim,) = struct.unpack("<I", fh.read(take(4)))
+            shape = struct.unpack(f"<{ndim}Q", fh.read(take(8 * ndim)))
+            take(8 * math.prod(shape))  # before the array is allocated
+            payload = np.empty(shape, dtype="<f8")
+            if fh.readinto(payload.reshape(-1).view(np.uint8)) != payload.nbytes:
+                raise DataIntegrityError(f"{path}: cut short while it was read")
+            if name in out:
+                raise DataIntegrityError(f"{path}: checkpoint entry {name!r} appears twice")
+            out[name] = payload.astype(np.float64, copy=False)  # no copy on little-endian
+        if offset != size:
+            raise DataIntegrityError(f"{path}: trailing bytes after last checkpoint entry")
     return out
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from . import checkpoint
 from .corpus import Registry, SyntheticWorldSpec, Vocab, generate_world, load_registry
 from .errors import ConfigError, DataIntegrityError, InputError, MetadaptError, NumericError
+from .forkpool import environment
 from .metrics import aggregate, corpus_bleu, chrf, read_records, write_records, write_report
 from .model import AdapterConfig, ModelConfig, backbone_checksum
 from .optim import OptimizerSettings
@@ -234,14 +235,15 @@ def _load_backbone(config: dict) -> dict[str, np.ndarray]:
 
 def _run_facts(started: float) -> dict:
     """What a run-index entry records of the stage's run: its wall time since
-    `started`, and the peak resident set of this process and of its largest
-    ended child, a ForkPool worker (0 when none was started)."""
+    `started`, the peak resident set of this process and of its largest
+    ended child, a ForkPool worker (0 when none was started), and what it
+    ran on (`forkpool.environment`)."""
     def peak_mib(who: int) -> float:
         return resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
 
     return {"wall_s": round(time.perf_counter() - started, 3),
             "peak_rss_mib": peak_mib(resource.RUSAGE_SELF),
-            "workers_peak_rss_mib": peak_mib(resource.RUSAGE_CHILDREN)}
+            "workers_peak_rss_mib": peak_mib(resource.RUSAGE_CHILDREN), **environment()}
 
 
 # ---------------------------------------------------------------------------

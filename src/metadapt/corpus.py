@@ -41,11 +41,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import atomic_dir, atomic_write, read_json, read_text, write_json
+from .checkpoint import (_digest, atomic_dir, atomic_write, decode, read_json, read_split,
+                         write_json)
 from .errors import ConfigError, DataIntegrityError, InputError
 from .forkpool import ForkPool
 from .rules import NAMES, Rule, check
-from .tasks import DlpDataset, DlpId, SentencePair
+from .tasks import DlpDataset, DlpId, SentencePair, SplitFile
 
 MAX_SENTENCE_TOKENS = 175
 PUNCTUATION_RATIO_LIMIT = 0.5
@@ -630,30 +631,31 @@ def load_registry(root: str | Path) -> Registry:
 def load_dlp_dataset(registry: Registry, dlp: DlpId) -> DlpDataset:
     """Load one DLP's splits, check each split's line count against the
     size world.json gives it, and assert pairwise cross-split disjointness.
-    Each split is kept as its file's text, parsed when first read: a line is
-    `src + "\\t" + tgt` cut at its first tab, so equal lines are equal pairs."""
+    Each split is kept as a `SplitFile`, its path and the digest of the bytes
+    checked here, and read again, verified and parsed when first read: a
+    line is `src + "\\t" + tgt` cut at its first tab, so equal lines are
+    equal pairs."""
     row = registry.row(dlp)
-    texts: dict[str, str] = {}
+    files: dict[str, SplitFile] = {}
     line_sets: dict[str, set[str]] = {}
     for split in SPLITS:
         path = row.path(registry.root, split)
-        if not path.exists():
-            raise FileNotFoundError(f"missing split file: {path}")
-        texts[split] = read_text(path)
-        split_lines = texts[split].splitlines()
+        data = read_split(path)
+        split_lines = decode(data, path).splitlines()
         if len(split_lines) != row.sizes[split]:
             raise DataIntegrityError(
                 f"{path}: {len(split_lines)} lines, world.json gives {row.sizes[split]}")
         if not all(line.partition("\t")[2] for line in split_lines):
             raise DataIntegrityError(f"{path}: malformed line without tab separator")
         line_sets[split] = set(split_lines)
+        files[split] = SplitFile(path, _digest(data))
     for i, a in enumerate(SPLITS):
         for b in SPLITS[i + 1 :]:
             overlap = line_sets[a] & line_sets[b]
             if overlap:
                 raise DataIntegrityError(
                     f"{dlp.key()}: splits '{a}' and '{b}' overlap on {len(overlap)} pairs")
-    return DlpDataset(id=dlp, **texts)
+    return DlpDataset(id=dlp, **files)
 
 
 def load_datasets(registry: Registry, dlps: list[DlpId]) -> dict[DlpId, DlpDataset]:

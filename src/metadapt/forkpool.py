@@ -10,14 +10,18 @@ shards and `grad_check` its coordinate chunks. Each item must give the same
 result wherever it runs, so the CPU count never changes an output; on one
 CPU no process is started. Every item counts as one CPU, on a worker and on
 the caller alike, so a pool opened inside an item starts no process: the
-pool that runs the item already keeps the other CPUs busy.
+pool that runs the item already keeps the other CPUs busy. `environment`
+reports the CPU count, with the numpy, BLAS and Python a run used.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import platform
 import signal
+
+import numpy as np
 
 from .errors import StateError
 
@@ -32,6 +36,19 @@ def available_cpus() -> int:
     if _IN_WORKER:
         return 1
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def environment() -> dict:
+    """What this process runs on, for a run's records: the numpy version,
+    the name and version of the BLAS numpy was built with ("unknown" when
+    numpy does not say), the CPUs a pool may fill and the Python version."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError, ValueError):
+        blas_name = "unknown"
+    return {"numpy": np.__version__, "blas": blas_name, "cpus": available_cpus(),
+            "python": platform.python_version()}
 
 
 def _run_items(fn, common, items) -> tuple[dict, dict]:

@@ -10,10 +10,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .checkpoint import _digest, read_split
+from .errors import DataIntegrityError, InputError
 
 log = logging.getLogger(__name__)
 
@@ -46,10 +48,29 @@ def parse_pairs(text: str) -> list[SentencePair]:
     return pairs
 
 
+@dataclass(frozen=True, slots=True)
+class SplitFile:
+    """A split file as `load_dlp_dataset` checked it: its path and the size
+    and SHA-256 (`checkpoint._digest`) of the bytes those checks read."""
+
+    path: Path
+    digest: dict
+
+    def pairs(self) -> list[SentencePair]:
+        """The file's pairs (`parse_pairs`), once its bytes are still the
+        checked ones: a file changed since is a DataIntegrityError naming it."""
+        data = read_split(self.path)
+        if _digest(data) != self.digest:
+            raise DataIntegrityError(f"{self.path}: size or SHA-256 changed since the split "
+                                     "was loaded and checked")
+        return parse_pairs(data.decode("utf-8"))
+
+
 class _Split:
-    """One split of a DlpDataset, given as its pairs or as its split file's
-    text. The first read parses the text and keeps the pairs in its place,
-    so a split nothing reads is never parsed."""
+    """One split of a DlpDataset, given as its pairs, as a split file's text
+    (parsed at once) or as a `SplitFile`, which the first read turns into
+    its pairs and keeps them in its place, so a split nothing reads is never
+    read again after its load."""
 
     def __set_name__(self, owner, name):
         self._slot = "_" + name
@@ -58,18 +79,19 @@ class _Split:
         if ds is None:
             return ""  # the default: an empty file's text
         value = ds.__dict__[self._slot]
-        if isinstance(value, str):
-            value = ds.__dict__[self._slot] = parse_pairs(value)
+        if isinstance(value, SplitFile):
+            value = ds.__dict__[self._slot] = value.pairs()
         return value
 
     def __set__(self, ds, value):
-        ds.__dict__[self._slot] = value
+        ds.__dict__[self._slot] = parse_pairs(value) if isinstance(value, str) else value
 
 
 @dataclass
 class DlpDataset:
     """Parallel corpus splits for one DLP. Each split is a list of pairs
-    when read; it may be given as its file's text (`parse_pairs`)."""
+    when read; it may be given as its file's text (`parse_pairs`) or as a
+    checked `SplitFile`, read when first read."""
 
     id: DlpId
     train: list[SentencePair] = _Split()

@@ -1,6 +1,7 @@
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,3 +210,24 @@ def test_verified_rejects_a_changed_unlisted_or_missing_file(tmp_path):
                           ("z.ckpt", "z.ckpt not found; run the 's' stage again")):
         with pytest.raises(DataIntegrityError, match=re.escape(message)):
             checkpoint.verified(tmp_path, "s", entry, name)
+
+
+def test_loading_allocates_the_payload_once(tmp_path):
+    """Each payload is read straight into its own array: the load's peak
+    allocation stays near the payload, not the file plus a copy of it."""
+    rng = np.random.default_rng(1)
+    params = {f"layer/{i}": rng.normal(size=(64, 128)) for i in range(16)}
+    params.update({"scalar": np.float64(1.5), "empty": np.zeros((0, 3))})
+    path = tmp_path / "p.ckpt"
+    checkpoint.save_params(path, params)
+    payload = sum(np.asarray(v).nbytes for v in params.values())
+    tracemalloc.start()
+    try:
+        loaded = checkpoint.load_params(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * payload, peak / payload
+    for name, value in params.items():
+        assert loaded[name].dtype == np.float64 and loaded[name].shape == np.shape(value)
+        assert np.array_equal(loaded[name], value)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,25 @@ def test_cli_run_index_entries_record_wall_time_and_peak_rss(tmp_path, monkeypat
         for fact in ("wall_s", "peak_rss_mib", "workers_peak_rss_mib"):
             value = entry[fact]
             assert isinstance(value, float) and value > 0, (stage, fact, value)
+
+
+def test_cli_run_index_entries_record_the_environment(tmp_path, monkeypatch):
+    """Every entry the CLI writes names what its stage ran on: the numpy
+    version, the BLAS numpy was built with, the CPUs a ForkPool may fill and
+    the Python version."""
+    on_cpus(monkeypatch, 1)
+    cfg = _smoke_config(tmp_path)
+    for command in (["gen-corpus"], ["pretrain"], ["meta-train"],
+                    ["baseline", "--set", "strategy=agnostic_adapter"], ["adapt"],
+                    ["sweep", "--set", 'sweep.points=[{"k": 1}]']):
+        assert run([command[0], "--config", str(cfg), *command[1:]]) == 0
+    stages = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]
+    assert sorted(stages) == ["adapt", "agnostic_adapter", "meta_adapter", "pretrain", "sweep"]
+    for stage, entry in stages.items():
+        assert entry["numpy"] == np.__version__, stage
+        assert entry["python"] == platform.python_version(), stage
+        assert entry["cpus"] == 1, stage
+        assert isinstance(entry["blas"], str) and entry["blas"], stage
 
 
 def test_cli_evaluate_identity_scores_100(tmp_path, capsys):

@@ -1,18 +1,23 @@
-"""A loaded DLP keeps each split as its file text until the split is read:
-every load check still runs in `load_dlp_dataset`, and a read split is the
-line-by-line parse of its file."""
+"""A loaded DLP keeps each split's path and digest, not its text, until the
+split is read: every load check still runs in `load_dlp_dataset`, a read
+split is the line-by-line parse of its file, and a file changed or deleted
+since the load is caught on that first read."""
 
+import gc
+import re
 import shutil
+import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metadapt import tasks
+from metadapt import cli, tasks
 from metadapt.checkpoint import read_text
 from metadapt.cli import run
-from metadapt.corpus import SPLITS, load_dlp_dataset, load_registry
+from metadapt.corpus import SPLITS, load_datasets, load_dlp_dataset, load_registry
 from metadapt.errors import DataIntegrityError
 from metadapt.tasks import DlpDataset, DlpId
 
@@ -175,3 +180,99 @@ def test_adapt_exits_3_on_damage_to_a_split_it_never_reads(smoke_backbone, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and DAMAGES[damage][2] in err
     assert err.count("\n") == 1
+
+
+# --- a loaded DLP keeps each split's digest, and checks it on the first read -------
+
+def _strings_reachable(obj) -> list[str]:
+    """Every str reachable from `obj` through objects it holds, without
+    following classes or modules."""
+    seen, found, todo = set(), [], [obj]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen or isinstance(item, (type, types.ModuleType)):
+            continue
+        seen.add(id(item))
+        if isinstance(item, str):
+            found.append(item)
+        else:
+            todo.extend(gc.get_referents(item))
+    return found
+
+
+def test_a_loaded_dataset_holds_no_split_text(tiny_registry):
+    """Every line of a split file holds a tab; no string the dataset holds does."""
+    for row in tiny_registry.rows:
+        ds = load_dlp_dataset(tiny_registry, row.dlp)
+        assert not any(isinstance(value, str) for value in vars(ds).values())
+        assert not any("\t" in s for s in _strings_reachable(ds))
+
+
+def _copied(tiny_registry, tmp_path):
+    shutil.copytree(tiny_registry.root, tmp_path / "corpus")
+    registry = load_registry(tmp_path / "corpus")
+    return registry, registry.by_role("heldout")[0]
+
+
+def _swap_two_lines(path: Path) -> None:
+    lines = read_text(path).splitlines(keepends=True)
+    lines[0], lines[1] = lines[1], lines[0]
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def test_a_split_changed_after_load_raises_on_its_first_read(tiny_registry, tmp_path):
+    registry, row = _copied(tiny_registry, tmp_path)
+    ds = load_dlp_dataset(registry, row.dlp)
+    path = row.path(registry.root, "test")
+    _swap_two_lines(path)
+    load_dlp_dataset(registry, row.dlp)  # the change passes every load check
+    with pytest.raises(DataIntegrityError, match=re.escape(str(path))):
+        ds.test
+    assert ds.adapt == _line_parse(read_text(row.path(registry.root, "adapt")))
+
+
+def test_a_split_deleted_after_load_raises_on_its_first_read(tiny_registry, tmp_path):
+    registry, row = _copied(tiny_registry, tmp_path)
+    ds = load_dlp_dataset(registry, row.dlp)
+    row.path(registry.root, "train").unlink()
+    with pytest.raises(FileNotFoundError, match="missing split file"):
+        ds.train
+
+
+def test_adapt_exits_3_on_a_test_split_changed_after_load(smoke_backbone, tmp_path, monkeypatch,
+                                                          capsys):
+    """The held-out datasets are loaded before stage two starts; a test
+    split changed in between is caught when stage two reads it."""
+    for name in ("corpus", "run"):
+        shutil.copytree(smoke_backbone / name, tmp_path / name)
+    registry = load_registry(tmp_path / "corpus")
+    path = registry.by_role("heldout")[0].path(registry.root, "test")
+    compare = cli.compare_strategies
+
+    def change_then_compare(*args, **kwargs):
+        _swap_two_lines(path)
+        return compare(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compare_strategies", change_then_compare)
+    capsys.readouterr()
+    assert run(["adapt", "--config", str(SMOKE), *_paths(tmp_path),
+                "--set", 'eval.strategies=["backbone"]']) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err
+    assert err.count("\n") == 1
+
+
+def test_a_loaded_role_keeps_a_small_share_of_its_split_bytes(tiny_registry):
+    rows = tiny_registry.by_role("heldout")
+    split_bytes = sum(row.path(tiny_registry.root, split).stat().st_size
+                      for row in rows for split in SPLITS)
+    load_datasets(tiny_registry, [row.dlp for row in rows])  # imports and caches warm
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        datasets = load_datasets(tiny_registry, [row.dlp for row in rows])
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(datasets) == len(rows)
+    assert kept < split_bytes / 2, (kept, split_bytes)
