@@ -362,7 +362,8 @@ def cmd_adapt_evaluate(config: dict) -> int:
                                  run_seed=config["seed"], max_len=config["eval"]["max_len"])
     out = _out_dir(config)
     write_records(records, out / "metrics.csv")
-    checkpoint.record_stage(out, "adapt", config, ["metrics.csv"], **_run_facts(started))
+    checkpoint.record_stage(out, "adapt", config, ["metrics.csv"],
+                            backbone_checksum=backbone_checksum(backbone), **_run_facts(started))
     for rec in records:
         print(f"{rec.dlp.key():30s} {rec.strategy:18s} BLEU {rec.bleu:6.2f} chrF {rec.chrf:6.2f}")
     return 0

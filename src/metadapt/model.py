@@ -98,11 +98,6 @@ class DecoderCache:
     past: dict[str, tuple[Tensor, Tensor]] = field(default_factory=dict)  # "dec/i/attn"
 
 
-def adapter_param_count(model_dim: int, bottleneck_dim: int) -> int:
-    """Per-layer adapter parameters: two projections, their biases, LN affine."""
-    return 2 * model_dim * bottleneck_dim + 2 * model_dim + bottleneck_dim + model_dim
-
-
 def _sinusoid_table(max_len: int, dim: int) -> np.ndarray:
     pos = np.arange(max_len)[:, None]
     i = np.arange(dim)[None, :]

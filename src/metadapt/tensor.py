@@ -3,10 +3,13 @@
 The op suite is deliberately small: exactly what a miniature transformer with
 bottleneck adapters needs. Every op validates shapes, checks its output for
 NaN/Inf, and, when gradients are enabled and some input requires them, records
-itself on the active tape. backward() replays the tape in reverse; an op's
-backward computes an input's gradient only when that input requires one, so
-a frozen weight's gradient is never formed. `keep_freed_heap` sets the
-allocator policy under which training frees each graph when its step ends.
+a `Node` for its output on the active tape. A node's backward keeps only the
+arrays it reads, never an input or output `Tensor`, so an op output that no
+backward reads is freed as soon as the forward drops it. backward() replays
+the tape in reverse; an op's backward computes an input's gradient only when
+that input requires one, so a frozen weight's gradient is never formed.
+`keep_freed_heap` sets the allocator policy under which training frees each
+graph when its step ends.
 """
 
 from __future__ import annotations
@@ -52,6 +55,26 @@ def keep_freed_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
+class Node:
+    """An op output's place on the tape: its gradient slot, its backward
+    `bwd(g, *targets)`, the gradient targets of the op's inputs (None for an
+    input that needs no gradient), and the output's shape. The output's
+    values stay here only where they are not C-contiguous (`like`), so that
+    its first gradient can take their layout."""
+
+    __slots__ = ("grad", "bwd", "targets", "shape", "like")
+
+    def __init__(self, data: Array, bwd: Callable[..., None], targets: tuple) -> None:
+        self.grad: Array | None = None
+        self.bwd = bwd
+        self.targets = targets
+        self.shape = data.shape
+        self.like = None if data.flags.c_contiguous else data
+
+    def _empty(self) -> Array:
+        return np.empty(self.shape) if self.like is None else np.empty_like(self.like)
+
+
 class Tape:
     """Execution-ordered record of differentiable ops.
 
@@ -63,10 +86,10 @@ class Tape:
     __slots__ = ("nodes", "consumed")
 
     def __init__(self) -> None:
-        self.nodes: list[Tensor] = []
+        self.nodes: list[Node] = []
         self.consumed = False
 
-    def record(self, node: "Tensor") -> None:
+    def record(self, node: Node) -> None:
         self.nodes.append(node)
 
     def clear(self) -> None:
@@ -114,18 +137,19 @@ class Tensor:
 
     Tensors constructed with requires_grad=True (parameters) get a zero grad
     buffer immediately, so an unreachable parameter reads as zero gradient
-    after backward(). Op outputs allocate grads lazily during backward, and
-    backward() drops each one again once the op's own backward has read it,
-    so after backward() only leaves hold a gradient.
+    after backward(). A recorded op output holds its `Node` instead: the
+    node's gradient is allocated during backward() and dropped once the op's
+    own backward has read it, so after backward() only leaves hold a
+    gradient.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_bwd")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = np.zeros_like(self.data) if requires_grad else None
-        self._bwd: Callable[[Array], None] | None = None
+        self._node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -148,6 +172,9 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
+    def _empty(self) -> Array:
+        return np.empty_like(self.data)
+
     def __add__(self, other):
         return add(self, other)
 
@@ -164,13 +191,19 @@ def _finite_or_raise(out: Array, op: str) -> None:
         raise NumericError(f"non-finite values produced by op '{op}'")
 
 
-def _accumulate(t: Tensor, g: Array) -> None:
-    if not t.requires_grad:
-        return
+def _target(t: Tensor) -> Tensor | Node | None:
+    """Where backward adds t's gradient: t's node if an op recorded it, t
+    itself if it is a leaf that requires one, else nowhere."""
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
+def _accumulate(t: Tensor | Node, g: Array) -> None:
     if t.grad is None:
-        # A fresh buffer in t.data's memory layout, not g's: a later matmul
-        # reads it, and BLAS sums in an order that depends on the layout.
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        # A fresh buffer in the memory layout of t's values, not g's: a later
+        # matmul reads it, and BLAS sums in an order that depends on the layout.
+        t.grad = np.add(g, 0.0, out=t._empty())
     else:
         t.grad += g
 
@@ -185,13 +218,15 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
-def _make(data: Array, parents: Sequence[Tensor], bwd: Callable[[Array], None], op: str) -> Tensor:
+def _make(data: Array, inputs: Sequence[Tensor], bwd: Callable[..., None], op: str) -> Tensor:
+    """The op output of `data`, recorded with `bwd`, which is called as
+    bwd(g, *targets) with one gradient target (or None) per input."""
     _finite_or_raise(data, op)
     out = Tensor(data)
-    if grad_enabled() and any(p.requires_grad for p in parents):
+    if grad_enabled() and any(p.requires_grad for p in inputs):
         out.requires_grad = True
-        out._bwd = bwd
-        active_tape().record(out)
+        out._node = Node(data, bwd, tuple(_target(p) for p in inputs))
+        active_tape().record(out._node)
     return out
 
 
@@ -206,11 +241,11 @@ def add(a, b) -> Tensor:
     except ValueError as exc:
         raise DimensionError(f"add: incompatible shapes {a.shape} and {b.shape}") from exc
 
-    def bwd(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
+    def bwd(g: Array, ta, tb) -> None:
+        if ta is not None:
+            _accumulate(ta, _unbroadcast(g, ta.shape))
+        if tb is not None:
+            _accumulate(tb, _unbroadcast(g, tb.shape))
 
     return _make(data, (a, b), bwd, "add")
 
@@ -218,8 +253,8 @@ def add(a, b) -> Tensor:
 def neg(a) -> Tensor:
     a = _coerce(a)
 
-    def bwd(g: Array) -> None:
-        _accumulate(a, -g)
+    def bwd(g: Array, ta) -> None:
+        _accumulate(ta, -g)
 
     return _make(-a.data, (a,), bwd, "neg")
 
@@ -230,12 +265,13 @@ def mul(a, b) -> Tensor:
         data = a.data * b.data
     except ValueError as exc:
         raise DimensionError(f"mul: incompatible shapes {a.shape} and {b.shape}") from exc
+    ad, bd = a.data, b.data
 
-    def bwd(g: Array) -> None:
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+    def bwd(g: Array, ta, tb) -> None:
+        if ta is not None:
+            _accumulate(ta, _unbroadcast(g * bd, ta.shape))
+        if tb is not None:
+            _accumulate(tb, _unbroadcast(g * ad, tb.shape))
 
     return _make(data, (a, b), bwd, "mul")
 
@@ -244,8 +280,8 @@ def scale(a, factor: float) -> Tensor:
     a = _coerce(a)
     factor = float(factor)
 
-    def bwd(g: Array) -> None:
-        _accumulate(a, g * factor)
+    def bwd(g: Array, ta) -> None:
+        _accumulate(ta, g * factor)
 
     return _make(a.data * factor, (a,), bwd, "scale")
 
@@ -262,16 +298,24 @@ def _product(a: Tensor, b: Tensor, op: str) -> Array:
         raise DimensionError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from exc
 
 
-def _product_bwd(a: Tensor, b: Tensor, g: Array) -> None:
-    if a.requires_grad:
-        _accumulate(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-    if b.requires_grad:
-        _accumulate(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+def _product_bwd(a: Tensor, b: Tensor) -> Callable[..., None]:
+    """The backward of a.data @ b.data. It keeps each operand only where the
+    other one's gradient reads it."""
+    ad = a.data if b.requires_grad else None
+    bd = b.data if a.requires_grad else None
+
+    def bwd(g: Array, ta, tb) -> None:
+        if ta is not None:
+            _accumulate(ta, _unbroadcast(g @ bd.swapaxes(-1, -2), ta.shape))
+        if tb is not None:
+            _accumulate(tb, _unbroadcast(ad.swapaxes(-1, -2) @ g, tb.shape))
+
+    return bwd
 
 
 def matmul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    return _make(_product(a, b, "matmul"), (a, b), lambda g: _product_bwd(a, b, g), "matmul")
+    return _make(_product(a, b, "matmul"), (a, b), _product_bwd(a, b), "matmul")
 
 
 def linear(x, w, b) -> Tensor:
@@ -287,11 +331,12 @@ def linear(x, w, b) -> Tensor:
         data += b.data
     except ValueError as exc:
         raise DimensionError(f"linear: bias of shape {b.shape} does not fit {data.shape}") from exc
+    product_bwd = _product_bwd(x, w)
 
-    def bwd(g: Array) -> None:
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.shape))
-        _product_bwd(x, w, g)
+    def bwd(g: Array, tx, tw, tb) -> None:
+        if tb is not None:
+            _accumulate(tb, _unbroadcast(g, tb.shape))
+        product_bwd(g, tx, tw)
 
     return _make(data, (x, w, b), bwd, "linear")
 
@@ -300,8 +345,8 @@ def relu(a) -> Tensor:
     a = _coerce(a)
     mask = a.data > 0.0
 
-    def bwd(g: Array) -> None:
-        _accumulate(a, g * mask)
+    def bwd(g: Array, ta) -> None:
+        _accumulate(ta, g * mask)
 
     return _make(np.where(mask, a.data, 0.0), (a,), bwd, "relu")
 
@@ -315,9 +360,9 @@ def softmax(a) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
-    def bwd(g: Array) -> None:
+    def bwd(g: Array, ta) -> None:
         inner = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, (g - inner) * y)
+        _accumulate(ta, (g - inner) * y)
 
     return _make(y, (a,), bwd, "softmax")
 
@@ -334,18 +379,19 @@ def layer_norm(x, gain, bias, epsilon: float = 1e-5) -> Tensor:
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + epsilon)
     xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    gd = gain.data
+    data = xhat * gd + bias.data
 
-    def bwd(g: Array) -> None:
+    def bwd(g: Array, tx, tgain, tbias) -> None:
         lead = tuple(range(g.ndim - 1))
-        if gain.requires_grad:
-            _accumulate(gain, _unbroadcast((g * xhat).sum(axis=lead), gain.shape))
-        if bias.requires_grad:
-            _accumulate(bias, _unbroadcast(g.sum(axis=lead), bias.shape))
-        if x.requires_grad:
-            gxhat = g * gain.data
+        if tgain is not None:
+            _accumulate(tgain, _unbroadcast((g * xhat).sum(axis=lead), tgain.shape))
+        if tbias is not None:
+            _accumulate(tbias, _unbroadcast(g.sum(axis=lead), tbias.shape))
+        if tx is not None:
+            gxhat = g * gd
             term = gxhat - gxhat.mean(axis=-1, keepdims=True) - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * term)
+            _accumulate(tx, inv * term)
 
     return _make(data, (x, gain, bias), bwd, "layer_norm")
 
@@ -362,11 +408,11 @@ def embedding_lookup(table, ids: Array) -> Tensor:
         raise InputError("embedding_lookup: id out of vocabulary range")
     data = table.data[ids]
 
-    def bwd(g: Array) -> None:
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
+    def bwd(g: Array, ttable) -> None:
+        if ttable.grad is None:
+            ttable.grad = ttable._empty()
+            ttable.grad.fill(0.0)
+        np.add.at(ttable.grad, ids, g)
 
     return _make(data, (table,), bwd, "embedding_lookup")
 
@@ -397,12 +443,13 @@ def cross_entropy(logits, targets: Array, mask: Array) -> Tensor:
     picked = np.take_along_axis(logprobs, targets[..., None], axis=-1)[..., 0]
     data = np.asarray(-(picked * maskf).sum() / denom)
 
-    def bwd(g: Array) -> None:
-        probs = np.exp(logprobs)
-        gl = probs.copy()
-        np.put_along_axis(gl, targets[..., None], np.take_along_axis(gl, targets[..., None], axis=-1) - 1.0, axis=-1)
+    def bwd(g: Array, tlogits) -> None:
+        gl = np.exp(logprobs)  # the probabilities, a fresh array changed in place
+        at = targets[..., None]
+        np.put_along_axis(gl, at, np.take_along_axis(gl, at, axis=-1) - 1.0, axis=-1)
         gl *= (maskf / denom)[..., None]
-        _accumulate(logits, gl * g)
+        gl *= g
+        _accumulate(tlogits, gl)
 
     return _make(data, (logits,), bwd, "cross_entropy")
 
@@ -416,8 +463,8 @@ def dropout(a, p: float, rng: np.random.Generator) -> Tensor:
         return a
     kept = rng.random(a.shape) >= p
 
-    def bwd(g: Array) -> None:
-        _accumulate(a, g * (kept / (1.0 - p)))
+    def bwd(g: Array, ta) -> None:
+        _accumulate(ta, g * (kept / (1.0 - p)))
 
     return _make(a.data * (kept / (1.0 - p)), (a,), bwd, "dropout")
 
@@ -429,10 +476,9 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
         data = a.data.reshape(shape)
     except ValueError as exc:
         raise DimensionError(f"reshape: cannot view {a.shape} as {shape}") from exc
-    old = a.shape
 
-    def bwd(g: Array) -> None:
-        _accumulate(a, g.reshape(old))
+    def bwd(g: Array, ta) -> None:
+        _accumulate(ta, g.reshape(ta.shape))
 
     return _make(data, (a,), bwd, "reshape")
 
@@ -440,8 +486,8 @@ def reshape(a, shape: Sequence[int]) -> Tensor:
 def swapaxes(a, axis1: int, axis2: int) -> Tensor:
     a = _coerce(a)
 
-    def bwd(g: Array) -> None:
-        _accumulate(a, g.swapaxes(axis1, axis2))
+    def bwd(g: Array, ta) -> None:
+        _accumulate(ta, g.swapaxes(axis1, axis2))
 
     return _make(a.data.swapaxes(axis1, axis2), (a,), bwd, "swapaxes")
 
@@ -449,8 +495,8 @@ def swapaxes(a, axis1: int, axis2: int) -> Tensor:
 def tensor_sum(a) -> Tensor:
     a = _coerce(a)
 
-    def bwd(g: Array) -> None:
-        _accumulate(a, np.broadcast_to(g, a.shape).copy())
+    def bwd(g: Array, ta) -> None:
+        _accumulate(ta, np.broadcast_to(g, ta.shape).copy())
 
     return _make(np.asarray(a.data.sum()), (a,), bwd, "sum")
 
@@ -467,21 +513,24 @@ def mean(a) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate grads of every requires_grad leaf reachable from `loss`.
 
-    Walks the active tape once in reverse. Each op output's grad is set to
-    None as soon as its op's backward has run: every consumer of a node is
-    recorded after it, so nothing adds to that gradient later. May be called
-    once per tape; a second call without a tape reset is a StateError.
+    Pops the active tape's nodes in reverse. Once a node's backward has run,
+    the node drops its gradient, its backward and the arrays that backward
+    kept: every consumer of a node is recorded after it, so nothing adds to
+    that gradient later. May be called once per tape; a second call without
+    a tape reset is a StateError.
     """
     if loss.data.size != 1:
         raise InputError("backward: loss must be a scalar")
     tape = active_tape()
     if tape.consumed:
         raise StateError("backward: tape already consumed; reset it first")
-    if loss.requires_grad:
-        loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        if node.grad is None or node._bwd is None:
-            continue
-        node._bwd(node.grad)
-        node.grad = None
+    start = _target(loss)
+    if start is not None:
+        start.grad = np.ones_like(loss.data)
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
+        if node.grad is not None:
+            node.bwd(node.grad, *node.targets)
+        node.grad = node.bwd = node.targets = node.like = None
     tape.consumed = True

@@ -200,7 +200,9 @@ class _Shards:
     splits no parameter, is stepped by its own AdamW on its process alone,
     in place in row 0 (ZeRO stage 1, Rajbhandari et al., arXiv:1910.02054).
     Only row indices, each shard's loss and gold-token count, and the shard
-    weights cross a pipe."""
+    weights cross a pipe. A trained parameter's gradient is always a view
+    of a shard's row, so the run allocates no gradient of its own for it;
+    `release` drops those views."""
 
     def __init__(self, model: TranslationModel, trainable: list[str], make,
                  settings: OptimizerSettings):
@@ -219,6 +221,8 @@ class _Shards:
         self._rows = [self._split(row) for row in self._buf]
         for name, value in self._rows[0].items():
             value[...] = self._params[name].data
+        self._point_grads(1)
+        model.set_trainable(trainable)  # every trained gradient is set, so none is allocated
         # part h spans the parameters whose first value lies in
         # [h, h + 1) * total / SHARDS
         starts = np.cumsum([0] + [p.size for p in self._params.values()])[:-1]
@@ -227,6 +231,11 @@ class _Shards:
         self._parts = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         self._opts: dict[int, AdamW] = {}  # this process's parts' optimizers
         self._restored = None  # the step whose row 0 this process last copied
+
+    def _point_grads(self, row: int) -> None:
+        """Make each trained parameter's gradient its view of buffer row `row`."""
+        for name, grad in self._rows[row].items():
+            self._params[name].grad = grad
 
     def _split(self, row: np.ndarray) -> dict[str, np.ndarray]:
         views = {}
@@ -253,23 +262,18 @@ class _Shards:
         # backward accumulates into each grad in place, so pointing every
         # grad at the shard's row of the buffer writes the gradient there
         self._buf[1 + shard].fill(0.0)
-        own = {name: p.grad for name, p in self._params.items()}
-        try:
-            for name, grad in self._rows[1 + shard].items():
-                self._params[name].grad = grad
-            with T.use_tape(T.Tape()):
-                loss = forward_loss(self._model, batch, rng=shard_stream(*key, shard))
-                T.backward(loss)
-        finally:
-            for name, grad in own.items():
-                self._params[name].grad = grad
+        self._point_grads(1 + shard)
+        with T.use_tape(T.Tape()):
+            loss = forward_loss(self._model, batch, rng=shard_stream(*key, shard))
+            T.backward(loss)
         return float(loss.data), float(batch.gold_mask.sum())
 
     def _update(self, step: int, weights: list[tuple[int, float]], part: int) -> None:
         """Part `part` of the weighted gradient, the shards' gradients
         weighted by their share of the gold tokens and summed in shard
         order, and one step of the part's AdamW, fresh each epoch, over its
-        span of row 0 as one flat tensor."""
+        span of row 0 as one flat tensor. The summed gradient is dropped once
+        the step has read it."""
         span = self._parts[part]
         if step == 0:
             self._opts[part] = AdamW({"values": T.Tensor(self._buf[0, span], requires_grad=True)},
@@ -277,6 +281,7 @@ class _Shards:
         opt = self._opts[part]
         opt.params["values"].grad = sum(w * self._buf[1 + s, span] for s, w in weights)
         opt.step()
+        opt.params["values"].grad = None
 
     def gradients(self, pool: ForkPool, key: tuple[int, ...],
                   rows: np.ndarray) -> tuple[float, list[tuple[int, float]]]:
@@ -293,6 +298,12 @@ class _Shards:
         """Copy the values row into the model's parameters."""
         restore_params(self._model, self._rows[0])
 
+    def release(self) -> None:
+        """Leave no trained parameter with a gradient: each one's was a view
+        of the shared buffer."""
+        for p in self._params.values():
+            p.grad = None
+
 
 def supervised_train(model: TranslationModel, vocab: Vocab,
                      rows: list[tuple[DlpId, SentencePair]], settings: OptimizerSettings,
@@ -306,7 +317,7 @@ def supervised_train(model: TranslationModel, vocab: Vocab,
     e]); each batch's gradient and update run on its _Shards, whose update
     parts start a fresh AdamW every epoch. No epoch starts once the
     max_steps budget is spent; the model holds the trained values when this
-    returns."""
+    returns, and no trained parameter holds a gradient."""
     if not rows:
         raise InputError("supervised_train: no training rows")
     if batch_size < 1:
@@ -317,21 +328,23 @@ def supervised_train(model: TranslationModel, vocab: Vocab,
         return make_mixed_batch([rows[i] for i in indices], vocab,
                                 with_domain_tag=with_domain_tag)
 
-    model.set_trainable(trainable)
     shards = _Shards(model, trainable, make, settings)
     losses: list[float] = []
-    with ForkPool(shards.run, SHARDS, "supervised training: shard") as pool:
-        for epoch in range(epochs):
-            remaining = None if max_steps is None else max_steps - len(losses)
-            if remaining is not None and remaining <= 0:
-                break
-            order = np.random.default_rng(np.random.SeedSequence([seed, stream, epoch])
-                                          ).permutation(len(rows))
-            for step, lo in enumerate(range(0, len(rows), batch_size)[:remaining]):
-                key = (seed, stream, epoch, step)
-                loss, weights = shards.gradients(pool, key, order[lo : lo + batch_size])
-                losses.append(_finite(loss, step))
-                pool.map((key, weights), range(SHARDS))  # every update part
+    try:
+        with ForkPool(shards.run, SHARDS, "supervised training: shard") as pool:
+            for epoch in range(epochs):
+                remaining = None if max_steps is None else max_steps - len(losses)
+                if remaining is not None and remaining <= 0:
+                    break
+                order = np.random.default_rng(np.random.SeedSequence([seed, stream, epoch])
+                                              ).permutation(len(rows))
+                for step, lo in enumerate(range(0, len(rows), batch_size)[:remaining]):
+                    key = (seed, stream, epoch, step)
+                    loss, weights = shards.gradients(pool, key, order[lo : lo + batch_size])
+                    losses.append(_finite(loss, step))
+                    pool.map((key, weights), range(SHARDS))  # every update part
+    finally:
+        shards.release()
     shards.restore()
     return losses
 
@@ -359,7 +372,6 @@ def inner_adapt(model: TranslationModel, vocab: Vocab, start: dict[str, np.ndarr
         loss = forward_loss(model, batch, rng=rng)
         _finite(float(loss.data), step)
         T.backward(loss)
-        del loss  # the step's graph goes when opt.step() clears the tape
         opt.step()
     return snapshot_params(model, trainable)
 

@@ -28,6 +28,27 @@ def no_child_process_left():
                     f"{', '.join(str(p.pid) for p in left)}")
 
 
+def captured(tape) -> list:
+    """Every value that the backwards of the nodes on `tape` capture,
+    nested closures included."""
+    values = []
+    fns = [node.bwd for node in tape.nodes]  # a stack, not a recursive closure: no cycle
+    while fns:
+        for cell in fns.pop().__closure__ or ():
+            values.append(cell.cell_contents)
+            if callable(cell.cell_contents) and hasattr(cell.cell_contents, "__closure__"):
+                fns.append(cell.cell_contents)
+    return values
+
+
+def saved_arrays(tape) -> list:
+    """Every array that the nodes on `tape` keep for their backward: each
+    array a backward captures and each node's `like`, once each."""
+    found = [v for v in captured(tape) if isinstance(v, np.ndarray)]
+    found += [node.like for node in tape.nodes if node.like is not None]
+    return list({id(a): a for a in found}.values())
+
+
 def on_cpus(monkeypatch, count):
     """Make `count` CPUs available to this process."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))

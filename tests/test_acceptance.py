@@ -20,7 +20,6 @@ from metadapt.metrics import aggregate, chrf, corpus_bleu, write_records, write_
 from metadapt.model import (
     AdapterConfig,
     ModelConfig,
-    adapter_param_count,
     build_model,
     forward_loss,
     hash_seed,
@@ -301,7 +300,8 @@ def test_criterion_07_efficiency_accounting(experiment):
     ratio = meta_rec.trainable_ratio
     ok_ratio = ratio < 0.05
     mc, ac = experiment["mc"], experiment["ac"]
-    per_layer = adapter_param_count(mc.model_dim, ac.bottleneck_dim)
+    # per layer: two projections, their biases, the LN affine
+    per_layer = 2 * mc.model_dim * ac.bottleneck_dim + 2 * mc.model_dim + ac.bottleneck_dim + mc.model_dim
     single = per_layer * 2 * mc.num_layers
     ok_single = meta_rec.trainable_params == single
 

@@ -12,7 +12,6 @@ from metadapt.model import (
     Batch,
     ModelConfig,
     adapter_forward,
-    adapter_param_count,
     build_model,
     forward_loss,
     get_adapter_params,
@@ -62,8 +61,8 @@ def test_partition_total_and_disjoint():
 def test_adapter_param_count_closed_form_vs_enumeration():
     mc, ac = tiny_mc(), tiny_ac()
     model = build_model(mc, ac, seed=1)
-    per_layer = adapter_param_count(mc.model_dim, ac.bottleneck_dim)
-    assert per_layer == 2 * mc.model_dim * ac.bottleneck_dim + 2 * mc.model_dim + ac.bottleneck_dim + mc.model_dim
+    # per layer: two projections, their biases, the LN affine
+    per_layer = 2 * mc.model_dim * ac.bottleneck_dim + 2 * mc.model_dim + ac.bottleneck_dim + mc.model_dim
     enumerated = sum(model.params[n].size for n in model.adapter_names())
     assert enumerated == per_layer * 2 * mc.num_layers  # encoder + decoder stacks
 

@@ -585,6 +585,13 @@ def smoke_run(tmp_path_factory) -> Path:
     return root
 
 
+def test_cli_adapt_entry_names_the_backbone_it_scored_on(smoke_run):
+    """The adapt entry of the run index records the checksum of the
+    backbone its records were scored on: the pretrain entry's."""
+    stages = json.loads((smoke_run / "run" / "manifest.json").read_text())["stages"]
+    assert stages["adapt"]["backbone_checksum"] == stages["pretrain"]["backbone_checksum"]
+
+
 def _copy_of(smoke_run: Path, tmp_path: Path) -> list[str]:
     """Config arguments for a copy of `smoke_run` under `tmp_path`."""
     import shutil

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import platform
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from metadapt import tensor as T
 from metadapt.errors import DimensionError, InputError, NumericError, StateError
 from metadapt.gradcheck import grad_check
 from metadapt.optim import AdamW, OptimizerSettings
+
+from conftest import captured, saved_arrays
 
 
 @pytest.fixture(autouse=True)
@@ -345,8 +348,9 @@ def test_op_output_gradient_keeps_the_data_layout():
     w = T.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
     y = T.swapaxes(x, 1, 2)
     handed = []
-    bwd = y._bwd
-    y._bwd = lambda g: (handed.append(g.strides), bwd(g))
+    node = y._node
+    bwd = node.bwd
+    node.bwd = lambda g, *targets: (handed.append(g.strides), bwd(g, *targets))
     T.backward(T.tensor_sum(T.matmul(y, w)))
     assert handed == [y.data.strides]
 
@@ -361,11 +365,94 @@ def test_backward_releases_op_output_gradients_and_keeps_leaf_gradients():
     h = T.relu(T.matmul(x, w) + b)
     loss = T.mean(T.mul(h, h))
     nodes = list(T.active_tape().nodes)
-    assert loss in nodes and len(nodes) == 6
+    assert loss._node in nodes and len(nodes) == 6
     T.backward(loss)
     assert [node.grad for node in nodes] == [None] * len(nodes)
     for leaf in (x, w, b):
         assert leaf.grad is not None and leaf.grad.shape == leaf.shape and leaf.grad.any()
+
+
+def test_an_op_output_that_no_backward_reads_dies_with_the_forward():
+    """A projection under relu, a residual sum under layer_norm and the
+    logits under cross_entropy are freed as soon as the forward drops them:
+    those ops' backwards keep a mask, the normalized values and the
+    log-probabilities, not their inputs."""
+    rng = np.random.default_rng(4)
+    x = T.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(4,)), requires_grad=True)
+    gain = T.Tensor(rng.normal(size=(4,)), requires_grad=True)
+    refs = []
+
+    def dropped(t):
+        refs.append(weakref.ref(t.data))
+        return t
+
+    h = T.relu(dropped(T.linear(x, w, b)))
+    h = T.layer_norm(dropped(T.add(h, x)), gain, b)
+    loss = T.cross_entropy(dropped(T.linear(h, w, b)), np.array([0, 3, 1]), np.ones(3))
+    assert [ref() for ref in refs] == [None] * 3
+    T.backward(loss)
+    for leaf in (x, w, b, gain):
+        assert leaf.grad.any()
+
+
+def test_backward_frees_every_array_the_graph_saved():
+    """A recorded backward captures arrays, never a Tensor. Once backward
+    has run, the tape is empty and every array the graph saved is dead,
+    though the loss is still held."""
+    rng = np.random.default_rng(5)
+    table = T.Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    w = T.Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=(4,)), requires_grad=True)
+    gain = T.Tensor(rng.normal(size=(4,)), requires_grad=True)
+    leaves = (table, w, b, gain)
+
+    def forward():
+        x = T.embedding_lookup(table, np.array([[1, 5, 2], [0, 6, 6]]))
+        h = T.dropout(T.relu(T.linear(x, w, b)), 0.25, np.random.default_rng(1))
+        h = T.layer_norm(T.add(h, x), gain, b)
+        heads = T.swapaxes(T.reshape(h, (2, 3, 2, 2)), 1, 2)
+        attn = T.softmax(T.scale(T.matmul(heads, T.swapaxes(heads, 2, 3)), 0.5))
+        ctx = T.reshape(T.swapaxes(T.matmul(attn, heads), 1, 2), (2, 3, 4))
+        logits = T.matmul(ctx, T.swapaxes(table, 0, 1))
+        return T.cross_entropy(logits, np.array([[1, 2, 3], [4, 5, 6]]), np.ones((2, 3)))
+
+    loss = forward()
+    tape = T.active_tape()
+    assert not [v for v in captured(tape) if isinstance(v, T.Tensor)]
+    saved = [a for a in saved_arrays(tape) if not any(a is leaf.data for leaf in leaves)]
+    assert len(saved) >= 10 and any(node.like is not None for node in tape.nodes)
+    refs = [weakref.ref(a) for a in saved]
+    del saved
+    T.backward(loss)
+    assert len(tape) == 0
+    assert [ref() for ref in refs] == [None] * len(refs)
+    for leaf in leaves:
+        assert leaf.grad.any()
+
+
+def test_no_backward_reads_the_data_of_a_captured_tensor():
+    """The backward closures in tensor.py read arrays they captured, never
+    `.data` of a name from the op around them, so no captured op output
+    keeps its values alive for backward."""
+    tree = ast.parse(Path(T.__file__).read_text(encoding="utf-8"))
+    offenders = []
+    for op in tree.body:
+        if not isinstance(op, ast.FunctionDef):
+            continue
+        for inner in ast.walk(op):
+            if inner is op or not isinstance(inner, (ast.FunctionDef, ast.Lambda)):
+                continue
+            args = inner.args
+            own = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            own |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+            own |= {n.id for n in ast.walk(inner)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            offenders += [f"{op.name}:{n.lineno}" for n in ast.walk(inner)
+                          if isinstance(n, ast.Attribute) and n.attr == "data"
+                          and isinstance(n.value, ast.Name) and n.value.id not in own]
+    assert offenders == []
 
 
 def test_only_the_tensor_constructor_rebinds_data():

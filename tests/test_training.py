@@ -1,4 +1,5 @@
 import ast
+import mmap
 import multiprocessing
 import os
 import weakref
@@ -44,7 +45,7 @@ from metadapt.training import (
     train_stage_one,
 )
 
-from conftest import on_cpus
+from conftest import on_cpus, saved_arrays
 
 
 @pytest.fixture(scope="module")
@@ -675,17 +676,21 @@ def test_meta_adapt_equals_the_reference_step(world, monkeypatch):
 # --- graph lifetime and the heap policy --------------------------------------------------
 
 def _graphs_gone_before_each_forward(monkeypatch) -> list:
-    """Wrap training.forward_loss so that each call asserts that the loss of
-    every earlier call, and so its graph, is gone; returns a weakref to
-    each call's loss data."""
+    """Wrap training.forward_loss so that each call asserts that the graph
+    of every earlier call is gone; returns, per call, weakrefs to the arrays
+    its graph saved (the model's values and the batch's arrays aside, which
+    outlive any graph)."""
     refs = []
     original = training.forward_loss
 
-    def checked(*args, **kwargs):
-        alive = [i for i, ref in enumerate(refs) if ref() is not None]
+    def checked(model, batch, *args, **kwargs):
+        alive = [i for i, step in enumerate(refs) if any(ref() is not None for ref in step)]
         assert not alive, f"forward {len(refs)} runs while the graphs of {alive} are alive"
-        loss = original(*args, **kwargs)
-        refs.append(weakref.ref(loss.data))
+        loss = original(model, batch, *args, **kwargs)
+        outside = [p.data for p in model.params.values()] + list(vars(batch).values())
+        refs.append([weakref.ref(a) for a in saved_arrays(T.active_tape())
+                     if not any(a is b for b in outside)])
+        assert refs[-1]
         return loss
 
     monkeypatch.setattr(training, "forward_loss", checked)
@@ -704,7 +709,7 @@ def test_each_shard_graph_is_gone_before_the_next_forward(world, monkeypatch):
     losses = supervised_train(model, vocab, rows, OptimizerSettings(lr=1e-3), epochs=1,
                               batch_size=8, seed=2, trainable=list(model.params), max_steps=3)
     assert len(refs) == training.SHARDS * len(losses) == training.SHARDS * 3
-    assert all(ref() is None for ref in refs)
+    assert all(ref() is None for step in refs for ref in step)
 
 
 def test_each_inner_step_graph_is_gone_before_the_next_forward(world, monkeypatch):
@@ -714,7 +719,53 @@ def test_each_inner_step_graph_is_gone_before_the_next_forward(world, monkeypatc
     refs = _graphs_gone_before_each_forward(monkeypatch)
     inner_adapt(model, vocab, snapshot_params(model, model.adapter_names()), dlp,
                 datasets[dlp].train[:4], 3, OptimizerSettings(lr=1e-3), np.random.default_rng(0))
-    assert len(refs) == 3 and all(ref() is None for ref in refs)
+    assert len(refs) == 3 and all(ref() is None for step in refs for ref in step)
+
+
+def test_a_shard_graph_sees_only_the_shared_gradient_rows(world, monkeypatch):
+    """While a shard's graph is alive, every trained parameter's gradient is
+    a view of the run's shared buffer: the gradients they held before the
+    run are gone, none of their own is allocated, and none is left after
+    the run."""
+    _, vocab, datasets = world
+    dlp = sorted(datasets)[0]
+    rows = [(dlp, pair) for pair in datasets[dlp].train]
+    on_cpus(monkeypatch, 1)
+    model = small_model(vocab, seed=3, dropout=0.1)
+    names = list(model.params)
+    model.set_trainable(names)  # a zero gradient of each parameter's own
+    before = [weakref.ref(model.params[n].grad) for n in names]
+    seen = []
+    original = training.forward_loss
+
+    def root(a):  # the object whose memory the view `a` reads
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a.base.obj if isinstance(a.base, memoryview) else a.base
+
+    def checked(model, batch, *args, **kwargs):
+        loss = original(model, batch, *args, **kwargs)
+        seen.append(([ref() is None for ref in before],
+                     {id(root(model.params[n].grad)) for n in names},
+                     all(isinstance(root(model.params[n].grad), mmap.mmap) for n in names)))
+        return loss
+
+    monkeypatch.setattr(training, "forward_loss", checked)
+    supervised_train(model, vocab, rows, OptimizerSettings(lr=1e-3), epochs=1, batch_size=8,
+                     seed=2, trainable=names, max_steps=2)
+    assert len(seen) == 2 * training.SHARDS
+    for dead, buffers, shared in seen:
+        assert dead == [True] * len(names) and len(buffers) == 1 and shared
+    assert [model.params[n].grad for n in names] == [None] * len(names)
+
+    def diverged(value, step):
+        raise NumericError(f"training diverged at step {step}")
+
+    monkeypatch.setattr(training, "_finite", diverged)
+    with pytest.raises(NumericError):  # a failed run keeps no view of the buffer either
+        supervised_train(model, vocab, rows, OptimizerSettings(lr=1e-3), epochs=1,
+                         batch_size=8, seed=2, trainable=names, max_steps=2)
+    assert [model.params[n].grad for n in names] == [None] * len(names)
 
 
 def test_training_sets_the_heap_policy_before_it_forks(world, monkeypatch):
